@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .counterexample import blowup_demo, blowup_eval, projected_blowup
-from .domains import HartogsDomainSpec, MapFamily
+from .domains import HartogsDomainSpec, MapFamily, product_model_contains
 from .estimates import (NonConvergenceError, asymptotic_ratio_check,
                         sphere_moment, sphere_moment_mc)
 from .kernels import (kernel_ball, kernel_hartogs, kernel_product,
@@ -110,11 +111,17 @@ def _write_output(args, text: str) -> None:
 # --- subcommand handlers --------------------------------------------------
 
 
+def _require(inside: bool, model: str) -> None:
+    if not inside:
+        raise ValueError(f"kernel evaluated outside the {model} domain")
+
+
 def cmd_kernel(args) -> str:
     out: dict = {"model": args.model}
     if args.model == "disk":
         w = complex(args.w)
         eta = complex(args.eta)
+        _require(0.0 < abs(w) < 1.0 and 0.0 < abs(eta) < 1.0, "punctured disk")
         value = kernel_punctured_disk(w, eta)
         if args.truncated is not None:
             out["truncated"] = _complex_json(kernel_truncated("disk", args.truncated, w, eta))
@@ -123,6 +130,7 @@ def cmd_kernel(args) -> str:
             raise ValueError("--k is required for the ball kernel")
         w = _parse_point(args.w)
         eta = _parse_point(args.eta)
+        _require(np.linalg.norm(w) < 1.0 and np.linalg.norm(eta) < 1.0, "ball")
         value = kernel_ball(args.k, w, eta)
         if args.truncated is not None:
             out["truncated"] = _complex_json(
@@ -132,6 +140,8 @@ def cmd_kernel(args) -> str:
         w = _parse_point(args.w)
         eta = _parse_point(args.eta)
         if args.model == "product":
+            _require(product_model_contains(spec, w) and product_model_contains(spec, eta),
+                     "product")
             value = kernel_product(spec, w, eta)
             if args.truncated is not None:
                 out["truncated"] = _complex_json(
@@ -275,8 +285,22 @@ def cmd_project(args) -> str:
 # --- parser ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads any token starting with a negative number,
+    such as the point "-0.3,0.1" or the list "-3.0,-3.0", as an option value.
+
+    Stock argparse only recognizes a lone number like "-2.0", and rejects
+    `--w -0.3,0.1` with "expected one argument". No option name here starts
+    with a digit, so the wider pattern shadows none of them.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hartogs",
         description="Bergman kernels, sharp projection windows, and blow-up "
                     "sequences on generalized Hartogs domains.")

@@ -18,6 +18,16 @@ Both depend on |w| only. For -1 < alpha < 0 they stay comparable to
 on a grid. The disk integral also has an exact one-dimensional radial form
 (angular average of the kernel is 1/(1 - r^2 rho^2)) used as an independent
 quadrature route and as the truncated evaluator for divergent exponents.
+
+The Monte-Carlo estimators draw the squared radius rho = |eta|^2 from the
+Kumaraswamy(a, b) law, whose inverse CDF (1 - (1-u)^(1/b))^(1/a) is closed
+form (a = k or beta/2+1, b = alpha+1). Its density a b rho^(a-1)
+(1-rho^a)^(b-1) has the same endpoint behaviour as the Beta(a, b) radial law
+of the integrand, so the weight left to average, q^alpha with
+q = (1-rho)/(1-rho^a), stays between 1 and a^-alpha. The disk estimator
+draws 1 - rho instead where that bound is large (beta < 0 < alpha). Every
+weight is at most max(1, a, alpha+1), so the variance is finite for every
+alpha > -1 and beta > -2.
 """
 
 from __future__ import annotations
@@ -30,11 +40,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betaincinv
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import log_beta, log_factorial, log_gamma, log_gamma_vec
+from .special import log_factorial, log_gamma, log_gamma_vec
 
 MultiIndex = Sequence[int]
 
@@ -171,15 +180,44 @@ def weighted_disk_integral_series(alpha: float, beta: float, r: float,
                        r, rel_tol, max_terms, "disk")
 
 
+# |log rho| below which q = (1-rho)/(1-rho^a) takes its two-term Taylor form:
+# the form is exact to rounding there, and the direct ratio turns into 0/0
+# once 1 - rho^a underflows
+_TAYLOR_LOG_RHO = 2.0 ** -26
+
+
+def _kumaraswamy_radius(a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF draw rho ~ Kumaraswamy(a, b) from uniforms u in [0, 1).
+
+    Returns (rho, q) with q = (1-rho)/(1-rho^a), so that for the kernel
+    factor g, (b a) B(a, b) E_Beta(a,b)[g] = E_Kumaraswamy(a,b)[q^(b-1) g].
+    q lies between 1 and 1/a; it is exactly 1 for a = 1, where the two laws
+    coincide. Every u in [0, 1) gives finite values: u = 0 is rho = 0, q = 1,
+    and when 1 - rho^a = (1-u)^(1/b) underflows (b -> 0), q -> 1/a.
+    """
+    log_v = np.log1p(-u) / b                 # v = 1 - rho^a = (1-u)^(1/b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log rho = log(1-v)/a: log1p(-v) keeps the digits for small v, and
+        # log(-expm1(log v)) for v near 1 (u -> 0, where u = 0 gives -inf)
+        log_rho = np.where(log_v < -math.log(2.0), np.log1p(-np.exp(log_v)),
+                           np.log(-np.expm1(log_v))) / a
+        q = np.where(log_rho > -_TAYLOR_LOG_RHO,
+                     (1.0 + 0.5 * (1.0 - a) * log_rho) / a,
+                     np.expm1(log_rho) / np.expm1(a * log_rho))
+    return np.exp(log_rho), q
+
+
 def weighted_ball_integral_mc(k: int, alpha: float, w,
                               cfg: NumericConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Monte-Carlo estimate of the weighted ball integral at the point w.
 
-    The squared radius is importance-sampled from Beta(k, alpha+1), which
-    absorbs the (1-|eta|^2)^alpha weight exactly: only the bounded kernel
-    factor is averaged, so the variance stays finite for every alpha > -1
-    (plain uniform sampling has infinite variance for alpha <= -1/2 and its
-    error bars are meaningless there).
+    The squared radius is drawn from Kumaraswamy(k, alpha+1), which has the
+    endpoint behaviour of the radial law Beta(k, alpha+1) of the integrand:
+    each sample averages q^alpha / (alpha+1) times the kernel factor, with
+    q = (1-rho)/(1-rho^k) in [1/k, 1]. The weight is bounded, so the
+    variance stays finite for every alpha > -1 (plain uniform sampling has
+    infinite variance for alpha <= -1/2 and its error bars are meaningless
+    there). Each sample consumes 2k+1 uniforms.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if w.shape != (k,):
@@ -188,15 +226,14 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
         raise ValueError("w must lie in the open unit ball")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
-    const = k * math.exp(log_beta(k, alpha + 1.0))
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random((count, 2 * k + 1))
         xi = sampling.sphere_from_uniform(u[:, :2 * k], k)
-        rho = betaincinv(float(k), alpha + 1.0, u[:, 2 * k])
+        rho, q = _kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
         eta = np.sqrt(rho)[:, None] * xi
         ip = eta @ np.conj(w)
-        return const / np.abs(1.0 - ip) ** (k + 1)
+        return q ** alpha / (alpha + 1.0) / np.abs(1.0 - ip) ** (k + 1)
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 
@@ -205,9 +242,16 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
                               cfg: NumericConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Monte-Carlo estimate of the weighted disk integral at the point w.
 
-    The squared radius is importance-sampled from Beta(beta/2+1, alpha+1),
-    absorbing both weight singularities (at the puncture and at the boundary)
-    exactly; only the bounded kernel factor is averaged.
+    The squared radius is drawn from Kumaraswamy(a, alpha+1) with
+    a = beta/2+1, which has the endpoint behaviour of the radial law
+    Beta(a, alpha+1) at both the puncture and the boundary: each sample
+    averages q^alpha / (a (alpha+1)) times the kernel factor, with
+    q = (1-rho)/(1-rho^a) between 1 and 1/a. For beta < 0 < alpha that
+    weight would reach a^-alpha on rare draws near the boundary, so there
+    1 - rho is drawn from Kumaraswamy(alpha+1, a) instead, with weight
+    q^(a-1) between 1 and alpha+1 for q = rho/(1-(1-rho)^(alpha+1)).
+    Every weight is then at most max(1, a, alpha+1). Each sample consumes
+    2 uniforms.
     """
     w = complex(np.asarray(w, dtype=complex).reshape(()))
     if abs(w) >= 1.0:
@@ -216,13 +260,19 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
         raise ValueError("alpha must exceed -1")
     if beta <= -2.0:
         raise ValueError("beta must exceed -2")
-    const = math.exp(log_beta(beta / 2.0 + 1.0, alpha + 1.0))
+    a = beta / 2.0 + 1.0
+    reflect = a < 1.0 < alpha + 1.0
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random((count, 2))
-        rho = betaincinv(beta / 2.0 + 1.0, alpha + 1.0, u[:, 0])
+        if reflect:
+            t, q = _kumaraswamy_radius(alpha + 1.0, a, u[:, 0])
+            rho, weight = 1.0 - t, q ** (a - 1.0)
+        else:
+            rho, q = _kumaraswamy_radius(a, alpha + 1.0, u[:, 0])
+            weight = q ** alpha
         eta = np.sqrt(rho) * np.exp(2j * np.pi * u[:, 1])
-        return const / np.abs(1.0 - w * np.conj(eta)) ** 2
+        return weight / (a * (alpha + 1.0)) / np.abs(1.0 - w * np.conj(eta)) ** 2
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 

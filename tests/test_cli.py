@@ -58,6 +58,19 @@ class TestKernelCommand:
                     "--w", "0.5,0.3", "--eta", "0,0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "disk", "--w", "0.1", "--eta", "2"],
+        ["--model", "disk", "--w", "1", "--eta", "1"],      # w conj(eta) = 1
+        ["--model", "disk", "--w", "0", "--eta", "0.5"],    # the puncture
+        ["--model", "ball", "--k", "2", "--w", "0.8,0.8", "--eta", "0,0.1"],
+        ["--model", "product", "--n", "2", "--k", "1", "--w", "0.5,0", "--eta", "0.5,0.5"],
+    ])
+    def test_other_models_reject_points_outside_their_domain(self, argv, capsys):
+        assert run(["kernel", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside" in captured.err
+
 
 class TestMomentsCommand:
     def test_formula_and_mc(self, capsys):
@@ -179,6 +192,25 @@ class TestProjectCommand:
 
     def test_requires_a_function(self):
         assert run(["project", "--n", "2", "--k", "1", "--point", "0.1,0.4"]) == 2
+
+    def test_single_sample_has_no_error_bar(self, capsys):
+        assert run(["project", "--n", "2", "--k", "1", "--point", "0.1,0.4",
+                    "--monomial", "1,1", "--samples", "1"]) == 2
+        assert "at least two samples" in capsys.readouterr().err
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("head,option,value", [
+        (["schur-verify", "--n", "3", "--k", "1", "--p", "2.0", "--samples", "20",
+          "--witness-s", "-0.25"], "--witness-t", "-3.0,-3.0"),
+        (["kernel", "--model", "ball", "--k", "2", "--eta", "0.2,0.1"], "--w", "-0.3,0.1"),
+        (["kernel", "--model", "disk", "--eta", "0.5"], "--w", "-.5-0.1j"),
+    ])
+    def test_separate_token_matches_equals_form(self, head, option, value, capsys):
+        assert run([*head, option, value]) == 0
+        separate = capsys.readouterr().out
+        assert run([*head, f"{option}={value}"]) == 0
+        assert capsys.readouterr().out == separate
 
 
 class TestProcessLevel:

@@ -230,3 +230,83 @@ class TestSeriesInternals:
         assert est_a != est_b  # different sample counts genuinely differ
         est_c, _ = weighted_disk_integral_mc(-0.5, 0.0, 0.3, cfg_a)
         assert est_a == est_c
+
+
+class TestKumaraswamyRadialDraw:
+    # a = k for the ball, a = beta/2 + 1 for the disk; b = alpha + 1; the
+    # reflected disk draw swaps them
+    A_VALUES = (1.0, 2.0, 3.0, 4.0, 5.0, 0.005, 0.45)
+    B_VALUES = (0.005, 0.01, 0.45, 1.0, 4.0)
+    U_EDGES = np.array([0.0, 1e-17, 0.5, 1.0 - 2.0 ** -53])
+
+    def test_weight_bounds_at_edge_uniforms(self):
+        for a in self.A_VALUES:
+            for b in self.B_VALUES:
+                rho, q = estimates._kumaraswamy_radius(a, b, self.U_EDGES)
+                assert np.all(np.isfinite(rho)) and np.all(np.isfinite(q))
+                assert np.all((rho >= 0.0) & (rho <= 1.0))
+                assert np.all(q >= min(1.0, 1.0 / a)), (a, b, q)
+                assert np.all(q <= max(1.0, 1.0 / a)), (a, b, q)
+
+    def test_limits(self):
+        rho, q = estimates._kumaraswamy_radius(3.0, 0.45, np.array([0.0]))
+        assert rho[0] == 0.0 and q[0] == 1.0
+        # (1-u)^(1/b) underflows to 0 for b -> 0: q takes its limit 1/a
+        rho, q = estimates._kumaraswamy_radius(3.0, 0.01, np.array([0.9999]))
+        assert rho[0] == 1.0 and q[0] == 1.0 / 3.0
+        # a = 1 is Beta(1, b) itself: the weight is exactly 1
+        _, q = estimates._kumaraswamy_radius(1.0, 0.45, np.random.default_rng(1).random(1000))
+        assert np.all(q == 1.0)
+
+    def test_matches_high_precision_inverse_cdf(self):
+        mpmath = pytest.importorskip("mpmath")
+        u = np.concatenate([np.random.default_rng(2).random(20),
+                            np.logspace(-16, -1, 6), 1.0 - np.logspace(-15, -1, 6)])
+        for a in (2.0, 5.0, 0.005, 0.45):
+            for b in (0.01, 0.45, 4.0):
+                rho, q = estimates._kumaraswamy_radius(a, b, u)
+                for ui, ri, qi in zip(u, rho, q):
+                    with mpmath.workdps(40):
+                        v = mpmath.exp(mpmath.log1p(-mpmath.mpf(ui)) / b)
+                        if v < 1e-300:
+                            continue  # q is at its 1/a limit, checked above
+                        log_rho = mpmath.log1p(-v) / a
+                        want_q = -mpmath.expm1(log_rho) / v
+                        want_rho = mpmath.exp(log_rho)
+                    assert float(abs(qi - want_q) / want_q) < 1e-13
+                    if want_rho > 1e-300:  # subnormal radii keep fewer digits
+                        assert float(abs(ri - want_rho) / want_rho) < 1e-13
+
+
+class TestMonteCarloEdgeGrid:
+    CFG = NumericConfig(seed=707, mc_samples=20_000)
+    ALPHAS = (-0.99, -0.55, 0.0, 3.0)
+    RADII = (0.0, 0.5, 0.9)
+
+    @staticmethod
+    def _agree(est, err, exact):
+        assert math.isfinite(est) and math.isfinite(err)
+        assert abs(est - exact) <= 4 * err + 1e-12 * abs(exact), (est, err, exact)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_ball(self, k):
+        direction = np.exp(1j * np.arange(1, k + 1)) / math.sqrt(k)
+        for alpha in self.ALPHAS:
+            for r in self.RADII:
+                est, err = weighted_ball_integral_mc(k, alpha, r * direction, self.CFG)
+                self._agree(est, err, weighted_ball_integral_series(k, alpha, r))
+
+    @pytest.mark.parametrize("beta", [-1.99, -1.1, 0.0, 4.0])
+    def test_disk(self, beta):
+        for alpha in self.ALPHAS:
+            for r in self.RADII:
+                est, err = weighted_disk_integral_mc(alpha, beta, r * np.exp(0.3j), self.CFG)
+                self._agree(est, err, weighted_disk_integral_series(alpha, beta, r))
+
+    def test_workers_bit_identical(self):
+        cfg = self.CFG.with_(mc_samples=100_000, chunk_size=1 << 13)
+        w = np.array([0.3 - 0.2j, 0.1j, 0.4])
+        one = weighted_ball_integral_mc(3, -0.99, w, cfg)
+        assert weighted_ball_integral_mc(3, -0.99, w, cfg.with_(workers=2)) == one
+        one = weighted_disk_integral_mc(-0.55, -1.99, 0.7j, cfg)
+        assert weighted_disk_integral_mc(-0.55, -1.99, 0.7j, cfg.with_(workers=2)) == one
