@@ -343,8 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=DEFAULT_CONFIG.grid_r_max)
     p.add_argument("--grid-points", type=int, default=DEFAULT_CONFIG.grid_points)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-terms", type=int, default=1_000_000)
+    p.add_argument("--tol", type=float,
+                   help="series relative tolerance; selects the series reference route "
+                        "(default 1e-12 there)")
+    p.add_argument("--max-terms", type=int,
+                   help="series term cap; selects the series reference route "
+                        "(default 1000000 there)")
     p.add_argument("--refined", action="store_true",
                    help="emit the refined envelope ratio (disk, beta <= 0)")
     add_common(p, seed=False)

@@ -1,4 +1,4 @@
-"""Shared numeric configuration for seeded Monte-Carlo runs and series evaluation."""
+"""Shared numeric configuration for seeded Monte-Carlo runs and radius grids."""
 
 from __future__ import annotations
 
@@ -7,16 +7,14 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Knobs that every stochastic or truncated evaluation reads.
+    """Knobs that every stochastic evaluation reads.
 
     Identical configs produce identical results: samples are a pure function
-    of (seed, sample index), and series truncation is deterministic.
+    of (seed, sample index).
     """
 
     seed: int = 12345
     mc_samples: int = 200_000
-    series_rel_tol: float = 1e-12
-    series_max_terms: int = 1_000_000
     chunk_size: int = 1 << 15
     workers: int = 1
     grid_points: int = 200

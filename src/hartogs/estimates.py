@@ -1,23 +1,28 @@
 """Sphere moments and the weighted kernel integrals behind every boundedness bound.
 
-Two families of radially symmetric integrals are evaluated here, each by an
-exact positive-term series and by seeded Monte Carlo:
+Two families of radially symmetric integrals are evaluated here. Both
+depend on r = |w| only and are Gauss hypergeometric functions of r^2
+(Forelli-Rudin; Rudin, Function Theory in the Unit Ball of C^n, 1.4.10):
 
   ball (dimension k, weight exponent alpha > -1):
       integral over the unit ball of (1-|eta|^2)^alpha / |1 - <w,eta>|^(k+1)
-      series coefficient of r^(2m):
-      [G(m+(k+1)/2)^2 / (G(m+1)^2 G((k+1)/2)^2)] * [k! m!/(m+k-1)!] * B(alpha+1, m+k)
+      = k! G(alpha+1)/G(k+alpha+1) 2F1((k+1)/2, (k+1)/2; k+alpha+1; r^2)
 
   disk (weight exponents alpha > -1, beta > -2):
       integral over the punctured disk of
       (1-|eta|^2)^alpha |eta|^beta / |1 - w conj(eta)|^2
-      series coefficient of r^(2m):  B(alpha+1, m + beta/2 + 1)
+      = B(alpha+1, beta/2+1) 2F1(1, beta/2+1; alpha+beta/2+2; r^2)
 
-Both depend on |w| only. For -1 < alpha < 0 they stay comparable to
-(1-r^2)^alpha up to constants; `asymptotic_ratio_check` measures the constants
-on a grid. The disk integral also has an exact one-dimensional radial form
-(angular average of the kernel is 1/(1 - r^2 rho^2)) used as an independent
-quadrature route and as the truncated evaluator for divergent exponents.
+The closed forms (`weighted_ball_integral`, `weighted_disk_integral`) are
+the default evaluators; they take an array of radii in one call. The
+positive-term series of the same 2F1s (`*_series`) is the reference route,
+with a stopping rule that bounds the geometric tail; the CLI selects it with
+`estimates --tol/--max-terms`. For -1 < alpha < 0 both integrals stay
+comparable to (1-r^2)^alpha up to constants; `asymptotic_ratio_check`
+measures the constants on a grid. The disk integral also has an exact
+one-dimensional radial form (angular average of the kernel is
+1/(1 - r^2 rho^2)), evaluated by a fixed Gauss-Jacobi rule as an
+independent route and as the truncated evaluator for divergent exponents.
 
 The Monte-Carlo estimators draw the squared radius rho = |eta|^2 from the
 Kumaraswamy(a, b) law, whose inverse CDF (1 - (1-u)^(1/b))^(1/a) is closed
@@ -33,17 +38,18 @@ alpha > -1 and beta > -2.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy.special import hyp2f1, roots_jacobi, roots_legendre
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import log_factorial, log_gamma, log_gamma_vec
+from .special import log_beta, log_factorial, log_gamma
 
 MultiIndex = Sequence[int]
 
@@ -95,62 +101,99 @@ def sphere_moment_mc(k: int, nu: MultiIndex, cfg: NumericConfig = DEFAULT_CONFIG
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 
 
-# --- series evaluation with cached coefficients -------------------------
-
-_BALL_COEFFS: dict[tuple[int, float], np.ndarray] = {}
-_DISK_COEFFS: dict[tuple[float, float], np.ndarray] = {}
-_BLOCK = 128
+# --- closed forms (Forelli-Rudin) and the series reference route ----------
 
 
-def _ball_coeffs(k: int, alpha: float, upto: int) -> np.ndarray:
-    cached = _BALL_COEFFS.get((k, alpha))
-    have = 0 if cached is None else cached.size
-    if have >= upto:
-        return cached
-    m = np.arange(have, upto, dtype=float)
-    half = (k + 1) / 2.0
-    # log of [G(m+half)^2/(G(m+1)^2 G(half)^2)] * [k! m!/(m+k-1)!] * B(alpha+1, m+k),
-    # with the G(m+k) of the moment factor cancelled against the Beta numerator
-    log_c = (2.0 * log_gamma_vec(m + half) - log_gamma_vec(m + 1.0)
-             - 2.0 * log_gamma(half) + log_factorial(k)
-             + log_gamma(alpha + 1.0) - log_gamma_vec(m + k + alpha + 1.0))
-    fresh = np.exp(log_c)
-    out = fresh if cached is None else np.concatenate([cached, fresh])
-    _BALL_COEFFS[(k, alpha)] = out
-    return out
+def _ball_params(k: int, alpha: float) -> tuple[float, float]:
+    """Checked ball parameters: (h, c_0) with h = (k+1)/2 and
+    c_0 = k! G(alpha+1)/G(k+alpha+1), the value at r = 0."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if alpha <= -1.0:
+        raise ValueError("alpha must exceed -1 (the integral diverges otherwise)")
+    return ((k + 1) / 2.0,
+            math.exp(log_factorial(k) + log_gamma(alpha + 1.0) - log_gamma(k + alpha + 1.0)))
 
 
-def _disk_coeffs(alpha: float, beta: float, upto: int) -> np.ndarray:
-    cached = _DISK_COEFFS.get((alpha, beta))
-    have = 0 if cached is None else cached.size
-    if have >= upto:
-        return cached
-    m = np.arange(have, upto, dtype=float)
-    log_c = (log_gamma(alpha + 1.0) + log_gamma_vec(m + beta / 2.0 + 1.0)
-             - log_gamma_vec(m + beta / 2.0 + alpha + 2.0))
-    fresh = np.exp(log_c)
-    out = fresh if cached is None else np.concatenate([cached, fresh])
-    _DISK_COEFFS[(alpha, beta)] = out
-    return out
+def _disk_params(alpha: float, beta: float) -> tuple[float, float]:
+    """Checked disk parameters: (b, c_0) with b = beta/2+1 and
+    c_0 = B(alpha+1, b), the value at r = 0."""
+    if alpha <= -1.0:
+        raise ValueError("alpha must exceed -1 (the integral diverges otherwise)")
+    if beta <= -2.0:
+        raise ValueError("beta must exceed -2 (the integral diverges otherwise)")
+    b = beta / 2.0 + 1.0
+    return b, math.exp(log_beta(alpha + 1.0, b))
 
 
-def _series_sum(coeffs_for, r: float, rel_tol: float, max_terms: int, label: str) -> float:
+def _radii(r) -> np.ndarray:
+    """r as a float array, every entry checked to lie in [0, 1)."""
+    radii = np.asarray(r, dtype=float)
+    outside = ~((radii >= 0.0) & (radii < 1.0))
+    if outside.any():
+        raise ValueError(f"radius must lie in [0, 1), got {radii[outside].flat[0]}")
+    return radii
+
+
+def _like(r, values: np.ndarray):
+    """A float for scalar r, the array of values otherwise."""
+    return float(values) if np.ndim(r) == 0 else values
+
+
+def weighted_ball_integral(k: int, alpha: float, r):
+    """Weighted ball integral at radii r in [0, 1), in closed form:
+    k! G(alpha+1)/G(k+alpha+1) 2F1((k+1)/2, (k+1)/2; k+alpha+1; r^2).
+
+    Scalar r gives a float, an array of radii an array of the same shape
+    whose entries equal the scalar calls bit for bit.
+    """
+    half, scale = _ball_params(k, alpha)
+    radii = _radii(r)
+    return _like(r, scale * hyp2f1(half, half, k + alpha + 1.0, radii * radii))
+
+
+def weighted_disk_integral(alpha: float, beta: float, r):
+    """Weighted disk integral at radii r in [0, 1), in closed form:
+    B(alpha+1, beta/2+1) 2F1(1, beta/2+1; alpha+beta/2+2; r^2).
+
+    Scalar r gives a float, an array of radii an array of the same shape
+    whose entries equal the scalar calls bit for bit.
+    """
+    b, scale = _disk_params(alpha, beta)
+    radii = _radii(r)
+    return _like(r, scale * hyp2f1(1.0, b, alpha + b + 1.0, radii * radii))
+
+
+_SERIES_BLOCK = 1024
+
+
+def _series_sum(first: float, ratio, r: float, rel_tol: float, max_terms: int,
+                label: str) -> float:
+    """Sum of the positive series sum_m c_m r^(2m), with c_0 = first and
+    c_(m+1)/c_m = ratio(m) for an array of m.
+
+    Once ratio(m) <= 1 it stays <= 1 for every later m (true for both
+    families), so the tail after the term t_m is at most t_m x/(1-x) with
+    x = r^2; the sum stops at the first term where that bound is below
+    rel_tol times the partial sum.
+    """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"series evaluation requires 0 <= r < 1, got {r}")
     x = r * r
-    total = 0.0
-    start = 0
-    while start < max_terms:
-        stop = min(start + _BLOCK, max_terms)
-        c = coeffs_for(stop)[start:stop]
-        if x == 0.0:
-            return float(c[0])
-        powers = x ** np.arange(start, stop)
-        terms = c * powers
+    if x == 0.0:
+        return first
+    tail_factor = x / (1.0 - x)
+    total, term = 0.0, first       # term is t_start, the first term of the block
+    for start in range(0, max_terms, _SERIES_BLOCK):
+        m = np.arange(start, min(start + _SERIES_BLOCK, max_terms), dtype=float)
+        q = ratio(m)
+        steps = q * x
+        terms = term * np.concatenate(([1.0], np.cumprod(steps[:-1])))
+        done = (q <= 1.0) & (terms * tail_factor < rel_tol * (total + np.cumsum(terms)))
+        if done.any():
+            return total + float(terms[:int(done.argmax()) + 1].sum())
         total += float(terms.sum())
-        if terms[-1] < rel_tol * total:
-            return total
-        start = stop
+        term = float(terms[-1] * steps[-1])
     raise NonConvergenceError(
         f"{label} series did not converge within {max_terms} terms at r={r}",
         total, max_terms)
@@ -159,24 +202,31 @@ def _series_sum(coeffs_for, r: float, rel_tol: float, max_terms: int, label: str
 def weighted_ball_integral_series(k: int, alpha: float, r: float,
                                   rel_tol: float = 1e-12,
                                   max_terms: int = 1_000_000) -> float:
-    """Exact series for the weighted ball integral at radius r in [0, 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1 (the integral diverges otherwise)")
-    return _series_sum(lambda upto: _ball_coeffs(k, alpha, upto),
+    """Positive-term series for the weighted ball integral at radius r in
+    [0, 1): the reference route for `weighted_ball_integral`.
+
+    The coefficient of r^(2m) is c_m = k! G(alpha+1) G(m+h)^2 /
+    (G(h)^2 G(m+1) G(m+k+alpha+1)) with h = (k+1)/2, built by the ratio
+    c_(m+1)/c_m = (m+h)^2 / ((m+1)(m+k+alpha+1)).
+    """
+    half, first = _ball_params(k, alpha)
+    return _series_sum(first,
+                       lambda m: (m + half) ** 2 / ((m + 1.0) * (m + k + alpha + 1.0)),
                        r, rel_tol, max_terms, "ball")
 
 
 def weighted_disk_integral_series(alpha: float, beta: float, r: float,
                                   rel_tol: float = 1e-12,
                                   max_terms: int = 1_000_000) -> float:
-    """Exact series for the weighted disk integral at radius r in [0, 1)."""
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1 (the integral diverges otherwise)")
-    if beta <= -2.0:
-        raise ValueError("beta must exceed -2 (the integral diverges otherwise)")
-    return _series_sum(lambda upto: _disk_coeffs(alpha, beta, upto),
+    """Positive-term series for the weighted disk integral at radius r in
+    [0, 1): the reference route for `weighted_disk_integral`.
+
+    The coefficient of r^(2m) is B(alpha+1, m+b) with b = beta/2+1, built by
+    the ratio c_(m+1)/c_m = (m+b) / (m+b+alpha+1).
+    """
+    b, first = _disk_params(alpha, beta)
+    return _series_sum(first,
+                       lambda m: (m + b) / (m + b + alpha + 1.0),
                        r, rel_tol, max_terms, "disk")
 
 
@@ -277,27 +327,69 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 
 
-def weighted_disk_integral_quad(alpha: float, beta: float, r: float,
-                                inner_cutoff: float = 0.0) -> float:
-    """Radial quadrature route for the weighted disk integral.
+_QUAD_NODES = 64
 
-    The angular average of |1 - w conj(eta)|^(-2) is 1/(1 - |w|^2 |eta|^2),
-    leaving 2 int_c^1 (1-t^2)^alpha t^(beta+1) / (1 - r^2 t^2) dt with c the
-    inner cutoff. A positive cutoff makes divergent exponents (beta <= -2)
-    finite, which is how endpoint violations are quantified.
+
+def weighted_disk_integral_quad(alpha: float, beta: float, r,
+                                inner_cutoff: float = 0.0):
+    """Radial quadrature route for the weighted disk integral at radii r.
+
+    The angular average of |1 - w conj(eta)|^(-2) is 1/(1 - |w|^2 |eta|^2);
+    with s = |eta|^2 and x = r^2 this leaves
+    int_(c^2)^1 (1-s)^alpha s^(beta/2) / (1 - x s) ds, c the inner cutoff. A
+    positive cutoff makes divergent exponents (beta <= -2) finite, which is
+    how endpoint violations are quantified.
+
+    The rule is fixed and vectorized over r (a scalar r gives a float):
+      * on [a, 1] with a = max(c^2, 1/2), Gauss-Jacobi nodes absorb
+        (1-s)^alpha. For x >= 1/2 the pole of 1/(1 - x s) at s = 1/x nears
+        the interval; its part g(1/x)/(1 - x s), g(s) = s^(beta/2), is
+        integrated in closed form, and the nodes see only the smooth
+        difference quotient (g(s) - g(1/x))/(1 - x s);
+      * on [c^2, 1/2], Gauss-Legendre in u = log s when c > 0 (the factor
+        s^(beta/2+1) is then an exponential in u), or Gauss-Jacobi nodes
+        absorbing s^(beta/2) when c = 0.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
+    radii = _radii(r)
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
+    if not 0.0 <= inner_cutoff < 1.0:
+        raise ValueError("inner cutoff must lie in [0, 1)")
     if beta <= -2.0 and inner_cutoff <= 0.0:
         raise ValueError("beta <= -2 diverges; supply a positive inner cutoff")
+    # 1-d even for scalar r: numpy's scalar power rounds differently from its
+    # array loop, and array results must equal the scalar calls bit for bit
+    x = np.ravel(radii * radii)
+    h = beta / 2.0
+    low = inner_cutoff ** 2
+    a = max(low, 0.5)
+    span = 1.0 - a
 
-    def integrand(t: float) -> float:
-        return 2.0 * (1.0 - t * t) ** alpha * t ** (beta + 1.0) / (1.0 - r * r * t * t)
+    # [a, 1]: s = 1 - span (1-y)/2, so (1-s)^alpha ds = (span/2)^(alpha+1) (1-y)^alpha dy
+    y, wy = roots_jacobi(_QUAD_NODES, alpha, 0.0)
+    s = 1.0 - 0.5 * span * (1.0 - y)
+    g_pole = np.where(x >= 0.5, np.maximum(x, 0.5) ** -h, 0.0)
+    xs = x[:, None]
+    smooth = (wy * (s ** h - g_pole[:, None]) / (1.0 - xs * s)).sum(axis=-1)
+    # int_a^1 (1-s)^alpha / (1 - x s) ds, a 2F1 after v = 1-s and Pfaff's transformation
+    pole = (span ** (alpha + 1.0) / ((alpha + 1.0) * (1.0 - a * x))
+            * hyp2f1(1.0, 1.0, alpha + 2.0, span * x / (1.0 - a * x)))
+    total = (0.5 * span) ** (alpha + 1.0) * smooth + g_pole * pole
 
-    val, _ = integrate.quad(integrand, inner_cutoff, 1.0, limit=300)
-    return val
+    if low < a:
+        if low > 0.0:
+            u, wu = roots_legendre(_QUAD_NODES)
+            log_lo, log_hi = math.log(low), math.log(a)
+            s = np.exp(log_lo + 0.5 * (log_hi - log_lo) * (u + 1.0))
+            f = (1.0 - s) ** alpha * s ** (h + 1.0) / (1.0 - xs * s)
+            total = total + 0.5 * (log_hi - log_lo) * (wu * f).sum(axis=-1)
+        else:
+            # s = a (1+y)/2, so s^h ds = (a/2)^(h+1) (1+y)^h dy
+            y, wy = roots_jacobi(_QUAD_NODES, 0.0, h)
+            s = 0.5 * a * (1.0 + y)
+            f = (1.0 - s) ** alpha / (1.0 - xs * s)
+            total = total + (0.5 * a) ** (h + 1.0) * (wy * f).sum(axis=-1)
+    return _like(r, total.reshape(radii.shape))
 
 
 # --- asymptotic envelope reports ----------------------------------------
@@ -339,14 +431,19 @@ class RatioReport:
 
 
 def asymptotic_ratio_check(which: str, params: dict, grid,
-                           rel_tol: float = 1e-12,
-                           max_terms: int = 1_000_000) -> RatioReport:
+                           rel_tol: float | None = None,
+                           max_terms: int | None = None) -> RatioReport:
     """Evaluate integral/envelope on a radius grid.
 
     which="ball": params k, alpha; envelope (1-r^2)^alpha.
     which="disk": params alpha, beta; envelope (1-r^2)^alpha, plus the
     refined envelope (1-r^2)^alpha r^beta attached when beta <= 0 (the grid
     must then avoid r = 0).
+
+    The integrals come from the closed forms, one call for the whole grid.
+    Giving rel_tol or max_terms selects the positive-term series reference
+    route instead (defaults 1e-12 and 1_000_000 for the one not given); it
+    raises NonConvergenceError when the term cap is hit.
     """
     grid = np.asarray(grid, dtype=float)
     alpha = float(params["alpha"])
@@ -354,19 +451,25 @@ def asymptotic_ratio_check(which: str, params: dict, grid,
         raise ValueError("the envelope comparison needs -1 < alpha < 0")
     if which == "ball":
         k = int(params["k"])
-        value = np.array([weighted_ball_integral_series(k, alpha, r, rel_tol, max_terms)
-                          for r in grid])
-        return RatioReport("ball", dict(params), grid, value, (1.0 - grid ** 2) ** alpha)
-    if which == "disk":
+        closed = functools.partial(weighted_ball_integral, k, alpha)
+        series = functools.partial(weighted_ball_integral_series, k, alpha)
+    elif which == "disk":
         beta = float(params["beta"])
-        value = np.array([weighted_disk_integral_series(alpha, beta, r, rel_tol, max_terms)
-                          for r in grid])
-        report = RatioReport("disk", dict(params), grid, value, (1.0 - grid ** 2) ** alpha)
-        if beta <= 0.0:
-            if np.any(grid == 0.0):
-                raise ValueError("refined envelope needs a grid bounded away from r=0")
-            report.refined = RatioReport(
-                "disk-refined", dict(params), grid, value,
-                (1.0 - grid ** 2) ** alpha * grid ** beta)
-        return report
-    raise ValueError(f"unknown integral family {which!r}")
+        closed = functools.partial(weighted_disk_integral, alpha, beta)
+        series = functools.partial(weighted_disk_integral_series, alpha, beta)
+    else:
+        raise ValueError(f"unknown integral family {which!r}")
+    limits = {key: val for key, val in (("rel_tol", rel_tol), ("max_terms", max_terms))
+              if val is not None}
+    if limits:
+        value = np.array([series(r, **limits) for r in grid])
+    else:
+        value = closed(grid)
+    envelope = (1.0 - grid ** 2) ** alpha
+    report = RatioReport(which, dict(params), grid, value, envelope)
+    if which == "disk" and beta <= 0.0:
+        if np.any(grid == 0.0):
+            raise ValueError("refined envelope needs a grid bounded away from r=0")
+        report.refined = RatioReport("disk-refined", dict(params), grid, value,
+                                     envelope * grid ** beta)
+    return report

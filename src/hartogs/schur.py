@@ -26,9 +26,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .domains import HartogsDomainSpec, sample_product_model
-from .estimates import (weighted_ball_integral_series,
-                        weighted_disk_integral_quad,
-                        weighted_disk_integral_series)
+from .estimates import (weighted_ball_integral, weighted_disk_integral,
+                        weighted_disk_integral_quad)
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ class SchurReport:
 
 def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: float,
                       points: np.ndarray, puncture_margin: float,
-                      cfg: NumericConfig, notes: list[str]) -> np.ndarray:
+                      notes: list[str]) -> np.ndarray:
     """Factored estimate of one Schur condition, divided by h^exponent."""
     e = exponent
     alpha = witness.s * e
@@ -219,25 +218,22 @@ def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: 
     offs = spec.offsets
     for i, (kj, _) in enumerate(spec.blocks):
         radii = np.linalg.norm(points[:, offs[i]:offs[i + 1]], axis=1)
-        vals = np.array([weighted_ball_integral_series(
-            kj, alpha, r, cfg.series_rel_tol, cfg.series_max_terms) for r in radii])
-        log_ratio += np.log(vals) - alpha * np.log1p(-radii ** 2)
+        log_ratio += (np.log(weighted_ball_integral(kj, alpha, radii))
+                      - alpha * np.log1p(-radii ** 2))
 
     for j in range(k + 1, n + 1):  # 1-based chain index
         t_j = witness.t[j]
         beta = t_j * e + (j - 1)
         radii = np.abs(points[:, j - 1])
         if alpha > -1.0 and beta > -2.0:
-            vals = np.array([weighted_disk_integral_series(
-                alpha, beta, r, cfg.series_rel_tol, cfg.series_max_terms) for r in radii])
+            vals = weighted_disk_integral(alpha, beta, radii)
         else:
             note = (f"chain factor j={j}: divergent exponents (alpha={alpha:.6g}, "
                     f"beta={beta:.6g}); using radial quadrature truncated at "
                     f"{puncture_margin:.3g}")
             if note not in notes:
                 notes.append(note)
-            vals = np.array([weighted_disk_integral_quad(alpha, beta, r, puncture_margin)
-                             for r in radii])
+            vals = weighted_disk_integral_quad(alpha, beta, radii, puncture_margin)
         log_ratio += (np.log(vals) - (j - 1) * np.log(radii)
                       - alpha * np.log1p(-radii ** 2) - t_j * e * np.log(radii))
     return np.exp(log_ratio)
@@ -269,6 +265,6 @@ def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
                                   disk_r_min=puncture_margin,
                                   chunk_size=cfg.chunk_size)
     notes: list[str] = []
-    cond1 = _condition_ratios(spec, witness, q, points, puncture_margin, cfg, notes)
-    cond2 = _condition_ratios(spec, witness, p, points, puncture_margin, cfg, notes)
+    cond1 = _condition_ratios(spec, witness, q, points, puncture_margin, notes)
+    cond2 = _condition_ratios(spec, witness, p, points, puncture_margin, notes)
     return SchurReport(n, k, p, q, witness, cond1, cond2, samples, notes)

@@ -11,21 +11,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy.special import gammaln as _gammaln_vec
-
 
 def log_gamma(x: float) -> float:
     if x <= 0.0:
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
     return math.lgamma(x)
-
-
-def log_gamma_vec(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma_vec requires positive arguments")
-    return _gammaln_vec(x)
 
 
 def log_beta(a: float, b: float) -> float:

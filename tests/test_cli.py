@@ -110,6 +110,22 @@ class TestEstimatesCommand:
                     "--r-max", "0.999", "--grid-points", "3", "--max-terms", "64"])
         assert code == 1
 
+    def test_closed_form_default_and_series_route(self, capsys):
+        base = ["estimates", "--which", "disk", "--alpha", "-0.5", "--beta", "-1",
+                "--r-min", "0.1", "--r-max", "0.99", "--grid-points", "4"]
+        assert run(base) == 0
+        closed = capsys.readouterr().out.strip().splitlines()
+        assert run(base + ["--tol", "1e-13"]) == 0
+        series = capsys.readouterr().out.strip().splitlines()
+        assert closed[0] == series[0] == "r,value,envelope,ratio"
+        for a, b in zip(closed[1:], series[1:]):
+            for x, y in zip(a.split(","), b.split(",")):
+                assert float(x) == pytest.approx(float(y), rel=1e-11)
+        # past the series' reach: at r = 1 - 1e-7 it would need ~1e8 terms
+        assert run(["estimates", "--which", "ball", "--k", "2", "--alpha", "-0.5",
+                    "--r-max", "0.9999999", "--grid-points", "3"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
 
 class TestBlowupCommand:
     def test_csv_and_monotone_ratio(self, capsys):
@@ -236,6 +252,12 @@ class TestProcessLevel:
             proc = invoke(cmd, "--help")
             assert proc.returncode == 0
             assert "--" in proc.stdout
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        code = "import sys, hartogs.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_byte_identical_reruns(self):
         args = ("schur-verify", "--n", "2", "--k", "1", "--p", "1.8",

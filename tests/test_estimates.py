@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from hartogs import estimates, special
 from hartogs.config import NumericConfig
 from hartogs.estimates import (NonConvergenceError, asymptotic_ratio_check,
                                sphere_moment, sphere_moment_mc,
+                               weighted_ball_integral,
                                weighted_ball_integral_mc,
                                weighted_ball_integral_series,
+                               weighted_disk_integral,
                                weighted_disk_integral_mc,
                                weighted_disk_integral_quad,
                                weighted_disk_integral_series)
@@ -32,11 +35,6 @@ class TestSpecialFunctions:
     def test_beta_symmetry_and_value(self):
         assert special.beta(0.5, 1.0) == pytest.approx(2.0, rel=1e-13)
         assert special.beta(2.5, 3.5) == pytest.approx(special.beta(3.5, 2.5), rel=1e-14)
-
-    def test_vectorized_matches_scalar(self):
-        xs = np.array([0.5, 1.0, 7.25, 100.0])
-        np.testing.assert_allclose(special.log_gamma_vec(xs),
-                                   [special.log_gamma(x) for x in xs], rtol=1e-14)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -217,11 +215,21 @@ class TestRatioReports:
 
 class TestSeriesInternals:
     def test_positive_terms_give_monotone_partial_sums(self):
-        # coefficients are strictly positive for every valid parameter choice
-        coeffs = estimates._ball_coeffs(2, -0.5, 256)
-        assert np.all(coeffs > 0)
-        coeffs = estimates._disk_coeffs(-0.9, -1.5, 256)
-        assert np.all(coeffs > 0)
+        # coefficients are strictly positive for every valid parameter choice,
+        # so sums cut at growing term caps increase towards the closed form
+        r = 0.999
+        cases = [(lambda cap: weighted_ball_integral_series(2, -0.5, r, max_terms=cap),
+                  weighted_ball_integral(2, -0.5, r)),
+                 (lambda cap: weighted_disk_integral_series(-0.9, -1.5, r, max_terms=cap),
+                  weighted_disk_integral(-0.9, -1.5, r))]
+        for series, closed in cases:
+            partial = []
+            for cap in (64, 256, 1024):
+                with pytest.raises(NonConvergenceError) as info:
+                    series(cap)
+                assert info.value.terms == cap
+                partial.append(info.value.partial_sum)
+            assert 0.0 < partial[0] < partial[1] < partial[2] < closed
 
     def test_mc_prefix_consistency(self):
         cfg_a = FAST_CFG.with_(mc_samples=40_000)
@@ -310,3 +318,236 @@ class TestMonteCarloEdgeGrid:
         assert weighted_ball_integral_mc(3, -0.99, w, cfg.with_(workers=2)) == one
         one = weighted_disk_integral_mc(-0.55, -1.99, 0.7j, cfg)
         assert weighted_disk_integral_mc(-0.55, -1.99, 0.7j, cfg.with_(workers=2)) == one
+
+
+# --- closed forms, series reference route and quadrature rule vs mpmath ----
+
+K_GRID = (1, 2, 3, 5)
+ALPHA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.5, 3.0)   # alpha = 0: c-a-b = 0, log case
+BETA_GRID = (-1.99, -1.5, -1.0, 0.0, 0.5, 2.0, 4.0)
+RADII_TIGHT = (0.0, 0.3, 0.7, 0.9, 0.99, 0.999, 0.9999)
+RADII_EDGE = (1.0 - 1e-5, 1.0 - 1e-6)   # rounding x = r^2 costs digits here
+
+
+def _mp(dps=40):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = dps
+    return mpmath
+
+
+def _ball_ref(mpmath, k, alpha, r):
+    a, h = mpmath.mpf(alpha), mpmath.mpf(k + 1) / 2
+    return (mpmath.factorial(k) * mpmath.gamma(a + 1) / mpmath.gamma(k + a + 1)
+            * mpmath.hyp2f1(h, h, k + a + 1, mpmath.mpf(r) ** 2))
+
+
+def _disk_ref(mpmath, alpha, beta, r):
+    a, b = mpmath.mpf(alpha), mpmath.mpf(beta) / 2 + 1
+    return mpmath.beta(a + 1, b) * mpmath.hyp2f1(1, b, a + b + 1, mpmath.mpf(r) ** 2)
+
+
+def _disk_quad_ref(mpmath, alpha, beta, r, cutoff):
+    """int_(c^2)^1 (1-s)^alpha s^(beta/2) / (1 - r^2 s) ds in mpmath.
+
+    The endpoint factors are absorbed by substitution, not left to
+    tanh-sinh: 1 - s = v^(1/(alpha+1)) on [max(c^2, 1/2), 1] (plain
+    tanh-sinh in t loses a third of the value at alpha = -0.99), and
+    s = z^(1/(beta/2+1)) or u = log s below 1/2.
+    """
+    a, h, x = mpmath.mpf(alpha), mpmath.mpf(beta) / 2, mpmath.mpf(r) ** 2
+    low = mpmath.mpf(cutoff) ** 2
+    top = max(low, mpmath.mpf(0.5))
+
+    def near_one(v):
+        s = 1 - v ** (1 / (a + 1))
+        return s ** h / (1 - x * s) / (a + 1)
+
+    total = mpmath.quad(near_one, mpmath.linspace(0, (1 - top) ** (a + 1), 6))
+    if low < top and low > 0:
+        total += mpmath.quad(lambda u: (1 - mpmath.e ** u) ** a * mpmath.e ** (u * (h + 1))
+                             / (1 - x * mpmath.e ** u),
+                             mpmath.linspace(mpmath.log(low), mpmath.log(top), 6))
+    elif low < top:
+        def near_zero(z):
+            s = z ** (1 / (h + 1))
+            return (1 - s) ** a / (1 - x * s) / (h + 1)
+        total += mpmath.quad(near_zero, mpmath.linspace(0, top ** (h + 1), 6))
+    return total
+
+
+def _disk_quad_alg(alpha, beta, r, cutoff):
+    """The same integral by QUADPACK's algebraic-weight rule (QAWS), which
+    integrates the (1-s)^alpha endpoint factor, and s^(beta/2) at s = 0,
+    exactly against its Chebyshev moments."""
+    h, x = beta / 2.0, r * r
+    low = cutoff ** 2
+    top = max(low, 0.5)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    total, _ = integrate.quad(lambda s: s ** h / (1.0 - x * s), top, 1.0,
+                              weight="alg", wvar=(0.0, alpha), **opts)
+    if 0.0 < low < top:
+        total += integrate.quad(lambda s: (1.0 - s) ** alpha * s ** h / (1.0 - x * s),
+                                low, top, **opts)[0]
+    elif low < top:
+        total += integrate.quad(lambda s: (1.0 - s) ** alpha / (1.0 - x * s), 0.0, top,
+                                weight="alg", wvar=(h, 0.0), **opts)[0]
+    return total
+
+
+def _rel(got, want):
+    return float(abs(got - want) / want)
+
+
+class TestClosedForms:
+    def test_ball_matches_mpmath(self):
+        mpmath = _mp()
+        for k in K_GRID:
+            for alpha in ALPHA_GRID:
+                for radii, tol in ((RADII_TIGHT, 1e-12), (RADII_EDGE, 1e-10)):
+                    got = weighted_ball_integral(k, alpha, np.array(radii))
+                    for r, g in zip(radii, got):
+                        err = _rel(g, _ball_ref(mpmath, k, alpha, r))
+                        assert err <= tol, (k, alpha, r, err)
+
+    def test_disk_matches_mpmath(self):
+        mpmath = _mp()
+        for alpha in ALPHA_GRID:
+            for beta in BETA_GRID:
+                for radii, tol in ((RADII_TIGHT, 1e-12), (RADII_EDGE, 1e-10)):
+                    got = weighted_disk_integral(alpha, beta, np.array(radii))
+                    for r, g in zip(radii, got):
+                        err = _rel(g, _disk_ref(mpmath, alpha, beta, r))
+                        assert err <= tol, (alpha, beta, r, err)
+
+    def test_arrays_are_bit_identical_to_scalar_calls(self):
+        radii = np.concatenate([np.linspace(0.0, 0.9999, 997), RADII_EDGE])
+        for k in K_GRID:
+            for alpha in ALPHA_GRID:
+                got = weighted_ball_integral(k, alpha, radii)
+                assert got.tolist() == [weighted_ball_integral(k, alpha, r) for r in radii]
+        for alpha in ALPHA_GRID:
+            for beta in BETA_GRID:
+                got = weighted_disk_integral(alpha, beta, radii)
+                assert got.tolist() == [weighted_disk_integral(alpha, beta, r) for r in radii]
+
+    def test_shapes_and_types(self):
+        assert type(weighted_ball_integral(2, -0.5, 0.5)) is float
+        assert type(weighted_disk_integral(-0.5, -1.0, np.float64(0.5))) is float
+        grid = np.linspace(0.0, 0.9, 6).reshape(2, 3)
+        assert weighted_ball_integral(2, -0.5, grid).shape == (2, 3)
+        assert weighted_disk_integral(-0.5, -1.0, grid).shape == (2, 3)
+
+    def test_center_values(self):
+        for k in K_GRID:
+            for alpha in (-0.9, -0.5, 0.5):
+                assert weighted_ball_integral(k, alpha, 0.0) == pytest.approx(
+                    k * special.beta(alpha + 1.0, k), rel=1e-14)
+        assert weighted_disk_integral(-0.5, 0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_validation(self):
+        for bad_r in (1.0, -0.1, float("nan"), [0.5, 1.0]):
+            with pytest.raises(ValueError, match="radius must lie in"):
+                weighted_ball_integral(2, -0.5, bad_r)
+            with pytest.raises(ValueError, match="radius must lie in"):
+                weighted_disk_integral(-0.5, 0.0, bad_r)
+        with pytest.raises(ValueError, match="k must be"):
+            weighted_ball_integral(0, -0.5, 0.5)
+        with pytest.raises(ValueError, match="alpha must exceed -1"):
+            weighted_ball_integral(2, -1.0, 0.5)
+        with pytest.raises(ValueError, match="alpha must exceed -1"):
+            weighted_disk_integral(-1.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="beta must exceed -2"):
+            weighted_disk_integral(-0.5, -2.0, 0.5)
+
+
+class TestSeriesReferenceRoute:
+    # the tail bound, not just the last term, is held to rel_tol
+    RADII = (0.99, 0.999)
+
+    def test_ball_meets_its_tolerance(self):
+        mpmath = _mp()
+        for k in K_GRID:
+            for alpha in ALPHA_GRID:
+                for r in self.RADII:
+                    got = weighted_ball_integral_series(k, alpha, r, rel_tol=1e-12)
+                    err = _rel(got, _ball_ref(mpmath, k, alpha, r))
+                    assert err <= 1e-12, (k, alpha, r, err)
+
+    def test_disk_meets_its_tolerance(self):
+        mpmath = _mp()
+        for alpha in ALPHA_GRID:
+            for beta in BETA_GRID:
+                for r in self.RADII:
+                    got = weighted_disk_integral_series(alpha, beta, r, rel_tol=1e-12)
+                    err = _rel(got, _disk_ref(mpmath, alpha, beta, r))
+                    assert err <= 1e-12, (alpha, beta, r, err)
+
+    def test_looser_tolerance_stops_earlier_and_still_holds(self):
+        mpmath = _mp()
+        want = _disk_ref(mpmath, -0.5, -1.0, 0.999)
+        assert _rel(weighted_disk_integral_series(-0.5, -1.0, 0.999, rel_tol=1e-6), want) <= 1e-6
+        with pytest.raises(NonConvergenceError):
+            weighted_disk_integral_series(-0.5, -1.0, 0.999, rel_tol=1e-12, max_terms=8000)
+        weighted_disk_integral_series(-0.5, -1.0, 0.999, rel_tol=1e-6, max_terms=8000)
+
+    def test_ratio_check_routes(self):
+        grid = np.linspace(0.0, 0.99, 25)
+        closed = asymptotic_ratio_check("ball", {"k": 2, "alpha": -0.5}, grid)
+        series = asymptotic_ratio_check("ball", {"k": 2, "alpha": -0.5}, grid, rel_tol=1e-12)
+        np.testing.assert_allclose(series.value, closed.value, rtol=2e-12)
+        with pytest.raises(NonConvergenceError):
+            asymptotic_ratio_check("ball", {"k": 2, "alpha": -0.5}, grid, max_terms=64)
+
+
+class TestQuadratureRule:
+    ALPHAS = (-0.99, -0.5, 0.0, 0.5, 3.0)
+    BETAS = (-2.0, -3.0, -6.0, -12.0)
+    CUTOFFS = (0.01, 0.1, 0.5, 0.8)
+
+    def test_divergent_exponents_match_algebraic_weight_quad(self):
+        for alpha in self.ALPHAS:
+            for beta in self.BETAS:
+                for cutoff in self.CUTOFFS:
+                    radii = (cutoff, 0.5, 0.9, 0.99, 0.9999)
+                    got = weighted_disk_integral_quad(alpha, beta, np.array(radii), cutoff)
+                    for r, g in zip(radii, got):
+                        err = _rel(g, _disk_quad_alg(alpha, beta, r, cutoff))
+                        assert err <= 1e-11, (alpha, beta, cutoff, r, err)
+
+    @pytest.mark.parametrize("alpha, beta, r, cutoff", [
+        (-0.99, -2.0, 0.99, 0.8), (-0.99, -12.0, 0.9999, 0.01), (0.0, -3.0, 0.9999, 0.1),
+        (3.0, -6.0, 0.99999, 0.5), (-0.5, -3.0, 0.99999, 0.001), (-0.5, 1.0, 0.99999, 0.0)])
+    def test_edge_cases_match_mpmath(self, alpha, beta, r, cutoff):
+        mpmath = _mp(20)
+        want = _disk_quad_ref(mpmath, alpha, beta, r, cutoff)
+        assert _rel(weighted_disk_integral_quad(alpha, beta, r, cutoff), want) <= 1e-11
+
+    def test_alpha_near_minus_one(self):
+        # 4834.39..., where plain tanh-sinh in t returns about 3039
+        want = _disk_quad_alg(-0.99, -2.0, 0.99, 0.8)
+        assert 4834 < want < 4835
+        assert _rel(weighted_disk_integral_quad(-0.99, -2.0, 0.99, 0.8), want) <= 1e-11
+
+    def test_zero_cutoff_matches_closed_form(self):
+        radii = np.array([0.0, 0.3, 0.5, 0.9, 0.99, 0.9999])
+        for alpha in ALPHA_GRID:
+            for beta in BETA_GRID:
+                got = weighted_disk_integral_quad(alpha, beta, radii)
+                want = weighted_disk_integral(alpha, beta, radii)
+                np.testing.assert_allclose(got, want, rtol=1e-11, err_msg=f"{alpha}, {beta}")
+
+    def test_arrays_are_bit_identical_to_scalar_calls(self):
+        radii = np.linspace(0.01, 0.9999, 501)
+        for alpha, beta, cutoff in ((-0.99, -3.0, 0.01), (0.5, -12.0, 0.1), (-0.5, 0.5, 0.0)):
+            got = weighted_disk_integral_quad(alpha, beta, radii, cutoff)
+            assert got.tolist() == [weighted_disk_integral_quad(alpha, beta, r, cutoff)
+                                    for r in radii]
+        assert type(weighted_disk_integral_quad(-0.5, -3.0, 0.5, 0.1)) is float
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="radius must lie in"):
+            weighted_disk_integral_quad(-0.5, -3.0, np.array([0.5, 1.0]), 0.1)
+        with pytest.raises(ValueError, match="alpha must exceed -1"):
+            weighted_disk_integral_quad(-1.0, -3.0, 0.5, 0.1)
+        with pytest.raises(ValueError, match="inner cutoff"):
+            weighted_disk_integral_quad(-0.5, -3.0, 0.5, 1.0)
