@@ -5,12 +5,18 @@ transfer, project. All floating-point output is fixed at 12 significant
 digits and every stochastic run is seeded, so identical invocations produce
 byte-identical output. Exit codes: 0 success, 1 numerical non-convergence,
 2 invalid arguments.
+
+The weighted integrals live in `estimates`, which loads scipy.special. It is
+imported only where they are evaluated (the moments and estimates handlers,
+and `schur_verify`), so `import hartogs.cli` and the other subcommands run
+without scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import math
 import os
 import re
 import sys
@@ -20,13 +26,23 @@ import numpy as np
 from .config import DEFAULT_CONFIG, NumericConfig
 from .counterexample import blowup_demo, blowup_eval, projected_blowup
 from .domains import HartogsDomainSpec, MapFamily, product_model_contains
-from .estimates import (NonConvergenceError, asymptotic_ratio_check,
-                        sphere_moment, sphere_moment_mc)
 from .kernels import (kernel_ball, kernel_hartogs, kernel_product,
                       kernel_punctured_disk, kernel_truncated,
                       mc_bergman_projection, monomial_norm_sq_ball)
 from .schur import SchurWitness, admissible_p_range, feasible_params, schur_verify
+from .special import NonConvergenceError
 from .transfer import jacobian_bounds, pullback_isometry_check, transfer_norm_bound
+
+# Names re-exported from `estimates`, resolved on first access (PEP 562) so
+# that importing this module does not load scipy.
+_FROM_ESTIMATES = ("asymptotic_ratio_check", "sphere_moment", "sphere_moment_mc")
+
+
+def __getattr__(name: str):
+    if name in _FROM_ESTIMATES:
+        from . import estimates
+        return getattr(estimates, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # default seed for all subcommands; the environment is consulted once at startup
 DEFAULT_SEED = int(os.environ.get("HARTOGS_SEED", "12345"))
@@ -37,7 +53,10 @@ def _g12(x: float) -> str:
 
 
 def render_json(obj, indent: int = 0) -> str:
-    """JSON with floats fixed at 12 significant digits (stable output bytes)."""
+    """JSON with floats fixed at 12 significant digits (stable output bytes).
+
+    Raises ValueError on NaN or infinity, which JSON cannot represent.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -57,6 +76,8 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {obj} as JSON")
         return _g12(obj)
     if obj is None:
         return "null"
@@ -153,6 +174,8 @@ def cmd_kernel(args) -> str:
 
 
 def cmd_moments(args) -> str:
+    from .estimates import sphere_moment, sphere_moment_mc
+
     nu = _parse_ints(args.nu)
     cfg = NumericConfig(seed=args.seed, mc_samples=args.mc_samples, workers=args.workers)
     formula = sphere_moment(args.k, nu)
@@ -171,6 +194,8 @@ def cmd_moments(args) -> str:
 
 
 def cmd_estimates(args) -> str:
+    from .estimates import asymptotic_ratio_check
+
     grid = np.linspace(args.r_min, args.r_max, args.grid_points)
     params = {"alpha": args.alpha}
     if args.which == "ball":
@@ -299,6 +324,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count options (samples, grid points, workers)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hartogs",
@@ -327,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="sphere moment: closed form vs Monte Carlo")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nu", required=True, help="multi-index, e.g. 1,1")
-    p.add_argument("--mc-samples", type=int, default=1_000_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--mc-samples", type=_positive_int, default=1_000_000)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--ball-norm", action="store_true",
                    help="include the ball monomial squared norm")
     add_common(p)
@@ -342,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=DEFAULT_CONFIG.grid_r_max)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_CONFIG.grid_points)
+    p.add_argument("--grid-points", type=_positive_int, default=DEFAULT_CONFIG.grid_points)
     p.add_argument("--tol", type=float,
                    help="series relative tolerance; selects the series reference route "
                         "(default 1e-12 there)")
-    p.add_argument("--max-terms", type=int,
+    p.add_argument("--max-terms", type=_positive_int,
                    help="series term cap; selects the series reference route "
                         "(default 1000000 there)")
     p.add_argument("--refined", action="store_true",
@@ -365,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--blocks", help="block dimensions, e.g. 1,1 (default: single block)")
-    p.add_argument("--samples", type=int, default=400)
+    p.add_argument("--samples", type=_positive_int, default=400)
     p.add_argument("--boundary-margin", type=float, default=0.01)
     p.add_argument("--puncture-margin", type=float, default=0.01)
     p.add_argument("--witness-s", type=float, help="override the weight exponent s")
@@ -377,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--m-max", type=int, default=100)
+    p.add_argument("--m-max", type=_positive_int, default=100)
     p.add_argument("--m-list", help="explicit m values, e.g. 1,10,100")
     add_common(p, seed=False)
     p.set_defaults(handler=cmd_blowup)
@@ -389,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", choices=["affine4", "rational3"])
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--constant", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--isometry-monomial",
                    help="run the pullback isometry check on this monomial")
     add_common(p)
@@ -401,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="evaluation point")
     p.add_argument("--monomial", help="project this monomial (exponent list)")
     p.add_argument("--blowup-m", type=int, help="project the m-th blow-up function")
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=_positive_int, default=200_000)
+    p.add_argument("--workers", type=_positive_int, default=1)
     add_common(p)
     p.set_defaults(handler=cmd_project)
 

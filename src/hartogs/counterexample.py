@@ -23,7 +23,10 @@ import numpy as np
 
 from .domains import standard_volume
 
-DEMO_MAX_M = 120  # past this the radial pieces underflow even in log form
+# Size cap of the demo table, not a numerical limit: the piece sums match
+# 20-digit mpmath at m = 20000 (test_counterexample.py), and a piece whose
+# exp underflows is below the smallest double and adds nothing to the sum.
+DEMO_MAX_M = 120
 
 
 def _log_breakpoints(m: int) -> np.ndarray:

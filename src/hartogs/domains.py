@@ -297,6 +297,17 @@ def to_standard_model(spec: HartogsDomainSpec, z) -> np.ndarray:
     return out
 
 
+def jacobian_det_to_standard(spec: HartogsDomainSpec, z) -> complex | np.ndarray:
+    """Product of the per-block Jacobian determinants at z."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape[-1] != spec.n:
+        raise ValueError(f"expected points in C^{spec.n}")
+    det = np.ones(z.shape[:-1], dtype=complex)
+    for (kj, fam), zb in zip(spec.blocks, spec.block_views(z)):
+        det = det * fam.jacobian_det(zb)
+    return complex(det) if det.ndim == 0 else det
+
+
 def from_standard_model(spec: HartogsDomainSpec, w) -> np.ndarray:
     w = _check_point(spec.n, w)
     out = w.copy()

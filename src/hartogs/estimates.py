@@ -45,22 +45,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+# Loaded with the module, not inside the evaluators: deferred, its ~0.26 s
+# import would land in the first integral call of every process. The CLI
+# keeps its scipy-free start by importing this module only where needed.
 from scipy.special import hyp2f1, roots_jacobi, roots_legendre
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import log_beta, log_factorial, log_gamma
+from .special import NonConvergenceError, log_beta, log_factorial, log_gamma
 
 MultiIndex = Sequence[int]
-
-
-class NonConvergenceError(ArithmeticError):
-    """Series hit its term cap before meeting the relative tolerance."""
-
-    def __init__(self, message: str, partial_sum: float, terms: int):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.terms = terms
 
 
 def _check_multi_index(k: int, nu: MultiIndex) -> tuple[int, ...]:
@@ -179,6 +173,10 @@ def _series_sum(first: float, ratio, r: float, rel_tol: float, max_terms: int,
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"series evaluation requires 0 <= r < 1, got {r}")
+    if not 0.0 < rel_tol < math.inf:  # also false for NaN
+        raise ValueError(f"series tolerance must be finite and positive, got {rel_tol}")
+    if max_terms < 1:
+        raise ValueError(f"series term cap must be >= 1, got {max_terms}")
     x = r * r
     if x == 0.0:
         return first

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import mc
 from .domains import (HartogsDomainSpec, contains, from_product_model,
-                      jacobian_det_from_product, product_points,
-                      to_product_model, to_standard_model)
+                      jacobian_det_from_product, jacobian_det_to_standard,
+                      product_points, to_product_model, to_standard_model)
 from .special import log_factorial
 
 Model = str | Tuple[str, object]
@@ -88,7 +88,6 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta, check_membership: bool = Tr
             raise ValueError("kernel evaluated outside the domain")
     factor = 1.0
     if not spec.is_standard:
-        from .transfer import jacobian_det_to_standard  # local import, cycle-free at call time
         factor = jacobian_det_to_standard(spec, z) * np.conj(jacobian_det_to_standard(spec, zeta))
         z = to_standard_model(spec, z)
         zeta = to_standard_model(spec, zeta)

@@ -19,6 +19,7 @@ high-dimensional quadrature is ever performed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,8 +27,6 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .domains import HartogsDomainSpec, sample_product_model
-from .estimates import (weighted_ball_integral, weighted_disk_integral,
-                        weighted_disk_integral_quad)
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,8 @@ class SchurWitness:
 
 
 def conjugate_exponent(p: float) -> float:
-    if p <= 1.0:
-        raise ValueError("conjugate exponent requires p > 1")
+    if not 1.0 < p < math.inf:  # also false for NaN
+        raise ValueError(f"conjugate exponent requires a finite p > 1, got {p}")
     return p / (p - 1.0)
 
 
@@ -209,6 +208,10 @@ def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: 
                       points: np.ndarray, puncture_margin: float,
                       notes: list[str]) -> np.ndarray:
     """Factored estimate of one Schur condition, divided by h^exponent."""
+    # imported here so that the windows and the p-range come without scipy
+    from .estimates import (weighted_ball_integral, weighted_disk_integral,
+                            weighted_disk_integral_quad)
+
     e = exponent
     alpha = witness.s * e
     n, k = spec.n, spec.k

@@ -20,18 +20,8 @@ import numpy as np
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .domains import HartogsDomainSpec, contains, to_standard_model
-
-
-def jacobian_det_to_standard(spec: HartogsDomainSpec, z) -> complex | np.ndarray:
-    """Product of the per-block Jacobian determinants at z."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != spec.n:
-        raise ValueError(f"expected points in C^{spec.n}")
-    det = np.ones(z.shape[:-1], dtype=complex)
-    for (kj, fam), zb in zip(spec.blocks, spec.block_views(z)):
-        det = det * fam.jacobian_det(zb)
-    return complex(det) if det.ndim == 0 else det
+from .domains import (HartogsDomainSpec, contains, jacobian_det_to_standard,
+                      to_standard_model)
 
 
 @dataclass(frozen=True)
@@ -77,10 +67,10 @@ def jacobian_bounds(spec: HartogsDomainSpec, cfg: NumericConfig = DEFAULT_CONFIG
 
 def transfer_norm_bound(constant: float, bounds: JacobianBounds, p: float) -> float:
     """The transferred bound C c^-|p-2| d^|p-2|; collapses to C at p = 2."""
-    if constant <= 0.0:
-        raise ValueError("the transferred constant must be positive")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 0.0 < constant < math.inf:  # also false for NaN
+        raise ValueError(f"the transferred constant must be finite and positive, got {constant}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     gap = abs(p - 2.0)
     return constant * bounds.c ** (-gap) * bounds.d ** gap
 

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from hartogs.cli import run
+from hartogs.cli import render_json, run
 
 
 def invoke(*args, env=None):
@@ -227,6 +228,143 @@ class TestNegativeValues:
         separate = capsys.readouterr().out
         assert run([*head, f"{option}={value}"]) == 0
         assert capsys.readouterr().out == separate
+
+
+class TestInvalidNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["transfer", "--example", "affine4", "--p", "nan"],
+        ["transfer", "--example", "affine4", "--p", "inf"],
+        ["transfer", "--example", "affine4", "--constant", "nan"],
+        ["schur-verify", "--n", "2", "--k", "1", "--p", "nan"],
+        ["schur-verify", "--n", "2", "--k", "1", "--p", "inf"],
+    ])
+    def test_non_finite_p_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_invalid_series_tolerance_exits_2(self, tol, capsys):
+        assert run(["estimates", "--which", "ball", "--alpha", "-0.5",
+                    "--grid-points", "3", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "series tolerance must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       np.float64("nan")])
+    def test_render_json_rejects_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            render_json({"ok": 1.0, "nested": [0.5, {"bad": value}]})
+
+    @pytest.mark.parametrize("argv,option", [
+        (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--samples", "0"], "--samples"),
+        (["estimates", "--which", "ball", "--alpha", "-0.5", "--grid-points", "0"],
+         "--grid-points"),
+        (["estimates", "--which", "ball", "--alpha", "-0.5", "--max-terms", "0"],
+         "--max-terms"),
+        (["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "0"], "--mc-samples"),
+        (["moments", "--k", "2", "--nu", "1,1", "--workers", "0"], "--workers"),
+        (["blowup", "--n", "2", "--p", "1.3", "--m-max", "0"], "--m-max"),
+        (["transfer", "--example", "affine4", "--samples", "0"], "--samples"),
+        (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--monomial", "1,0",
+          "--samples=-5"], "--samples"),
+        (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--monomial", "1,0",
+          "--workers", "0"], "--workers"),
+    ])
+    def test_non_positive_counts_exit_2_naming_the_option(self, argv, option, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must be a positive integer" in captured.err
+
+    def test_count_that_is_not_an_integer(self, capsys):
+        assert run(["blowup", "--n", "2", "--p", "1.3", "--m-max", "x"]) == 2
+        assert "argument --m-max: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def _fresh_interpreter(code: str):
+    """Run `code` in a new interpreter; it prints one JSON value, returned here."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+_RUN_QUIETLY = """
+import contextlib, io, json, sys
+from hartogs.cli import run
+def quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+"""
+
+
+class TestImportBudget:
+    """The CLI loads scipy only for the subcommands that evaluate integrals."""
+
+    def test_cli_import_loads_no_scipy(self):
+        code = f"import json, sys, hartogs.cli; print(json.dumps({_SCIPY_MODULES}))"
+        assert _fresh_interpreter(code) == []
+
+    def test_scipy_free_subcommands_leave_scipy_out(self):
+        commands = [
+            ["--help"],
+            ["kernel", "--model", "hartogs", "--n", "2", "--k", "1",
+             "--w", "0,0.5", "--eta", "0,0.5"],
+            ["schur-range", "--n", "3"],
+            ["blowup", "--n", "2", "--p", "1.3", "--m-max", "5"],
+            ["transfer", "--example", "affine4", "--p", "3", "--samples", "2000",
+             "--isometry-monomial", "0,0,0,1"],
+            ["project", "--n", "2", "--k", "1", "--point", "0.1,0.4",
+             "--monomial", "1,0", "--samples", "2000"],
+        ]
+        code = _RUN_QUIETLY + (
+            f"codes = [quiet(argv)[0] for argv in {commands!r}]\n"
+            f"print(json.dumps([codes, {_SCIPY_MODULES}]))")
+        codes, scipy_modules = _fresh_interpreter(code)
+        assert codes == [0] * len(commands)
+        assert scipy_modules == []
+
+    def test_integral_subcommands_still_work(self):
+        code = _RUN_QUIETLY + """
+est = quiet(["estimates", "--which", "ball", "--k", "2", "--alpha", "-0.5",
+             "--grid-points", "3", "--r-max", "0.9"])
+ver = quiet(["schur-verify", "--n", "2", "--k", "1", "--p", "2.0", "--samples", "20"])
+print(json.dumps([est, ver, "hartogs.estimates" in sys.modules]))
+"""
+        (est_code, est_out), (ver_code, ver_out), loaded = _fresh_interpreter(code)
+        assert est_code == ver_code == 0
+        assert est_out.splitlines()[0] == "r,value,envelope,ratio"
+        assert len(est_out.splitlines()) == 4
+        assert json.loads(ver_out)["feasible"] is True
+        assert loaded
+
+    def test_deferred_names_are_the_home_objects(self):
+        code = """
+import json, sys
+import hartogs.cli as cli
+before = "hartogs.estimates" in sys.modules
+homes = {"sphere_moment": "estimates", "sphere_moment_mc": "estimates",
+         "asymptotic_ratio_check": "estimates", "schur_verify": "schur",
+         "feasible_params": "schur", "admissible_p_range": "schur", "SchurWitness": "schur"}
+got = {name: getattr(cli, name) for name in homes}  # first access loads estimates
+same = {name: got[name] is getattr(sys.modules["hartogs." + home], name)
+        for name, home in homes.items()}
+print(json.dumps([before, same, hasattr(cli, "no_such_name")]))
+"""
+        before, same, missing_resolves = _fresh_interpreter(code)
+        assert before is False
+        assert all(same.values()), same
+        assert missing_resolves is False
+
+    def test_non_convergence_error_is_one_class(self):
+        from hartogs import estimates, special
+        assert estimates.NonConvergenceError is special.NonConvergenceError
 
 
 class TestProcessLevel:

@@ -498,6 +498,16 @@ class TestSeriesReferenceRoute:
         with pytest.raises(NonConvergenceError):
             asymptotic_ratio_check("ball", {"k": 2, "alpha": -0.5}, grid, max_terms=64)
 
+    @pytest.mark.parametrize("limits", [
+        {"rel_tol": float("nan")}, {"rel_tol": -1.0}, {"rel_tol": 0.0},
+        {"rel_tol": float("inf")}, {"max_terms": 0}, {"max_terms": -3}])
+    def test_invalid_limits_are_rejected_not_reported_as_nonconvergence(self, limits):
+        for series in (lambda r, **kw: weighted_ball_integral_series(2, -0.5, r, **kw),
+                       lambda r, **kw: weighted_disk_integral_series(-0.5, -1.0, r, **kw)):
+            for r in (0.0, 0.5):
+                with pytest.raises(ValueError, match="series"):
+                    series(r, **limits)
+
 
 class TestQuadratureRule:
     ALPHAS = (-0.99, -0.5, 0.0, 0.5, 3.0)

@@ -55,6 +55,13 @@ class TestWindows:
         with pytest.raises(ValueError):
             conjugate_exponent(0.5)
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            conjugate_exponent(p)
+        with pytest.raises(ValueError, match="finite"):
+            feasible_params(2, 1, p)
+
     def test_empty_window_has_no_midpoint(self):
         with pytest.raises(ValueError):
             FeasibilityWindow(1.0, 1.0, True, False).interior_midpoint()

@@ -23,6 +23,9 @@ class TestBlockJacobians:
         det = jacobian_det_to_standard(spec, [0.5, 0.0, 0.0, 0.5])
         assert det == pytest.approx(2.0)
 
+    def test_lives_in_domains_and_stays_importable_here(self):
+        assert transfer.jacobian_det_to_standard is domains.jacobian_det_to_standard
+
     def test_rational_varies_with_point(self):
         spec = builtin_example("rational3")
         z = np.array([0.01, -1 / 3 + 0.05, 0.5], dtype=complex)
@@ -104,6 +107,14 @@ class TestTransferFactor:
             transfer_norm_bound(0.0, JacobianBounds(1.0, 2.0, "exact"), 2.0)
         with pytest.raises(ValueError):
             transfer_norm_bound(1.0, JacobianBounds(1.0, 2.0, "exact"), 0.5)
+
+    @pytest.mark.parametrize("constant,p", [
+        (1.0, float("nan")), (1.0, float("inf")),
+        (float("nan"), 2.0), (float("inf"), 2.0),
+    ])
+    def test_non_finite_inputs_rejected(self, constant, p):
+        with pytest.raises(ValueError, match="finite"):
+            transfer_norm_bound(constant, JacobianBounds(1.0, 2.0, "exact"), p)
 
 
 CFG = NumericConfig(seed=14, mc_samples=300_000)
