@@ -30,7 +30,7 @@ from .kernels import (kernel_ball, kernel_hartogs, kernel_product,
                       kernel_punctured_disk, kernel_truncated,
                       mc_bergman_projection, monomial_norm_sq_ball)
 from .schur import SchurWitness, admissible_p_range, feasible_params, schur_verify
-from .special import NonConvergenceError
+from .special import NonConvergenceError, monomial
 from .transfer import jacobian_bounds, pullback_isometry_check, transfer_norm_bound
 
 # Names re-exported from `estimates`, resolved on first access (PEP 562) so
@@ -268,7 +268,7 @@ def cmd_transfer(args) -> str:
             raise ValueError(f"monomial needs {spec.n} exponents")
 
         def test_fn(pts: np.ndarray) -> np.ndarray:
-            return np.prod(pts ** exps, axis=-1)
+            return monomial(pts, exps)
 
         report = pullback_isometry_check(spec, test_fn, cfg)
         out["isometry"] = report.to_json_dict()
@@ -291,8 +291,8 @@ def cmd_project(args) -> str:
             raise ValueError(f"monomial needs {args.n} exponents")
 
         def f(pts):
-            return np.prod(pts ** exps, axis=-1)
-        expected = complex(np.prod(z ** exps))
+            return monomial(pts, exps)
+        expected = complex(monomial(z, exps))
         label = "monomial=" + args.monomial
     est, err = mc_bergman_projection(spec, f, z, args.samples, args.seed,
                                      workers=args.workers)

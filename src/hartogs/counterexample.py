@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .domains import standard_volume
+from .special import int_power
 
 # Size cap of the demo table, not a numerical limit: the piece sums match
 # 20-digit mpmath at m = 20000 (test_counterexample.py), and a piece whose
@@ -85,7 +86,7 @@ def blowup_eval(n: int, m: int, z) -> complex | np.ndarray:
         raise ZeroDivisionError("last coordinate vanishes (outside the domain)")
     profile = RadialStepFunction(n, m)
     g = profile.value(np.atleast_1d(r)).reshape(r.shape)
-    phase = (np.conj(zn) / r) ** (n - 1)
+    phase = int_power(np.conj(zn) / r, n - 1)
     val = np.asarray(g * phase)
     return complex(val) if val.ndim == 0 else val
 
@@ -151,7 +152,7 @@ def projected_blowup(n: int, m: int, z) -> complex | np.ndarray:
     zn = z[..., -1]
     if np.any(zn == 0.0):
         raise ZeroDivisionError("last coordinate vanishes (outside the domain)")
-    val = np.asarray(projection_constant(n, m).radial_integral / zn ** (n - 1))
+    val = np.asarray(projection_constant(n, m).radial_integral / int_power(zn, n - 1))
     return complex(val) if val.ndim == 0 else val
 
 

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, sampling
+from .special import monomial
 
 _IDENTITY = "identity"
 _AFFINE = "affine"
@@ -119,6 +120,10 @@ class MapFamily:
         return 3.0 / den
 
     @property
+    def is_identity(self) -> bool:
+        return self.kind == _IDENTITY
+
+    @property
     def constant_jacobian(self) -> bool:
         return self.kind in (_IDENTITY, _AFFINE)
 
@@ -198,7 +203,7 @@ class HartogsDomainSpec:
 
     @property
     def is_standard(self) -> bool:
-        return all(fam.kind == _IDENTITY for _, fam in self.blocks)
+        return all(fam.is_identity for _, fam in self.blocks)
 
     @staticmethod
     def standard(n: int, block_dims: int | Sequence[int]) -> "HartogsDomainSpec":
@@ -282,8 +287,7 @@ def from_product_model(n: int, k: int, w) -> np.ndarray:
 def jacobian_det_from_product(n: int, k: int, w) -> np.ndarray | complex:
     """prod_{j=k+1}^{n} w_j^(j-1) (1-based j), the holomorphic Jacobian det."""
     w = _check_point(n, w)
-    exps = np.arange(k, n)  # exponent j-1 for 1-based j = k+1..n
-    det = np.prod(w[..., k:] ** exps, axis=-1)
+    det = monomial(w[..., k:], range(k, n))  # 0-based column j carries exponent j
     return complex(det) if det.ndim == 0 else det
 
 

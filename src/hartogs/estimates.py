@@ -52,7 +52,7 @@ from scipy.special import hyp2f1, roots_jacobi, roots_legendre
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import NonConvergenceError, log_beta, log_factorial, log_gamma
+from .special import NonConvergenceError, int_power, log_beta, log_factorial, log_gamma
 
 MultiIndex = Sequence[int]
 
@@ -85,12 +85,25 @@ def sphere_moment(k: int, nu: MultiIndex) -> float:
 
 def sphere_moment_mc(k: int, nu: MultiIndex, cfg: NumericConfig = DEFAULT_CONFIG
                      ) -> tuple[float, float]:
-    """Monte-Carlo oracle for `sphere_moment`; returns (estimate, stderr)."""
-    nu = np.array(_check_multi_index(k, nu), dtype=float)
+    """Monte-Carlo oracle for `sphere_moment`; returns (estimate, stderr).
+
+    Each sample draws the 2k uniforms of one `sampling.sphere_points` row, so
+    the draws are those of a sphere point, but the observable
+    |xi^nu|^2 = prod_j (|xi_j|^2)^nu_j needs only the moduli: they come from
+    the Box-Muller radii alone (`sampling.sphere_moduli_sq_from_uniform`), and
+    the powers are integer powers, so no angle, norm or float power is
+    computed.
+    """
+    nu = _check_multi_index(k, nu)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = sampling.sphere_points(rng, count, k)
-        return np.prod(np.abs(xi) ** (2 * nu), axis=1)
+        t = sampling.sphere_moduli_sq_from_uniform(
+            rng.random((count, sampling.sphere_draws_per_point(k))), k)
+        out = np.ones(count)
+        for j, e in enumerate(nu):
+            if e:
+                out *= int_power(t[:, j], e)
+        return out
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 
@@ -276,14 +289,25 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
         raise ValueError("alpha must exceed -1")
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        u = rng.random((count, 2 * k + 1))
-        xi = sampling.sphere_from_uniform(u[:, :2 * k], k)
-        rho, q = _kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
-        eta = np.sqrt(rho)[:, None] * xi
-        ip = eta @ np.conj(w)
-        return q ** alpha / (alpha + 1.0) / np.abs(1.0 - ip) ** (k + 1)
+        return _ball_mc_samples(k, alpha, w, rng.random((count, 2 * k + 1)))
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
+
+
+def _ball_mc_samples(k: int, alpha: float, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The samples `weighted_ball_integral_mc` averages, one per row of u.
+
+    |1 - <eta, w>|^(k+1) is an integer power of the squared modulus
+    re^2 + im^2, times one square root for even k; no abs or float power.
+    """
+    xi = sampling.sphere_from_uniform(u[:, :2 * k], k)
+    rho, q = _kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
+    d = 1.0 - (xi @ np.conj(w)) * np.sqrt(rho)
+    s = d.real * d.real + d.imag * d.imag
+    kern = int_power(s, (k + 1) // 2)
+    if k % 2 == 0:
+        kern *= np.sqrt(s)
+    return q ** alpha / (alpha + 1.0) / kern
 
 
 def weighted_disk_integral_mc(alpha: float, beta: float, w,
@@ -319,8 +343,8 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
         else:
             rho, q = _kumaraswamy_radius(a, alpha + 1.0, u[:, 0])
             weight = q ** alpha
-        eta = np.sqrt(rho) * np.exp(2j * np.pi * u[:, 1])
-        return weight / (a * (alpha + 1.0)) / np.abs(1.0 - w * np.conj(eta)) ** 2
+        d = 1.0 - w * np.conj(sampling.polar_from_uniform(np.sqrt(rho), u[:, 1]))
+        return weight / (a * (alpha + 1.0)) / (d.real * d.real + d.imag * d.imag)
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 

@@ -8,8 +8,8 @@ factor has measure 1):
     product model:   product of the factor kernels
     Hartogs domain:  product kernel divided by the quotient-chart Jacobians
 
-Integer powers are computed by repeated multiplication, never through the
-complex logarithm, so there is no branch ambiguity.
+Integer powers go through `special.int_power` (repeated multiplication, never
+the complex logarithm), so there is no branch ambiguity.
 """
 
 from __future__ import annotations
@@ -24,23 +24,9 @@ from . import mc
 from .domains import (HartogsDomainSpec, contains, from_product_model,
                       jacobian_det_from_product, jacobian_det_to_standard,
                       product_points, to_product_model, to_standard_model)
-from .special import log_factorial
+from .special import int_power, log_factorial
 
 Model = str | Tuple[str, object]
-
-
-def _int_power(x: np.ndarray, e: int) -> np.ndarray:
-    """x**e for integer e >= 0 by binary repeated multiplication."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = np.ones_like(np.asarray(x))
-    base = np.asarray(x)
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
 
 
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
@@ -57,7 +43,7 @@ def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
     if w.shape[-1] != k or eta.shape[-1] != k:
         raise ValueError(f"expected points in C^{k}")
     ip = np.sum(w * np.conj(eta), axis=-1)
-    val = 1.0 / _int_power(1.0 - ip, k + 1)
+    val = 1.0 / int_power(1.0 - ip, k + 1)
     return complex(val) if val.ndim == 0 else val
 
 

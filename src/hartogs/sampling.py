@@ -8,6 +8,16 @@ changes, and chunk partials reduce deterministically regardless of worker
 count. Normals come from Box-Muller rather than the ziggurat for exactly this
 reason (the ziggurat's rejection loop has a data-dependent draw budget).
 
+The layout is fixed, but what is computed from it is not: a caller that
+needs only moduli skips the angles. In a Box-Muller pair (u1, u2) the squared
+radius -2 log(1-u1) comes from u1 alone and the phase 2 pi u2 from u2 alone,
+so `sphere_moduli_sq_from_uniform` reads the same rows as
+`sphere_from_uniform` with no cos/sin call, and a disk point's squared modulus
+is its first uniform scaled. cos and sin (scalar libm, about 12 ns per
+element each) are paid only where a sample needs its phase; they are written
+straight into the real and imaginary parts of the complex result, and rows
+are normalised on the real view, with no complex exp or division.
+
 Measure convention: the disk and every ball carry normalized volume,
 V(disk) = V(ball) = 1.
 """
@@ -19,30 +29,59 @@ import numpy as np
 
 def normals_from_uniform(u: np.ndarray) -> np.ndarray:
     """Box-Muller transform; u has even last-axis length, entries in [0, 1)."""
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
     # 1-u1 lies in (0, 1], so the log is finite.
-    rad = np.sqrt(-2.0 * np.log1p(-u1))
-    ang = 2.0 * np.pi * u2
-    out = np.empty_like(u)
-    out[..., 0::2] = rad * np.cos(ang)
-    out[..., 1::2] = rad * np.sin(ang)
-    return out
+    rad = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    return polar_from_uniform(rad, u[..., 1::2]).view(float)
 
 
 def _as_complex(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.complex128)
 
 
+def _scale_rows(x: np.ndarray, radius: np.ndarray | None = None) -> np.ndarray:
+    """Scale each row of Box-Muller normals x to Euclidean length 1 (or
+    `radius`), in place on the real array, and view it as complex. A zero
+    row stays zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    norms[norms == 0.0] = 1.0
+    # times the reciprocal: what complex-by-real division does, a bit cheaper
+    x *= (1.0 / norms)[:, None]
+    if radius is not None:
+        x *= radius[:, None]
+    return _as_complex(x)
+
+
 def disk_draws_per_point() -> int:
     return 2
 
 
+def disk_modulus_sq_from_uniform(u1: np.ndarray, r_min: float = 0.0,
+                                 r_max: float | np.ndarray = 1.0) -> np.ndarray:
+    """|w|^2 of the annulus points `disk_from_uniform` makes, bit for bit, from
+    u1, the first uniform of each draw pair; no angle is computed. r_max may
+    be an array that broadcasts against u1 (one radius per column)."""
+    return r_min * r_min + u1 * (r_max * r_max - r_min * r_min)
+
+
+def polar_from_uniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """r exp(2 pi i u), with r cos and r sin written straight into the real
+    and imaginary parts of one complex array: the complex-exp value to within
+    an ulp (bit for bit where exp uses the same libm cos/sin), at less cost."""
+    out = np.empty(np.shape(u), dtype=complex)
+    re = out.real
+    im = out.imag
+    ang = (2.0 * np.pi) * u
+    np.cos(ang, out=re)
+    np.sin(ang, out=im)
+    re *= r
+    im *= r
+    return out
+
+
 def disk_from_uniform(u: np.ndarray, r_min: float = 0.0, r_max: float = 1.0) -> np.ndarray:
     """Uniform points of the annulus r_min <= |w| <= r_max; u shape (count, 2)."""
-    rho2 = r_min * r_min + u[:, 0] * (r_max * r_max - r_min * r_min)
-    r = np.sqrt(rho2)
-    return r * np.exp(2j * np.pi * u[:, 1])
+    return polar_from_uniform(np.sqrt(disk_modulus_sq_from_uniform(u[:, 0], r_min, r_max)),
+                              u[:, 1])
 
 
 def ball_draws_per_point(k: int) -> int:
@@ -53,12 +92,8 @@ def ball_from_uniform(u: np.ndarray, k: int, r_max: float = 1.0) -> np.ndarray:
     """Uniform points of the ball |w| <= r_max in C^k; u shape (count, 2k+1)."""
     if k == 1:
         return disk_from_uniform(u[:, :2], 0.0, r_max)[:, None]
-    x = normals_from_uniform(u[:, : 2 * k])
-    z = _as_complex(x)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
     radius = r_max * u[:, 2 * k] ** (1.0 / (2 * k))
-    return z / norms * radius[:, None]
+    return _scale_rows(normals_from_uniform(u[:, : 2 * k]), radius)
 
 
 def sphere_draws_per_point(k: int) -> int:
@@ -67,11 +102,20 @@ def sphere_draws_per_point(k: int) -> int:
 
 def sphere_from_uniform(u: np.ndarray, k: int) -> np.ndarray:
     """Uniform points of the unit sphere in C^k; u shape (count, 2k)."""
-    x = normals_from_uniform(u)
-    z = _as_complex(x)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return z / norms
+    return _scale_rows(normals_from_uniform(u))
+
+
+def sphere_moduli_sq_from_uniform(u: np.ndarray, k: int) -> np.ndarray:
+    """|xi_j|^2 of the sphere points `sphere_from_uniform` makes from the same u.
+
+    |xi_j|^2 = e_j / sum(e) with e_j = -log(1-u_{2j}) the halved squared
+    Box-Muller radius: the angles cancel, so none is computed. Shape (count, k).
+    """
+    e = np.log1p(-u[:, 0::2])  # -e_j; the signs cancel in the ratio
+    total = np.einsum("ij->i", e)
+    total[total == 0.0] = 1.0
+    e /= total[:, None]
+    return e
 
 
 def disk_points(rng: np.random.Generator, count: int,

@@ -81,6 +81,14 @@ class SchurWitness:
     s: float
     t: dict[int, float]
 
+    def __post_init__(self):
+        # the names in parentheses are the CLI options that set these values
+        if not math.isfinite(self.s):
+            raise ValueError(f"witness exponent s (--witness-s) must be finite, got {self.s}")
+        bad = {j: tj for j, tj in self.t.items() if not math.isfinite(tj)}
+        if bad:
+            raise ValueError(f"witness exponents t (--witness-t) must be finite, got {bad}")
+
 
 def conjugate_exponent(p: float) -> float:
     if not 1.0 < p < math.inf:  # also false for NaN

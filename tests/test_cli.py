@@ -279,6 +279,18 @@ class TestInvalidNumbers:
         assert captured.out == ""
         assert f"argument {option}: must be a positive integer" in captured.err
 
+    @pytest.mark.parametrize("argv,option", [
+        (["--n", "2", "--k", "1", "--witness-s", "nan", "--witness-t=-0.5"], "--witness-s"),
+        (["--n", "2", "--k", "1", "--witness-s", "inf", "--witness-t=-0.5"], "--witness-s"),
+        (["--n", "3", "--k", "1", "--witness-s=-0.2", "--witness-t=-0.5,nan"], "--witness-t"),
+        (["--n", "2", "--k", "1", "--witness-s=-0.2", "--witness-t=-inf"], "--witness-t"),
+    ])
+    def test_non_finite_witness_exits_2_naming_the_option(self, argv, option, capsys):
+        assert run(["schur-verify", "--p", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err and "finite" in captured.err
+
     def test_count_that_is_not_an_integer(self, capsys):
         assert run(["blowup", "--n", "2", "--p", "1.3", "--m-max", "x"]) == 2
         assert "argument --m-max: invalid int value: 'x'" in capsys.readouterr().err

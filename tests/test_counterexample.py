@@ -61,6 +61,28 @@ class TestBlowupFunction:
             v = blowup_eval(3, 1, [0.0, 0.05, 0.5 * np.exp(1j * phase)])
             assert abs(v) == pytest.approx(8.0)
 
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(12)
+        for n in range(2, 8):
+            for m in (1, 3, 6):
+                r = 10.0 ** rng.uniform(-4.0, 0.0, 20)  # reaches every piece and the cutoff
+                z = np.zeros((20, n), dtype=complex)
+                z[:, -1] = r * np.exp(2j * np.pi * rng.random(20))
+                got = blowup_eval(n, m, z)
+                with mp.workdps(30):
+                    cuts = [mp.mpf(j) ** -j for j in range(1, m + 2)]  # a_1 .. a_(m+1)
+                    for zn, g in zip(z[:, -1], got):
+                        rn = mp.mpf(abs(zn))
+                        pieces = [j for j in range(1, m + 1) if cuts[j] < rn <= cuts[j - 1]]
+                        if not pieces:
+                            assert g == 0.0
+                            continue
+                        j = pieces[0]
+                        phase = (mp.conj(mp.mpc(zn.real, zn.imag)) / rn) ** (n - 1)
+                        ref = complex(rn ** (mp.mpf(1) / j - (n + 1)) * phase)
+                        assert abs(g - ref) <= 1e-13 * abs(ref)
+
     def test_vanishing_last_coordinate_raises(self):
         with pytest.raises(ZeroDivisionError):
             blowup_eval(2, 1, [0.0, 0.0])

@@ -105,6 +105,19 @@ class TestQuotientChart:
         assert domains.jacobian_det_from_product(2, 1, [0.3, 0.5]) == pytest.approx(0.5)
         assert domains.jacobian_det_from_product(3, 1, [0.2, 0.5, 0.5]) == pytest.approx(0.125)
 
+    def test_jacobian_det_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        for n in range(2, 8):
+            for k in range(1, n):
+                w = rng.uniform(0.05, 1.0, (10, n)) * np.exp(2j * np.pi * rng.random((10, n)))
+                got = domains.jacobian_det_from_product(n, k, w)
+                for row, g in zip(w, got):
+                    with mpmath.workdps(30):
+                        ref = complex(mpmath.fprod(mpmath.mpc(row[j].real, row[j].imag) ** j
+                                                   for j in range(k, n)))
+                    assert abs(g - ref) <= 1e-13 * abs(ref)
+
     def test_jacobian_det_matches_finite_differences(self):
         from hartogs.transfer import numerical_jacobian_det
         rng = np.random.default_rng(3)

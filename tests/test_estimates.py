@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hartogs import estimates, special
+from hartogs import estimates, mc, sampling, special
 from hartogs.config import NumericConfig
 from hartogs.estimates import (NonConvergenceError, asymptotic_ratio_check,
                                sphere_moment, sphere_moment_mc,
@@ -69,6 +69,22 @@ class TestSphereMoments:
         c = sphere_moment_mc(2, (1, 1), FAST_CFG.with_(workers=4))
         assert a == b == c
 
+    @pytest.mark.parametrize("k,nu", [(1, (2,)), (2, (1, 1)), (3, (2, 1, 0)), (4, (0, 3, 1, 2))])
+    def test_mc_matches_the_sphere_point_observable(self, k, nu):
+        # reference: |xi^nu|^2 from full sphere points on the same chunk draws
+        cfg = NumericConfig(seed=5, mc_samples=40_000)
+
+        def reference(rng, count):
+            xi = sampling.sphere_points(rng, count, k)
+            return np.prod(np.abs(xi) ** (2 * np.array(nu, dtype=float)), axis=1)
+
+        est, err = sphere_moment_mc(k, nu, cfg)
+        ref_est, ref_err = mc.mc_mean(reference, cfg.mc_samples, cfg.seed, cfg.chunk_size)
+        assert est == pytest.approx(ref_est, rel=1e-13)
+        # at k = 1 every sample is 1: the reference's stderr is rounding noise
+        # (about 1e-17), inside approx's default absolute tolerance
+        assert err == pytest.approx(ref_err, rel=1e-11)
+
 
 class TestBallIntegralSeries:
     def test_center_value_closed_form(self):
@@ -106,6 +122,20 @@ class TestBallIntegralSeries:
                 est, err = weighted_ball_integral_mc(k, -0.5, w, FAST_CFG)
                 exact = weighted_ball_integral_series(k, -0.5, r)
                 assert abs(est - exact) <= 3 * err + 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_mc_samples_match_abs_and_float_power(self, k):
+        rng = np.random.default_rng(20 + k)
+        w = rng.normal(size=k) + 1j * rng.normal(size=k)
+        w *= 0.8 / np.linalg.norm(w)
+        u = rng.random((20_000, 2 * k + 1))
+        for alpha in (-0.9, -0.55, 0.5):
+            got = estimates._ball_mc_samples(k, alpha, w, u)
+            xi = sampling.sphere_from_uniform(u[:, :2 * k], k)
+            rho, q = estimates._kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
+            eta = np.sqrt(rho)[:, None] * xi
+            ref = q ** alpha / (alpha + 1.0) / np.abs(1.0 - eta @ np.conj(w)) ** (k + 1)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
     def test_mc_normalized_volume(self):
         # alpha = 0 at the center integrates the bare normalized volume

@@ -150,6 +150,16 @@ class TestVerifier:
         assert abs(report2.max_ratio - m1) / m1 < 0.10
         assert not report.notes
 
+    @pytest.mark.parametrize("s,t,option", [
+        (math.nan, {2: -0.5}, "--witness-s"),
+        (-math.inf, {2: -0.5}, "--witness-s"),
+        (-0.2, {2: math.nan}, "--witness-t"),
+        (-0.2, {2: -0.5, 3: math.inf}, "--witness-t"),
+    ])
+    def test_non_finite_witness_rejected(self, s, t, option):
+        with pytest.raises(ValueError, match=option):
+            SchurWitness(s, t)
+
     def test_p2_condition_symmetry(self):
         # p = q = 2 makes the two condition integrals identical
         witness = feasible_params(2, 1, 2.0)

@@ -1,9 +1,10 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
 
-from hartogs import domains, transfer
+from hartogs import domains, mc, sampling, transfer
 from hartogs.cli import builtin_example
 from hartogs.config import NumericConfig
 from hartogs.domains import HartogsDomainSpec, MapFamily
@@ -159,6 +160,51 @@ class TestPullbackIsometry:
                                          CFG.with_(mc_samples=20_000))
         data = report.to_json_dict()
         assert set(data) == {"source", "target", "sigma_distance"}
+
+
+def _unfiltered_pullback(spec, f, cfg):
+    """Reference for pullback_isometry_check: map every box proposal to a full
+    point and test it with `contains`, with no staged pre-tests."""
+    def integral(side, integrand):
+        radii = np.concatenate([fam.coordinate_radii() for _, fam in side.blocks]
+                               + [np.ones(side.n - side.k)])
+        box_volume = float(np.prod(radii ** 2))
+        for kj, _ in side.blocks:
+            box_volume *= math.factorial(kj)
+
+        def values(rng, count):
+            u = rng.random((count, 2 * side.n))
+            pts = np.stack([sampling.disk_from_uniform(u[:, 2 * j:2 * j + 2], 0.0, radii[j])
+                            for j in range(side.n)], axis=1)
+            inside = domains.contains(side, pts)
+            out = np.zeros(count, dtype=complex)
+            out[inside] = integrand(pts[inside])
+            return out * box_volume
+
+        est, err = mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
+        return float(np.real(est)), err
+
+    src = integral(spec, lambda z: np.abs(f(domains.to_standard_model(spec, z))
+                                          * domains.jacobian_det_to_standard(spec, z)) ** 2)
+    tgt = integral(spec.standardized(), lambda w: np.abs(f(w)) ** 2)
+    return (*src, *tgt)
+
+
+class TestStagedBoxRejection:
+    @pytest.mark.parametrize("name", ["affine4", "rational3", "standard"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bit_identical_to_unfiltered_rejection(self, name, workers):
+        spec = (HartogsDomainSpec.standard(4, (1, 2)) if name == "standard"
+                else builtin_example(name))
+
+        def f(pts):
+            return pts[..., 0] * pts[..., -1] + 0.5
+
+        for seed in range(5):
+            cfg = NumericConfig(seed=seed, mc_samples=40_000, workers=workers)
+            rep = pullback_isometry_check(spec, f, cfg)
+            got = (rep.source_value, rep.source_stderr, rep.target_value, rep.target_stderr)
+            assert got == _unfiltered_pullback(spec, f, cfg)
 
 
 class TestStructuralRangeIndependence:
