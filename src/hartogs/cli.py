@@ -196,6 +196,9 @@ def cmd_moments(args) -> str:
 def cmd_estimates(args) -> str:
     from .estimates import asymptotic_ratio_check
 
+    for option, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
     grid = np.linspace(args.r_min, args.r_max, args.grid_points)
     params = {"alpha": args.alpha}
     if args.which == "ball":

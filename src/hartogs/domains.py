@@ -31,6 +31,9 @@ _IDENTITY = "identity"
 _AFFINE = "affine"
 _RATIONAL = "rational_example"
 _RATIONAL_POLE = 10.0  # second block coordinate where the rational map blows up
+# Relative size of the rounding allowance in `MapFamily.image_norm_sq_floor`:
+# far above the few ulps by which `value` can miss the exact image norm.
+_FLOOR_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,30 @@ class MapFamily:
         if np.any(den == 0):
             raise ZeroDivisionError("rational map Jacobian evaluated at its pole")
         return 3.0 / den
+
+    def image_norm_sq_floor(self, sq: np.ndarray) -> np.ndarray:
+        """Lower bound on |phi(z)|^2 from the squared moduli sq = |z_j|^2 of
+        the block coordinates (last axis) alone, so no angle is needed.
+
+        identity: the sum of sq. affine: ||A z + b|| is at least
+        s_min ||z|| - ||b|| and ||b|| - s_max ||z||, with s_min, s_max the
+        extreme singular values of A. rational: |z1/(z2 - 10)| is at least
+        |z1|/(10 + |z2|) and |3 z2 + 1| at least |3|z2| - 1|. A difference
+        that cancels is lowered by a rounding allowance relative to the
+        magnitudes it cancels, so the floor also stays below |phi(z)|^2 as
+        `value` evaluates it in floating point.
+        """
+        if self.kind == _IDENTITY:
+            return np.einsum("...j->...", sq)
+        if self.kind == _AFFINE:
+            s_max, s_min = np.linalg.svd(self._matrix(), compute_uv=False)[[0, -1]]
+            b = float(np.linalg.norm(self._shift()))
+            z = np.sqrt(np.einsum("...j->...", sq))
+            gap = np.maximum(s_min * z - b, b - s_max * z) - _FLOOR_ROUNDING * (s_max * z + b)
+            return np.square(np.maximum(gap, 0.0))
+        z2 = np.sqrt(sq[..., 1])
+        gap = np.abs(3.0 * z2 - 1.0) - _FLOOR_ROUNDING * (3.0 * z2 + 1.0)
+        return sq[..., 0] / np.square(_RATIONAL_POLE + z2) + np.square(np.maximum(gap, 0.0))
 
     @property
     def is_identity(self) -> bool:
@@ -275,12 +302,17 @@ def to_product_model(n: int, k: int, z) -> np.ndarray:
 
 
 def from_product_model(n: int, k: int, w) -> np.ndarray:
-    """Inverse of the quotient chart: suffix products of the chain coordinates."""
+    """Inverse of the quotient chart: suffix products of the chain coordinates.
+
+    z_j = w_j w_(j+1) ... w_n, built from the right as z_j = z_(j+1) * w_j,
+    one column at a time: the chain is 1 to a few columns wide, where a
+    numpy reduction along it costs more per row than the products."""
     w = _check_point(n, w)
     z = np.empty_like(w)
-    suffix = np.cumprod(w[..., :k - n - 1:-1], axis=-1)[..., ::-1]  # prod w_j..w_n
-    z[..., k:] = suffix
-    z[..., :k] = w[..., :k] * suffix[..., 0][..., None]
+    z[..., n - 1] = w[..., n - 1]
+    for j in range(n - 2, k - 1, -1):
+        z[..., j] = z[..., j + 1] * w[..., j]
+    z[..., :k] = w[..., :k] * z[..., k][..., None]
     return z
 
 

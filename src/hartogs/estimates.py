@@ -33,6 +33,19 @@ q = (1-rho)/(1-rho^a), stays between 1 and a^-alpha. The disk estimator
 draws 1 - rho instead where that bound is large (beta < 0 < alpha). Every
 weight is at most max(1, a, alpha+1), so the variance is finite for every
 alpha > -1 and beta > -2.
+
+Each sample reads the uniforms of one ball or disk point (2k+1 or 2 per
+sample, the layout of `sampling`), so results stay seeded, prefix-stable and
+independent of the worker count, but it computes one angle, not one per
+coordinate. The point measures are unitarily invariant, so the kernel factor
+|1 - <eta, w>| has the law of |1 - c exp(2 pi i u)| with c = |w| |eta_1|
+and u the phase uniform of eta_1; |eta_1| comes from the Box-Muller radii,
+and (1-c)^2 + 4c sin^2(pi u) gives the squared modulus with one sin. Every
+sample has the law of the full point's sample, and an estimate depends on
+w only through |w|.
+
+Exponents must be finite: alpha = inf or beta = nan is a ValueError, as is
+an exponent whose Gamma function overflows.
 """
 
 from __future__ import annotations
@@ -111,13 +124,24 @@ def sphere_moment_mc(k: int, nu: MultiIndex, cfg: NumericConfig = DEFAULT_CONFIG
 # --- closed forms (Forelli-Rudin) and the series reference route ----------
 
 
+def _check_alpha(alpha: float) -> None:
+    if not -1.0 < alpha < math.inf:  # also false for NaN
+        raise ValueError(f"alpha must exceed -1 and be finite (the integral diverges "
+                         f"at alpha <= -1), got {alpha}")
+
+
+def _check_beta(beta: float) -> None:
+    if not -2.0 < beta < math.inf:  # also false for NaN
+        raise ValueError(f"beta must exceed -2 and be finite (the integral diverges "
+                         f"at beta <= -2), got {beta}")
+
+
 def _ball_params(k: int, alpha: float) -> tuple[float, float]:
     """Checked ball parameters: (h, c_0) with h = (k+1)/2 and
     c_0 = k! G(alpha+1)/G(k+alpha+1), the value at r = 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1 (the integral diverges otherwise)")
+    _check_alpha(alpha)
     return ((k + 1) / 2.0,
             math.exp(log_factorial(k) + log_gamma(alpha + 1.0) - log_gamma(k + alpha + 1.0)))
 
@@ -125,10 +149,8 @@ def _ball_params(k: int, alpha: float) -> tuple[float, float]:
 def _disk_params(alpha: float, beta: float) -> tuple[float, float]:
     """Checked disk parameters: (b, c_0) with b = beta/2+1 and
     c_0 = B(alpha+1, b), the value at r = 0."""
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1 (the integral diverges otherwise)")
-    if beta <= -2.0:
-        raise ValueError("beta must exceed -2 (the integral diverges otherwise)")
+    _check_alpha(alpha)
+    _check_beta(beta)
     b = beta / 2.0 + 1.0
     return b, math.exp(log_beta(alpha + 1.0, b))
 
@@ -186,8 +208,9 @@ def _series_sum(first: float, ratio, r: float, rel_tol: float, max_terms: int,
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"series evaluation requires 0 <= r < 1, got {r}")
-    if not 0.0 < rel_tol < math.inf:  # also false for NaN
-        raise ValueError(f"series tolerance must be finite and positive, got {rel_tol}")
+    if not 0.0 < rel_tol < 1.0:  # also false for NaN
+        raise ValueError(f"series tolerance must be finite and positive, and below 1, "
+                         f"got {rel_tol}")
     if max_terms < 1:
         raise ValueError(f"series term cap must be >= 1, got {max_terms}")
     x = r * r
@@ -268,6 +291,24 @@ def _kumaraswamy_radius(a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, 
     return np.exp(log_rho), q
 
 
+def _kernel_factor(c: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
+    """|1 - c exp(2 pi i u)|^power for moduli c >= 0 and uniforms u.
+
+    The squared modulus is written (1-c)^2 + 4c sin^2(pi u): one sin per
+    sample and no cancellation as c -> 1 and u -> 0. An odd power is an
+    integer power of it times one square root; no abs or float power.
+    """
+    s = np.sin(np.pi * u)
+    s *= s
+    s *= 4.0 * c
+    d = 1.0 - c
+    s += d * d
+    out = int_power(s, power // 2)
+    if power % 2:
+        out *= np.sqrt(s)
+    return out
+
+
 def weighted_ball_integral_mc(k: int, alpha: float, w,
                               cfg: NumericConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Monte-Carlo estimate of the weighted ball integral at the point w.
@@ -278,15 +319,22 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
     q = (1-rho)/(1-rho^k) in [1/k, 1]. The weight is bounded, so the
     variance stays finite for every alpha > -1 (plain uniform sampling has
     infinite variance for alpha <= -1/2 and its error bars are meaningless
-    there). Each sample consumes 2k+1 uniforms.
+    there).
+
+    Each sample consumes the 2k+1 uniforms of one ball point (2k for the
+    direction xi, one for rho), but computes one angle, not k: the law of
+    eta = sqrt(rho) xi is unitarily invariant, so <eta, w> has the law of
+    |w| sqrt(rho) xi_1, and the kernel factor needs only |xi_1|^2 (from the
+    Box-Muller radii, `sampling.sphere_moduli_sq_from_uniform`) and the
+    phase 2 pi u_1 of xi_1. Each sample has the law of the full point's
+    sample, and the estimate depends on w only through |w|.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if w.shape != (k,):
         raise ValueError(f"w must lie in C^{k}")
-    if np.linalg.norm(w) >= 1.0:
+    if not np.linalg.norm(w) < 1.0:  # also true for NaN
         raise ValueError("w must lie in the open unit ball")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
+    _check_alpha(alpha)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         return _ball_mc_samples(k, alpha, w, rng.random((count, 2 * k + 1)))
@@ -295,19 +343,13 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
 
 
 def _ball_mc_samples(k: int, alpha: float, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The samples `weighted_ball_integral_mc` averages, one per row of u.
-
-    |1 - <eta, w>|^(k+1) is an integer power of the squared modulus
-    re^2 + im^2, times one square root for even k; no abs or float power.
-    """
-    xi = sampling.sphere_from_uniform(u[:, :2 * k], k)
+    """The samples `weighted_ball_integral_mc` averages, one per row of u:
+    q^alpha / (alpha+1) / |1 - c exp(2 pi i u_1)|^(k+1) with
+    c = |w| sqrt(rho) |xi_1|."""
+    xi1_sq = sampling.sphere_moduli_sq_from_uniform(u[:, :2 * k], k)[:, 0]
     rho, q = _kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
-    d = 1.0 - (xi @ np.conj(w)) * np.sqrt(rho)
-    s = d.real * d.real + d.imag * d.imag
-    kern = int_power(s, (k + 1) // 2)
-    if k % 2 == 0:
-        kern *= np.sqrt(s)
-    return q ** alpha / (alpha + 1.0) / kern
+    c = np.linalg.norm(w) * np.sqrt(rho * xi1_sq)
+    return q ** alpha / (alpha + 1.0) / _kernel_factor(c, u[:, 1], k + 1)
 
 
 def weighted_disk_integral_mc(alpha: float, beta: float, w,
@@ -322,16 +364,18 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
     weight would reach a^-alpha on rare draws near the boundary, so there
     1 - rho is drawn from Kumaraswamy(alpha+1, a) instead, with weight
     q^(a-1) between 1 and alpha+1 for q = rho/(1-(1-rho)^(alpha+1)).
-    Every weight is then at most max(1, a, alpha+1). Each sample consumes
-    2 uniforms.
+    Every weight is then at most max(1, a, alpha+1).
+
+    Each sample consumes the 2 uniforms of one disk point (radius, phase).
+    The law of eta is rotation invariant, so w conj(eta) has the law of
+    |w| sqrt(rho) exp(2 pi i u_1): the kernel factor takes one angle and no
+    complex product, and the estimate depends on w only through |w|.
     """
     w = complex(np.asarray(w, dtype=complex).reshape(()))
-    if abs(w) >= 1.0:
+    if not abs(w) < 1.0:  # also true for NaN
         raise ValueError("w must lie in the open unit disk")
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
-    if beta <= -2.0:
-        raise ValueError("beta must exceed -2")
+    _check_alpha(alpha)
+    _check_beta(beta)
     a = beta / 2.0 + 1.0
     reflect = a < 1.0 < alpha + 1.0
 
@@ -343,8 +387,8 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
         else:
             rho, q = _kumaraswamy_radius(a, alpha + 1.0, u[:, 0])
             weight = q ** alpha
-        d = 1.0 - w * np.conj(sampling.polar_from_uniform(np.sqrt(rho), u[:, 1]))
-        return weight / (a * (alpha + 1.0)) / (d.real * d.real + d.imag * d.imag)
+        c = abs(w) * np.sqrt(rho)
+        return weight / (a * (alpha + 1.0)) / _kernel_factor(c, u[:, 1], 2)
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 
@@ -373,8 +417,9 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
         absorbing s^(beta/2) when c = 0.
     """
     radii = _radii(r)
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
+    _check_alpha(alpha)
+    if not -math.inf < beta < math.inf:  # also false for NaN
+        raise ValueError(f"beta must be finite, got {beta}")
     if not 0.0 <= inner_cutoff < 1.0:
         raise ValueError("inner cutoff must lie in [0, 1)")
     if beta <= -2.0 and inner_cutoff <= 0.0:

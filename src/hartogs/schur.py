@@ -259,10 +259,17 @@ def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
     """Estimate both Schur-condition ratios on sampled interior points.
 
     Sample points keep every coordinate modulus within
-    [puncture_margin, 1 - boundary_margin]. Ratios of a valid witness stay
-    bounded; endpoint or out-of-window witnesses blow up as the margins
-    tighten.
+    [puncture_margin, 1 - boundary_margin], so the margins must satisfy
+    0 <= puncture_margin < 1 - boundary_margin <= 1. Ratios of a valid
+    witness stay bounded; endpoint or out-of-window witnesses blow up as the
+    margins tighten.
     """
+    # the names in parentheses are the CLI options that set these values
+    if not 0.0 <= puncture_margin < 1.0 - boundary_margin <= 1.0:  # also false for NaN, inf
+        raise ValueError(
+            "margins must satisfy 0 <= puncture margin (--puncture-margin) < "
+            "1 - boundary margin (--boundary-margin) <= 1, got "
+            f"puncture_margin={puncture_margin}, boundary_margin={boundary_margin}")
     q = conjugate_exponent(p)
     spec = HartogsDomainSpec.standard(n, blocks if blocks is not None else k)
     if spec.k != k:

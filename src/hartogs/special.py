@@ -32,9 +32,14 @@ class NonConvergenceError(ArithmeticError):
 
 
 def log_gamma(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
+    """ln Gamma(x) for finite x > 0; a value that overflows raises ValueError
+    naming x, so that callers see an invalid argument, not an OverflowError."""
+    if not 0.0 < x < math.inf:  # also false for NaN
+        raise ValueError(f"log_gamma requires a finite positive argument, got {x}")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError(f"log-Gamma overflows at x = {x}") from None
 
 
 def log_beta(a: float, b: float) -> float:
@@ -48,7 +53,7 @@ def beta(a: float, b: float) -> float:
 def log_factorial(n: int) -> float:
     if n < 0:
         raise ValueError("factorial of a negative integer")
-    return math.lgamma(n + 1)
+    return log_gamma(n + 1)
 
 
 def int_power(x, e: int) -> np.ndarray:

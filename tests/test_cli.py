@@ -296,6 +296,82 @@ class TestInvalidNumbers:
         assert "argument --m-max: invalid int value: 'x'" in capsys.readouterr().err
 
 
+# every float option of these subcommands, on small inputs; the witness
+# options must be given together, so each is paired with a valid partner
+_EXTREME_BASES = {
+    "estimates": [["estimates", "--which", "ball", "--k", "2", "--alpha=-0.5",
+                   "--grid-points", "3"],
+                  ["estimates", "--which", "disk", "--alpha=-0.5", "--beta=-1",
+                   "--r-min", "0.1", "--grid-points", "3"]],
+    "schur-verify": [["schur-verify", "--n", "2", "--k", "1", "--p", "1.5", "--samples", "3"]],
+    "blowup": [["blowup", "--n", "2", "--p", "1.3", "--m-max", "3"]],
+    "transfer": [["transfer", "--example", "rational3", "--samples", "200",
+                  "--isometry-monomial", "1,0,1"]],
+}
+_EXTREME_OPTIONS = {
+    "estimates": [("--alpha", []), ("--beta", []), ("--r-min", []), ("--r-max", []),
+                  ("--tol", [])],
+    "schur-verify": [("--p", []), ("--boundary-margin", []), ("--puncture-margin", []),
+                     ("--witness-s", ["--witness-t=-0.5"]),
+                     ("--witness-t", ["--witness-s=-0.2"])],
+    "blowup": [("--p", [])],
+    "transfer": [("--p", []), ("--constant", [])],
+}
+_EXTREME_CASES = [
+    base + [f"{option}={value}"] + partner
+    for command, bases in _EXTREME_BASES.items()
+    for base in bases
+    for option, partner in _EXTREME_OPTIONS[command]
+    for value in ("nan", "inf", "-inf", "1e308", "-1")
+] + [
+    ["estimates", "--which", "disk", "--alpha=-0.5", "--beta", "inf", "--grid-points", "3"],
+    ["schur-verify", "--n", "2", "--k", "1", "--p", "1.5", "--witness-s", "0.1",
+     "--witness-t", "1e308", "--samples", "3"],
+    ["schur-verify", "--n", "2", "--k", "1", "--p", "1.5", "--boundary-margin", "1.5",
+     "--samples", "3"],
+    ["schur-verify", "--n", "2", "--k", "1", "--p", "1.5", "--puncture-margin=-1",
+     "--samples", "3"],
+]
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("argv", _EXTREME_CASES, ids=" ".join)
+    def test_exit_code_and_no_non_finite_output(self, argv, capsys):
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert "nan" not in out.lower() and "inf" not in out.lower()
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["estimates", "--which", "disk", "--alpha=-0.5", "--beta", "inf",
+          "--grid-points", "3"], "beta must exceed -2 and be finite"),
+        (["estimates", "--which", "disk", "--alpha=-0.5", "--beta", "1e308",
+          "--r-min", "0.1", "--grid-points", "3"], "log-Gamma overflows at x = 5e+307"),
+        (["schur-verify", "--n", "2", "--k", "1", "--p", "1.5", "--witness-s", "0.1",
+          "--witness-t", "1e308", "--samples", "3"], "beta must exceed -2 and be finite"),
+        (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--boundary-margin", "1.5"],
+         "--boundary-margin"),
+        (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--puncture-margin=-1"],
+         "--puncture-margin"),
+        (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--puncture-margin", "0.995"],
+         "--puncture-margin"),
+        (["estimates", "--which", "ball", "--alpha=-0.5", "--r-max", "inf"],
+         "--r-max must be finite"),
+        (["estimates", "--which", "ball", "--alpha=-0.5", "--tol", "1e308"],
+         "series tolerance must be finite and positive, and below 1"),
+        (["transfer", "--example", "rational3", "--p", "1e308"],
+         "the transferred bound overflows"),
+    ])
+    def test_seen_cases_exit_2_with_a_message(self, argv, message, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def _fresh_interpreter(code: str):
     """Run `code` in a new interpreter; it prints one JSON value, returned here."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

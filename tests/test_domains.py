@@ -66,6 +66,38 @@ class TestMapFamilies:
         back = fam.value(fam.inverse(u))
         assert np.max(np.abs(back - u)) < 1e-12
 
+    _FLOOR_FAMILIES = [
+        MapFamily.identity(1),
+        MapFamily.identity(3),
+        MapFamily.affine([[2.0]], [-1.0]),
+        MapFamily.affine([[1.0, 0.5], [0.0, 1.0]]),
+        MapFamily.affine([[0.7 + 0.2j, -0.4j, 0.1], [0.3, 1.1 - 0.5j, 0.2j], [0.0, 0.6, -0.9 + 0.3j]],
+                         [0.5 - 0.2j, 0.1j, -0.3]),
+        MapFamily.rational_example(),
+    ]
+
+    @pytest.mark.parametrize("fam", _FLOOR_FAMILIES)
+    def test_image_norm_sq_floor_is_a_lower_bound(self, fam):
+        rng = np.random.default_rng(3)
+        radii = 1.3 * fam.coordinate_radii()
+        z = radii * np.sqrt(rng.random((20_000, fam.dim))) * np.exp(
+            2j * np.pi * rng.random((20_000, fam.dim)))
+        # points whose image is near 0 (the floor's differences cancel there)
+        near = fam.inverse(1e-9 * (rng.normal(size=(200, fam.dim))
+                                   + 1j * rng.normal(size=(200, fam.dim))))
+        z = np.concatenate([z, near, np.zeros((1, fam.dim))])
+        floor = fam.image_norm_sq_floor(z.real ** 2 + z.imag ** 2)
+        v = fam.value(z).view(float)
+        exact = np.einsum("ij,ij->i", v, v)
+        assert floor.shape == exact.shape
+        assert np.all(floor >= 0.0)
+        assert np.all(floor <= exact * (1.0 + 1e-12))
+        if fam.is_identity:
+            np.testing.assert_allclose(floor, exact, rtol=1e-15, atol=0)
+        else:
+            # the floor is not trivial: it is positive on most of the box
+            assert np.mean(floor > 0.0) > 0.5
+
     def test_rational_pole_raises(self):
         fam = MapFamily.rational_example()
         with pytest.raises(ZeroDivisionError):
@@ -95,6 +127,29 @@ class TestQuotientChart:
         assert np.max(np.abs(back - w)) < 1e-12
         again = domains.from_product_model(3, 1, back)
         assert np.max(np.abs(again - z)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(), (500,), (7, 9)])
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 1), (6, 2)])
+    def test_suffix_products_match_cumprod(self, n, k, shape):
+        def cumprod_form(w):
+            z = np.empty_like(w)
+            suffix = np.cumprod(w[..., :k - n - 1:-1], axis=-1)[..., ::-1]
+            z[..., k:] = suffix
+            z[..., :k] = w[..., :k] * suffix[..., 0][..., None]
+            return z
+
+        rng = np.random.default_rng(n * 10 + k)
+        w = 0.9 * rng.random(shape + (n,)) * np.exp(2j * np.pi * rng.random(shape + (n,)))
+        got = domains.from_product_model(n, k, w)
+        want = cumprod_form(w)
+        if n - k <= 2:
+            # chains of 1 or 2 coordinates: the same products in the same order
+            assert got.tobytes() == want.tobytes()
+        else:
+            # wider chains: numpy's cumprod switches to another complex
+            # multiply kernel from the third element on, which rounds
+            # differently by up to an ulp or so per product
+            np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
 
     def test_zero_chain_coordinate_raises(self):
         with pytest.raises(ZeroDivisionError):

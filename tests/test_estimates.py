@@ -40,6 +40,57 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError):
             special.log_gamma(0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(ValueError, match="finite positive"):
+            special.log_gamma(x)
+
+    def test_overflow_is_a_value_error_naming_the_argument(self):
+        with pytest.raises(ValueError, match="overflows at x = 1e"):
+            special.log_gamma(1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            special.log_factorial(10 ** 400)
+
+
+class TestExponentValidation:
+    W_BALL = np.array([0.3, 0.1j])
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0])
+    def test_alpha(self, alpha):
+        calls = [lambda: weighted_ball_integral(2, alpha, 0.5),
+                 lambda: weighted_ball_integral_series(2, alpha, 0.5),
+                 lambda: weighted_ball_integral_mc(2, alpha, self.W_BALL, FAST_CFG),
+                 lambda: weighted_disk_integral(alpha, 0.0, 0.5),
+                 lambda: weighted_disk_integral_series(alpha, 0.0, 0.5),
+                 lambda: weighted_disk_integral_mc(alpha, 0.0, 0.5, FAST_CFG),
+                 lambda: weighted_disk_integral_quad(alpha, -3.0, 0.5, 0.1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="alpha must exceed -1 and be finite"):
+                call()
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -2.0])
+    def test_beta(self, beta):
+        calls = [lambda: weighted_disk_integral(-0.5, beta, 0.5),
+                 lambda: weighted_disk_integral_series(-0.5, beta, 0.5),
+                 lambda: weighted_disk_integral_mc(-0.5, beta, 0.5, FAST_CFG)]
+        for call in calls:
+            with pytest.raises(ValueError, match="beta must exceed -2 and be finite"):
+                call()
+        if not math.isfinite(beta):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                weighted_disk_integral_quad(-0.5, beta, 0.5, 0.1)
+
+    def test_gamma_overflow(self):
+        with pytest.raises(ValueError, match="log-Gamma overflows"):
+            weighted_disk_integral(-0.5, 1e308, 0.5)
+
+    @pytest.mark.parametrize("w", [math.nan, complex(0.1, math.nan)])
+    def test_non_finite_point(self, w):
+        with pytest.raises(ValueError, match="open unit disk"):
+            weighted_disk_integral_mc(-0.5, 0.0, w, FAST_CFG)
+        with pytest.raises(ValueError, match="open unit ball"):
+            weighted_ball_integral_mc(2, -0.5, np.array([w, 0.0]), FAST_CFG)
+
 
 class TestSphereMoments:
     def test_circle_is_always_one(self):
@@ -129,13 +180,40 @@ class TestBallIntegralSeries:
         w = rng.normal(size=k) + 1j * rng.normal(size=k)
         w *= 0.8 / np.linalg.norm(w)
         u = rng.random((20_000, 2 * k + 1))
+        # the samples use the law of <eta, w>, which is that of <eta, |w| e_1>:
+        # the full-point expression is evaluated at the unitary image |w| e_1
+        w_e1 = np.zeros(k, dtype=complex)
+        w_e1[0] = np.linalg.norm(w)
         for alpha in (-0.9, -0.55, 0.5):
             got = estimates._ball_mc_samples(k, alpha, w, u)
             xi = sampling.sphere_from_uniform(u[:, :2 * k], k)
             rho, q = estimates._kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
             eta = np.sqrt(rho)[:, None] * xi
-            ref = q ** alpha / (alpha + 1.0) / np.abs(1.0 - eta @ np.conj(w)) ** (k + 1)
+            ref = q ** alpha / (alpha + 1.0) / np.abs(1.0 - eta @ np.conj(w_e1)) ** (k + 1)
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_mc_samples_bit_identical_under_a_unitary_map(self, k):
+        # dyadic w and a unitary U with dyadic entries: U w and both norms are
+        # exact, so |U w| == |w| bit for bit and so must be every sample
+        rng = np.random.default_rng(40 + k)
+        w = (rng.integers(-8, 9, k) + 1j * rng.integers(-8, 9, k)) / 64.0
+        u_mat = np.diag([(1j) ** int(e) for e in rng.integers(0, 4, k)])[rng.permutation(k)]
+        if k >= 2:
+            mix = np.eye(k, dtype=complex)
+            mix[:2, :2] = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2.0
+            u_mat = mix @ u_mat
+        np.testing.assert_allclose(u_mat @ u_mat.conj().T, np.eye(k), atol=1e-15)
+        uw = u_mat @ w
+        assert not np.allclose(uw, w) or k == 1
+        assert np.linalg.norm(uw) == np.linalg.norm(w)
+        u = rng.random((5000, 2 * k + 1))
+        for alpha in (-0.9, 0.5):
+            got = estimates._ball_mc_samples(k, alpha, uw, u)
+            assert got.tobytes() == estimates._ball_mc_samples(k, alpha, w, u).tobytes()
+        cfg = FAST_CFG.with_(mc_samples=20_000)
+        assert (weighted_ball_integral_mc(k, -0.55, uw, cfg)
+                == weighted_ball_integral_mc(k, -0.55, w, cfg))
 
     def test_mc_normalized_volume(self):
         # alpha = 0 at the center integrates the bare normalized volume
@@ -314,6 +392,32 @@ class TestKumaraswamyRadialDraw:
                     assert float(abs(qi - want_q) / want_q) < 1e-13
                     if want_rho > 1e-300:  # subnormal radii keep fewer digits
                         assert float(abs(ri - want_rho) / want_rho) < 1e-13
+
+
+class TestDiskMonteCarloSamples:
+    def test_samples_depend_on_the_modulus_only(self):
+        # |i w|, |-w| and |conj w| equal |w| bit for bit, so the estimates do
+        cfg = FAST_CFG.with_(mc_samples=20_000)
+        w = 0.3 - 0.55j
+        one = weighted_disk_integral_mc(-0.55, -1.1, w, cfg)
+        for image in (1j * w, -w, w.conjugate()):
+            assert weighted_disk_integral_mc(-0.55, -1.1, image, cfg) == one
+
+    def test_kernel_factor_matches_the_complex_modulus(self):
+        rng = np.random.default_rng(9)
+        c = np.concatenate([rng.random(2000), [0.0, 1.0 - 1e-12]])
+        u = np.concatenate([rng.random(2000), [0.5, 1e-9]])
+        for power in (1, 2, 3, 4, 5):
+            ref = np.abs(1.0 - c * np.exp(2j * np.pi * u)) ** power
+            got = estimates._kernel_factor(c, u, power)
+            np.testing.assert_allclose(got[:-1], ref[:-1], rtol=1e-13, atol=0)
+        # c -> 1, u -> 0: the complex difference loses every digit, the
+        # sin form keeps them; (1-c)^2 + 4c sin^2(pi u), in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            cm, um = mpmath.mpf(c[-1]), mpmath.mpf(u[-1])
+            want = float((1 - cm) ** 2 + 4 * cm * mpmath.sin(mpmath.pi * um) ** 2)
+        assert estimates._kernel_factor(c[-1:], u[-1:], 2)[0] == pytest.approx(want, rel=1e-14)
 
 
 class TestMonteCarloEdgeGrid:

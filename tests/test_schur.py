@@ -160,6 +160,23 @@ class TestVerifier:
         with pytest.raises(ValueError, match=option):
             SchurWitness(s, t)
 
+    @pytest.mark.parametrize("boundary,puncture", [
+        (1.5, 0.01), (-0.1, 0.01), (0.01, -1.0), (0.01, 0.99), (0.5, 0.6),
+        (math.nan, 0.01), (0.01, math.nan), (math.inf, 0.01), (0.01, math.inf),
+        (-math.inf, 0.01),
+    ])
+    def test_margins_outside_the_unit_interval_rejected(self, boundary, puncture):
+        witness = feasible_params(2, 1, 2.0)
+        with pytest.raises(ValueError, match="--puncture-margin"):
+            schur_verify(2, 1, 2.0, witness, CFG, samples=3,
+                         boundary_margin=boundary, puncture_margin=puncture)
+
+    def test_zero_margins_accepted(self):
+        witness = feasible_params(2, 1, 2.0)
+        report = schur_verify(2, 1, 2.0, witness, CFG, samples=5,
+                              boundary_margin=0.0, puncture_margin=0.0)
+        assert report.cond1.shape == (5,)
+
     def test_p2_condition_symmetry(self):
         # p = q = 2 makes the two condition integrals identical
         witness = feasible_params(2, 1, 2.0)

@@ -117,6 +117,11 @@ class TestTransferFactor:
         with pytest.raises(ValueError, match="finite"):
             transfer_norm_bound(constant, JacobianBounds(1.0, 2.0, "exact"), p)
 
+    @pytest.mark.parametrize("constant,p", [(1.0, 1e308), (1e308, 4.0)])
+    def test_overflow_rejected(self, constant, p):
+        with pytest.raises(ValueError, match="overflows"):
+            transfer_norm_bound(constant, JacobianBounds(0.5, 2.0, "exact"), p)
+
 
 CFG = NumericConfig(seed=14, mc_samples=300_000)
 
@@ -205,6 +210,38 @@ class TestStagedBoxRejection:
             rep = pullback_isometry_check(spec, f, cfg)
             got = (rep.source_value, rep.source_stderr, rep.target_value, rep.target_stderr)
             assert got == _unfiltered_pullback(spec, f, cfg)
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bit_identical_for_a_shifted_complex_affine_block(self, workers):
+        # a shift of norm 0.6 makes the affine floor's differences cancel on
+        # part of the box; no accepted proposal may be dropped there
+        spec = HartogsDomainSpec(3, (
+            (2, MapFamily.affine([[0.9 + 0.3j, -0.4j], [0.2, 1.2 - 0.1j]], [0.5, -0.3 + 0.1j])),))
+
+        def f(pts):
+            return pts[..., 1] * pts[..., 2] + 0.25
+
+        for seed in range(3):
+            cfg = NumericConfig(seed=seed, mc_samples=40_000, workers=workers)
+            rep = pullback_isometry_check(spec, f, cfg)
+            got = (rep.source_value, rep.source_stderr, rep.target_value, rep.target_stderr)
+            assert got == _unfiltered_pullback(spec, f, cfg)
+
+    @pytest.mark.parametrize("name", ["affine4", "rational3"])
+    def test_stage_1_drops_most_source_proposals(self, name):
+        # the block floors act before any angle: on the two examples stage 1
+        # keeps about a quarter of the box proposals (all of them without)
+        spec = builtin_example(name)
+        radii = transfer._coordinate_radii(spec)
+        u = np.random.default_rng(1).random((20_000, 2 * spec.n))
+        sq = sampling.disk_modulus_sq_from_uniform(u[:, 0::2], 0.0, radii)
+        offs = spec.offsets
+        keep = np.ones(u.shape[0], dtype=bool)
+        for i, (_, fam) in enumerate(spec.blocks):
+            keep &= fam.image_norm_sq_floor(sq[:, offs[i]:offs[i + 1]]) <= sq[:, spec.k]
+        assert keep.mean() < 0.35
+        assert transfer._box_candidates(spec, u, radii).size <= keep.sum()
 
 
 class TestStructuralRangeIndependence:
