@@ -12,10 +12,10 @@ Its box-rejection estimator keeps a fixed draw layout (2n uniforms per
 proposal, one disk point per coordinate) but computes angles only for
 proposals that may be accepted. Stage 1 uses the squared moduli alone: the
 chain order, and for every block a floor on its image norm
-(`MapFamily.image_norm_sq_floor`) against |z_{k+1}|; on the built-in
-examples it keeps about a quarter of the proposals. Stage 2 maps one
-non-identity block at a time on the survivors, and the exact `contains`
-decides on the rest. The accepted set and the estimate are the ones a full
+(`MapFamily.image_norm_sq_floor`) against |z_{k+1}|; on the source side of
+the built-in examples it keeps about a quarter of the proposals. Stage 2
+maps one non-identity block at a time on the survivors, and the exact
+`contains` decides on the rest. The accepted set and the estimate are the ones a full
 `contains` over every proposal gives, bit for bit.
 """
 

@@ -335,7 +335,7 @@ _EXTREME_CASES = [
 
 
 class TestExtremeValues:
-    @pytest.mark.parametrize("argv", _EXTREME_CASES, ids=" ".join)
+    @pytest.mark.parametrize("argv", _EXTREME_CASES, ids="_".join)
     def test_exit_code_and_no_non_finite_output(self, argv, capsys):
         code = run(argv)
         out = capsys.readouterr().out
