@@ -15,7 +15,6 @@ without scipy.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import re
@@ -23,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, NumericConfig
+from .config import NumericConfig
 from .counterexample import blowup_demo, blowup_eval, projected_blowup
 from .domains import HartogsDomainSpec, MapFamily, product_model_contains
 from .kernels import (kernel_ball, kernel_hartogs, kernel_product,
@@ -43,9 +42,6 @@ def __getattr__(name: str):
         from . import estimates
         return getattr(estimates, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-# default seed for all subcommands; the environment is consulted once at startup
-DEFAULT_SEED = int(os.environ.get("HARTOGS_SEED", "12345"))
 
 
 def _g12(x: float) -> str:
@@ -207,14 +203,14 @@ def cmd_estimates(args) -> str:
         params["beta"] = args.beta
     report = asymptotic_ratio_check(args.which, params, grid,
                                     rel_tol=args.tol, max_terms=args.max_terms)
-    chosen = report
-    if args.refined:
-        if report.refined is None:
-            raise ValueError("refined envelope requires the disk family with beta <= 0")
-        chosen = report.refined
-    buf = io.StringIO()
-    chosen.write_csv(buf)
-    return buf.getvalue()
+    if not args.refined:
+        return report.to_csv()
+    if args.which != "disk" or args.beta > 0.0:
+        raise ValueError("refined envelope requires the disk family with beta <= 0")
+    if report.refined is None:
+        raise ValueError("refined envelope r^beta is undefined at the grid point r = 0; "
+                         "give --r-min > 0")
+    return report.refined.to_csv()
 
 
 def cmd_schur_range(args) -> str:
@@ -327,15 +323,33 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count options (samples, grid points, workers)."""
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count options (samples, grid points, workers)."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds with non-negative integers only."""
+    return _int_at_least(text, 0, "non-negative")
+
+
+def _env_seed() -> int:
+    """The default seed: HARTOGS_SEED if set, else 12345."""
+    text = os.environ.get("HARTOGS_SEED", "12345")
+    try:
+        return _seed(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"environment variable HARTOGS_SEED: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,11 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bergman kernels, sharp projection windows, and blow-up "
                     "sequences on generalized Hartogs domains.")
     sub = parser.add_subparsers(dest="command", required=True)
+    default_seed = _env_seed()
 
     def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--output", default="-", help="output path (default stdout)")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+            p.add_argument("--seed", type=_seed, default=default_seed,
                            help="RNG seed (default from HARTOGS_SEED or 12345)")
 
     p = sub.add_parser("kernel", help="evaluate a closed-form or truncated kernel")
@@ -380,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=DEFAULT_CONFIG.grid_r_max)
-    p.add_argument("--grid-points", type=_positive_int, default=DEFAULT_CONFIG.grid_points)
+    p.add_argument("--r-max", type=float, default=0.999)
+    p.add_argument("--grid-points", type=_positive_int, default=200)
     p.add_argument("--tol", type=float,
                    help="series relative tolerance; selects the series reference route "
                         "(default 1e-12 there)")
@@ -449,7 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

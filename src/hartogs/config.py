@@ -1,8 +1,10 @@
-"""Shared numeric configuration for seeded Monte-Carlo runs and radius grids."""
+"""Shared numeric configuration for seeded Monte-Carlo runs."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+from .mc import CHUNK_SIZE
 
 
 @dataclass(frozen=True)
@@ -15,10 +17,8 @@ class NumericConfig:
 
     seed: int = 12345
     mc_samples: int = 200_000
-    chunk_size: int = 1 << 15
+    chunk_size: int = CHUNK_SIZE
     workers: int = 1
-    grid_points: int = 200
-    grid_r_max: float = 0.999
 
     def with_(self, **kwargs) -> "NumericConfig":
         return replace(self, **kwargs)

@@ -156,10 +156,6 @@ def projected_blowup(n: int, m: int, z) -> complex | np.ndarray:
     return complex(val) if val.ndim == 0 else val
 
 
-def harmonic_number(m: int) -> float:
-    return math.fsum(1.0 / j for j in range(1, m + 1))
-
-
 @dataclass
 class BlowupTable:
     """Norms vs projection lower bounds along the blow-up sequence."""
@@ -175,15 +171,12 @@ class BlowupTable:
     def ratio(self) -> np.ndarray:
         return self.bound / self.norm
 
-    def write_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["m", "norm_fm", "proj_lower_bound", "ratio"])
         for m, nv, bv, rv in zip(self.m, self.norm, self.bound, self.ratio):
             writer.writerow([int(m), f"{nv:.12g}", f"{bv:.12g}", f"{rv:.12g}"])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
         return buf.getvalue()
 
 

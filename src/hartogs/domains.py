@@ -175,7 +175,7 @@ class MapFamily:
 
     @staticmethod
     def from_json_dict(k: int, data: dict) -> "MapFamily":
-        kind = data["type"]
+        kind = _json_field(data, "type", "map")
         if kind == _IDENTITY:
             return MapFamily.identity(k)
         if kind == _RATIONAL:
@@ -184,10 +184,14 @@ class MapFamily:
             return MapFamily.rational_example()
         if kind != _AFFINE:
             raise ValueError(f"unknown map type {kind!r}")
-        a = np.array([[complex(re, im) for re, im in row] for row in data["A"]])
+        rows = _json_list(_json_field(data, "A", "affine map"), "affine map field A")
+        a = np.array([[_json_complex(v, f"affine map field A[{i}][{j}]")
+                       for j, v in enumerate(_json_list(row, f"affine map field A[{i}]"))]
+                      for i, row in enumerate(rows)])
         b = None
         if "b" in data:
-            b = np.array([complex(re, im) for re, im in data["b"]])
+            b = np.array([_json_complex(v, f"affine map field b[{i}]")
+                          for i, v in enumerate(_json_list(data["b"], "affine map field b"))])
         fam = MapFamily.affine(a, b)
         if fam.dim != k:
             raise ValueError("affine matrix size does not match block dimension")
@@ -225,6 +229,12 @@ class HartogsDomainSpec:
         return tuple(out)
 
     @property
+    def slices(self) -> tuple[slice, ...]:
+        """Each block's coordinate slice, in block order."""
+        offs = self.offsets
+        return tuple(slice(a, b) for a, b in zip(offs[:-1], offs[1:]))
+
+    @property
     def block_dims(self) -> tuple[int, ...]:
         return tuple(kj for kj, _ in self.blocks)
 
@@ -240,19 +250,24 @@ class HartogsDomainSpec:
     def standardized(self) -> "HartogsDomainSpec":
         return HartogsDomainSpec.standard(self.n, self.block_dims)
 
-    def block_views(self, z: np.ndarray) -> list[np.ndarray]:
-        offs = self.offsets
-        return [z[..., offs[i]:offs[i + 1]] for i in range(len(self.blocks))]
-
     def to_json_dict(self) -> dict:
         return {"n": self.n,
                 "blocks": [{"k": kj, "map": fam.to_json_dict()} for kj, fam in self.blocks]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "HartogsDomainSpec":
-        blocks = tuple((b["k"], MapFamily.from_json_dict(b["k"], b["map"]))
-                       for b in data["blocks"])
-        return HartogsDomainSpec(int(data["n"]), blocks)
+        n = _json_int(_json_field(data, "n", "spec"), "spec field n")
+        blocks = []
+        for i, item in enumerate(_json_list(_json_field(data, "blocks", "spec"),
+                                            "spec field blocks")):
+            where = f"spec field blocks[{i}]"
+            kj = _json_int(_json_field(item, "k", where), where + ".k")
+            try:
+                fam = MapFamily.from_json_dict(kj, _json_field(item, "map", where))
+            except ValueError as exc:
+                raise ValueError(f"{where}.map: {exc}") from None
+            blocks.append((kj, fam))
+        return HartogsDomainSpec(n, tuple(blocks))
 
     @staticmethod
     def load(path) -> "HartogsDomainSpec":
@@ -263,6 +278,44 @@ class HartogsDomainSpec:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_json_dict(), f, indent=2)
             f.write("\n")
+
+
+# --- validation of the JSON spec format ----------------------------------
+# Each helper raises a ValueError that names the offending field and shows
+# its JSON text.
+
+
+def _shown(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _json_field(data, key: str, where: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {_shown(data)}")
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r} field")
+    return data[key]
+
+
+def _json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {_shown(value)}")
+    return value
+
+
+def _json_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {_shown(value)}")
+    return value
+
+
+def _json_complex(value, where: str) -> complex:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in value)):
+        raise ValueError(f"{where} must be a [re, im] pair of finite numbers, "
+                         f"got {_shown(value)}")
+    return complex(value[0], value[1])
 
 
 def _check_point(spec_n: int, z) -> np.ndarray:
@@ -279,8 +332,8 @@ def contains(spec: HartogsDomainSpec, z) -> bool | np.ndarray:
     z = _check_point(spec.n, z)
     k = spec.k
     head = np.zeros(z.shape[:-1])
-    for (kj, fam), zb in zip(spec.blocks, spec.block_views(z)):
-        head = np.maximum(head, np.linalg.norm(fam.value(zb), axis=-1))
+    for (_, fam), sl in zip(spec.blocks, spec.slices):
+        head = np.maximum(head, np.linalg.norm(fam.value(z[..., sl]), axis=-1))
     chain = np.abs(z[..., k:])
     ok = head < chain[..., 0]
     for i in range(chain.shape[-1] - 1):
@@ -327,9 +380,8 @@ def to_standard_model(spec: HartogsDomainSpec, z) -> np.ndarray:
     """Apply each block map; chain coordinates pass through unchanged."""
     z = _check_point(spec.n, z)
     out = z.copy()
-    offs = spec.offsets
-    for i, (_, fam) in enumerate(spec.blocks):
-        out[..., offs[i]:offs[i + 1]] = fam.value(z[..., offs[i]:offs[i + 1]])
+    for (_, fam), sl in zip(spec.blocks, spec.slices):
+        out[..., sl] = fam.value(z[..., sl])
     return out
 
 
@@ -339,17 +391,16 @@ def jacobian_det_to_standard(spec: HartogsDomainSpec, z) -> complex | np.ndarray
     if z.shape[-1] != spec.n:
         raise ValueError(f"expected points in C^{spec.n}")
     det = np.ones(z.shape[:-1], dtype=complex)
-    for (kj, fam), zb in zip(spec.blocks, spec.block_views(z)):
-        det = det * fam.jacobian_det(zb)
+    for (_, fam), sl in zip(spec.blocks, spec.slices):
+        det = det * fam.jacobian_det(z[..., sl])
     return complex(det) if det.ndim == 0 else det
 
 
 def from_standard_model(spec: HartogsDomainSpec, w) -> np.ndarray:
     w = _check_point(spec.n, w)
     out = w.copy()
-    offs = spec.offsets
-    for i, (_, fam) in enumerate(spec.blocks):
-        out[..., offs[i]:offs[i + 1]] = fam.inverse(w[..., offs[i]:offs[i + 1]])
+    for (_, fam), sl in zip(spec.blocks, spec.slices):
+        out[..., sl] = fam.inverse(w[..., sl])
     return out
 
 
@@ -371,11 +422,10 @@ def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
     """Transform one uniform row per point into a product-model point."""
     count = u.shape[0]
     out = np.empty((count, spec.n), dtype=complex)
-    offs = spec.offsets
     col = 0
-    for i, (kj, _) in enumerate(spec.blocks):
+    for (kj, _), sl in zip(spec.blocks, spec.slices):
         d = sampling.ball_draws_per_point(kj)
-        out[:, offs[i]:offs[i + 1]] = sampling.ball_from_uniform(u[:, col:col + d], kj, r_max)
+        out[:, sl] = sampling.ball_from_uniform(u[:, col:col + d], kj, r_max)
         col += d
     for j in range(spec.k, spec.n):
         out[:, j] = sampling.disk_from_uniform(u[:, col:col + 2], disk_r_min, r_max)
@@ -391,7 +441,7 @@ def product_points(spec: HartogsDomainSpec, rng: np.random.Generator, count: int
 
 def sample_product_model(spec: HartogsDomainSpec, count: int, seed: int,
                          r_max: float = 1.0, disk_r_min: float = 0.0,
-                         chunk_size: int = 1 << 15) -> np.ndarray:
+                         chunk_size: int = mc.CHUNK_SIZE) -> np.ndarray:
     """`count` uniform product-model points; point i depends only on (seed, i)."""
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -408,8 +458,8 @@ def product_model_contains(spec: HartogsDomainSpec, w) -> bool | np.ndarray:
     """Membership in ball(k_1) x ... x ball(k_l) x punctured-disk^(n-k)."""
     w = _check_point(spec.n, w)
     ok = np.ones(w.shape[:-1], dtype=bool)
-    for (kj, _), wb in zip(spec.blocks, spec.block_views(w)):
-        ok &= np.linalg.norm(wb, axis=-1) < 1.0
+    for sl in spec.slices:
+        ok &= np.linalg.norm(w[..., sl], axis=-1) < 1.0
     tail = np.abs(w[..., spec.k:])
     ok &= np.all((tail > 0.0) & (tail < 1.0), axis=-1)
     return bool(ok) if ok.ndim == 0 else ok

@@ -485,15 +485,12 @@ class RatioReport:
     def max_ratio(self) -> float:
         return float(self.ratio.max())
 
-    def write_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["r", "value", "envelope", "ratio"])
         for r, v, e, q in zip(self.r, self.value, self.envelope, self.ratio):
             writer.writerow([f"{r:.12g}", f"{v:.12g}", f"{e:.12g}", f"{q:.12g}"])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
         return buf.getvalue()
 
 
@@ -504,8 +501,8 @@ def asymptotic_ratio_check(which: str, params: dict, grid,
 
     which="ball": params k, alpha; envelope (1-r^2)^alpha.
     which="disk": params alpha, beta; envelope (1-r^2)^alpha, plus the
-    refined envelope (1-r^2)^alpha r^beta attached when beta <= 0 (the grid
-    must then avoid r = 0).
+    refined envelope (1-r^2)^alpha r^beta attached when beta <= 0 and the
+    grid avoids r = 0, where r^beta is not defined.
 
     The integrals come from the closed forms, one call for the whole grid.
     Giving rel_tol or max_terms selects the positive-term series reference
@@ -534,9 +531,7 @@ def asymptotic_ratio_check(which: str, params: dict, grid,
         value = closed(grid)
     envelope = (1.0 - grid ** 2) ** alpha
     report = RatioReport(which, dict(params), grid, value, envelope)
-    if which == "disk" and beta <= 0.0:
-        if np.any(grid == 0.0):
-            raise ValueError("refined envelope needs a grid bounded away from r=0")
+    if which == "disk" and beta <= 0.0 and not np.any(grid == 0.0):
         report.refined = RatioReport("disk-refined", dict(params), grid, value,
                                      envelope * grid ** beta)
     return report

@@ -53,25 +53,24 @@ def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
     if w.shape[-1] != spec.n or eta.shape[-1] != spec.n:
         raise ValueError(f"expected points in C^{spec.n}")
     val = np.ones(np.broadcast_shapes(w.shape[:-1], eta.shape[:-1]), dtype=complex)
-    offs = spec.offsets
-    for i, (kj, _) in enumerate(spec.blocks):
-        val = val * kernel_ball(kj, w[..., offs[i]:offs[i + 1]], eta[..., offs[i]:offs[i + 1]])
+    for (kj, _), sl in zip(spec.blocks, spec.slices):
+        val = val * kernel_ball(kj, w[..., sl], eta[..., sl])
     for j in range(spec.k, spec.n):
         val = val * kernel_punctured_disk(w[..., j], eta[..., j])
     return complex(val) if val.ndim == 0 else val
 
 
-def kernel_hartogs(spec: HartogsDomainSpec, z, zeta, check_membership: bool = True) -> complex | np.ndarray:
+def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
     """Bergman kernel of the spec's domain via the product-model transfer.
 
     For non-identity blocks the evaluation composes with the blockwise map to
-    the standard model and multiplies by its Jacobian determinants.
+    the standard model and multiplies by its Jacobian determinants. Both
+    points must lie in the domain.
     """
     z = np.asarray(z, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
-    if check_membership:
-        if not np.all(contains(spec, z)) or not np.all(contains(spec, zeta)):
-            raise ValueError("kernel evaluated outside the domain")
+    if not np.all(contains(spec, z)) or not np.all(contains(spec, zeta)):
+        raise ValueError("kernel evaluated outside the domain")
     factor = 1.0
     if not spec.is_standard:
         factor = jacobian_det_to_standard(spec, z) * np.conj(jacobian_det_to_standard(spec, zeta))
@@ -162,10 +161,9 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
         spec: HartogsDomainSpec = model[1]
         w = np.asarray(w, dtype=complex)
         eta = np.asarray(eta, dtype=complex)
-        offs = spec.offsets
         factor_parts = [
-            _degree_parts_ball(kj, N, w[..., offs[i]:offs[i + 1]], eta[..., offs[i]:offs[i + 1]])
-            for i, (kj, _) in enumerate(spec.blocks)
+            _degree_parts_ball(kj, N, w[..., sl], eta[..., sl])
+            for (kj, _), sl in zip(spec.blocks, spec.slices)
         ] + [
             _degree_parts_disk(N, w[..., j], eta[..., j])
             for j in range(spec.k, spec.n)
@@ -187,8 +185,7 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
 
 
 def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.ndarray],
-                          z, samples: int, seed: int,
-                          chunk_size: int = 1 << 15, workers: int = 1
+                          z, samples: int, seed: int, workers: int = 1
                           ) -> tuple[complex, float]:
     """Monte-Carlo estimate of the Bergman projection of f at the point z.
 
@@ -211,5 +208,5 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
         det_w = jacobian_det_from_product(n, k, w)
         return kern * det_w * f(from_product_model(n, k, w))
 
-    est, stderr = mc.mc_mean(values, samples, seed, chunk_size, workers)
+    est, stderr = mc.mc_mean(values, samples, seed, workers=workers)
     return complex(est) / complex(det_z), stderr / abs(complex(det_z))

@@ -19,6 +19,9 @@ import numpy as np
 
 SampleFn = Callable[[np.random.Generator, int], np.ndarray]
 
+# Samples per chunk unless a caller sets another size.
+CHUNK_SIZE = 1 << 15
+
 
 def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
     """(chunk index, samples in chunk) pairs covering `total` samples."""
@@ -40,7 +43,7 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def mc_mean(values: SampleFn, total: int, seed: int,
-            chunk_size: int = 1 << 15, workers: int = 1) -> Tuple[complex, float]:
+            chunk_size: int = CHUNK_SIZE, workers: int = 1) -> Tuple[complex, float]:
     """Mean and standard error of `values(rng, count)` over `total` samples.
 
     `values` must return one finite value per sample (complex or real). The

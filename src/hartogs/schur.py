@@ -226,9 +226,8 @@ def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: 
     count = points.shape[0]
     log_ratio = np.zeros(count)
 
-    offs = spec.offsets
-    for i, (kj, _) in enumerate(spec.blocks):
-        radii = np.linalg.norm(points[:, offs[i]:offs[i + 1]], axis=1)
+    for (kj, _), sl in zip(spec.blocks, spec.slices):
+        radii = np.linalg.norm(points[:, sl], axis=1)
         log_ratio += (np.log(weighted_ball_integral(kj, alpha, radii))
                       - alpha * np.log1p(-radii ** 2))
 

@@ -19,8 +19,7 @@ import pytest
 from hartogs import domains, kernels
 from hartogs.config import NumericConfig
 from hartogs.counterexample import (blowup_demo, blowup_eval, blowup_norm,
-                                    harmonic_number, projected_blowup,
-                                    projection_constant)
+                                    projected_blowup, projection_constant)
 from hartogs.domains import HartogsDomainSpec
 from hartogs.estimates import (asymptotic_ratio_check, sphere_moment,
                                sphere_moment_mc, weighted_ball_integral_mc,
@@ -32,6 +31,7 @@ from hartogs.kernels import (kernel_hartogs, kernel_punctured_disk,
 from hartogs.schur import admissible_p_range, p_range_by_search
 from hartogs.transfer import (JacobianBounds, jacobian_bounds,
                               pullback_isometry_check, transfer_norm_bound)
+from helpers import harmonic_number
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:

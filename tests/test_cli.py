@@ -106,6 +106,22 @@ class TestEstimatesCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
 
+    def test_default_disk_call_works(self, capsys):
+        # the grid starts at r = 0, where only the refined envelope is undefined
+        assert run(["estimates", "--which", "disk", "--alpha", "-0.5",
+                    "--grid-points", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "r,value,envelope,ratio"
+        assert len(lines) == 4
+        assert lines[1].startswith("0,")
+
+    def test_refined_on_a_grid_with_zero_exits_2(self, capsys):
+        assert run(["estimates", "--which", "disk", "--alpha", "-0.5",
+                    "--grid-points", "3", "--refined"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid point r = 0" in captured.err
+
     def test_nonconvergence_exit_code(self, capsys):
         code = run(["estimates", "--which", "ball", "--k", "1", "--alpha", "-0.5",
                     "--r-max", "0.999", "--grid-points", "3", "--max-terms", "64"])
@@ -190,6 +206,75 @@ class TestTransferCommand:
                     "--seed", "14", "--isometry-monomial", "0,0,0,1"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["isometry"]["sigma_distance"] < 3.0
+
+
+# malformed spec files: (JSON text, the field the message names)
+_MALFORMED_SPECS = {
+    "k_is_a_string": ('{"n": 3, "blocks": [{"k": "2", "map": {"type": "identity"}}]}',
+                      "blocks[0].k must be an integer"),
+    "affine_entry_not_a_pair": ('{"n": 2, "blocks": [{"k": 1, "map": '
+                                '{"type": "affine", "A": [[2]]}}]}',
+                                "A[0][0] must be a [re, im] pair"),
+    "affine_entry_nan": ('{"n": 2, "blocks": [{"k": 1, "map": '
+                         '{"type": "affine", "A": [[[NaN, 0]]]}}]}',
+                         "A[0][0] must be a [re, im] pair of finite numbers, got [NaN, 0]"),
+    "blocks_null": ('{"n": 3, "blocks": null}', "blocks must be a list"),
+    "top_level_list": ("[1, 2]", "spec must be a JSON object"),
+    "no_blocks": ('{"n": 3}', "spec has no 'blocks' field"),
+    "n_is_a_float": ('{"n": 3.5, "blocks": [{"k": 2, "map": {"type": "identity"}}]}',
+                     "spec field n must be an integer"),
+    "map_not_an_object": ('{"n": 3, "blocks": [{"k": 2, "map": "identity"}]}',
+                          "blocks[0].map: map must be a JSON object"),
+    "affine_without_A": ('{"n": 2, "blocks": [{"k": 1, "map": {"type": "affine"}}]}',
+                         "affine map has no 'A' field"),
+    "shift_null": ('{"n": 2, "blocks": [{"k": 1, "map": '
+                   '{"type": "affine", "A": [[[2, 0]]], "b": null}}]}',
+                   "affine map field b must be a list"),
+}
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize("command", [
+        ["transfer"],
+        ["kernel", "--model", "hartogs", "--w", "0,0.5", "--eta", "0,0.5"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", list(_MALFORMED_SPECS))
+    def test_exits_2_naming_the_field(self, name, command, tmp_path, capsys):
+        text, message = _MALFORMED_SPECS[name]
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert run([*command, "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+class TestSeedSource:
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--k", "1", "--nu", "1", "--mc-samples", "100", "--seed", "-5"],
+        ["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--monomial", "1,0",
+         "--samples", "100", "--seed=-5"],
+    ])
+    def test_negative_seed_exits_2_naming_the_option(self, argv, capsys):
+        assert run(argv) == 2
+        assert "argument --seed: must be a non-negative integer, got -5" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+    def test_bad_environment_seed_exits_2_naming_the_variable(self, value, monkeypatch,
+                                                               capsys):
+        monkeypatch.setenv("HARTOGS_SEED", value)
+        assert run(["schur-range", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "HARTOGS_SEED" in captured.err
+
+    def test_bad_environment_seed_in_a_fresh_process(self):
+        import os
+        proc = invoke("schur-range", "--n", "2", env=dict(os.environ, HARTOGS_SEED="abc"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "HARTOGS_SEED" in proc.stderr
 
 
 class TestProjectCommand:

@@ -7,9 +7,9 @@ from scipy import integrate
 from hartogs import counterexample as ce
 from hartogs.counterexample import (RadialStepFunction,
                                     blowup_demo, blowup_eval, blowup_norm,
-                                    harmonic_number, projected_blowup,
-                                    projection_constant,
+                                    projected_blowup, projection_constant,
                                     radial_norm_power_integral)
+from helpers import harmonic_number
 
 
 class TestRadialProfile:

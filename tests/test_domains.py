@@ -174,7 +174,7 @@ class TestQuotientChart:
                     assert abs(g - ref) <= 1e-13 * abs(ref)
 
     def test_jacobian_det_matches_finite_differences(self):
-        from hartogs.transfer import numerical_jacobian_det
+        from helpers import numerical_jacobian_det
         rng = np.random.default_rng(3)
         for n, k in [(2, 1), (3, 1), (4, 2), (5, 3)]:
             spec = HartogsDomainSpec.standard(n, k)

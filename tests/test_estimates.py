@@ -301,9 +301,11 @@ class TestRatioReports:
         assert np.all(np.isfinite(report.refined.ratio))
 
     def test_refined_needs_positive_grid(self):
-        with pytest.raises(ValueError):
-            asymptotic_ratio_check("disk", {"alpha": -0.5, "beta": -1.0},
-                                   np.linspace(0.0, 0.9, 10))
+        # r^beta is undefined at r = 0: no refined report, but the plain one stands
+        report = asymptotic_ratio_check("disk", {"alpha": -0.5, "beta": -1.0},
+                                        np.linspace(0.0, 0.9, 10))
+        assert report.refined is None
+        assert np.all(np.isfinite(report.ratio))
 
     def test_envelope_comparison_needs_negative_alpha(self):
         with pytest.raises(ValueError):

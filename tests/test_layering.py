@@ -1,0 +1,73 @@
+"""The package keeps one direction of module dependency.
+
+Parses src/hartogs/*.py with `ast`: the module-level imports inside the
+package form an acyclic graph, and the only package imports made inside a
+function are the scipy deferrals of `estimates` in `cli` and `schur`, which
+keep scipy out of the import of everything else. Those deferred edges keep
+the graph acyclic too, so no local import hides a cycle.
+"""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hartogs"
+MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
+
+# (importing module, imported module) pairs allowed inside a function
+DEFERRED = {("cli", "estimates"), ("schur", "estimates")}
+
+
+def _targets(node: ast.AST) -> list[str]:
+    """Package modules that one import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1 and node.module is None:  # from . import a, b
+            return [alias.name for alias in node.names]
+        if node.level == 1:  # from .a import x
+            return [node.module.split(".")[0]]
+        if node.level == 0 and node.module and node.module.split(".")[0] == "hartogs":
+            parts = node.module.split(".")
+            return [parts[1]] if len(parts) > 1 else [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("hartogs.")]
+    return []
+
+
+def _imports(name: str) -> tuple[set[str], set[str]]:
+    """(module-level, function-level) package imports of one module."""
+    tree = ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
+    top: set[str] = set()
+    local: set[str] = set()
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                       ast.Lambda))
+            (local if inside else top).update(
+                t for t in _targets(child) if t in MODULES and t != "__init__")
+            visit(child, inside)
+
+    visit(tree, False)
+    return top, local
+
+
+GRAPH = {name: _imports(name) for name in MODULES}
+
+
+def test_the_parse_finds_known_imports():
+    assert {"mc", "sampling", "special"} <= GRAPH["domains"][0]  # from . / from .x
+    assert GRAPH["schur"][1] == {"estimates"}
+
+
+def test_module_level_imports_are_acyclic():
+    TopologicalSorter({name: top for name, (top, _) in GRAPH.items()}).prepare()
+
+
+def test_only_the_documented_deferrals_import_inside_functions():
+    deferred = {(name, target) for name, (_, local) in GRAPH.items() for target in local}
+    assert deferred <= DEFERRED
+
+
+def test_deferred_imports_close_no_cycle():
+    TopologicalSorter({name: top | local for name, (top, local) in GRAPH.items()}).prepare()

@@ -9,9 +9,9 @@ from hartogs.cli import builtin_example
 from hartogs.config import NumericConfig
 from hartogs.domains import HartogsDomainSpec, MapFamily
 from hartogs.transfer import (JacobianBounds, jacobian_bounds,
-                              jacobian_det_to_standard,
-                              numerical_jacobian_det, pullback_isometry_check,
+                              jacobian_det_to_standard, pullback_isometry_check,
                               transfer_norm_bound)
+from helpers import numerical_jacobian_det
 
 
 class TestBlockJacobians:
