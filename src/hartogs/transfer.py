@@ -177,7 +177,9 @@ def _box_rejection_integral(spec: HartogsDomainSpec,
     (`_box_candidates`): cheap tests on squared moduli and on single blocks
     drop most proposals before any of their angles is computed, and the exact
     `contains` decides on the rest. The accepted set, and so the estimate, is
-    the one a full `contains` over every proposal gives.
+    the one a full `contains` over every proposal gives. With no proposal
+    accepted the estimate would be 0 with a zero error bar, so that raises a
+    ValueError instead.
     """
     radii = _coordinate_radii(spec)
     # box volume in normalized units: prod radii^2 times the ball-vs-polydisk
@@ -186,6 +188,8 @@ def _box_rejection_integral(spec: HartogsDomainSpec,
     for kj, _ in spec.blocks:
         box_volume *= math.factorial(kj)
 
+    accepted = []  # per chunk; list.append is safe across mc_mean's threads
+
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random((count, 2 * spec.n))
         rows = _box_candidates(spec, u, radii)
@@ -193,12 +197,18 @@ def _box_rejection_integral(spec: HartogsDomainSpec,
         for j in range(spec.n):
             pts[:, j] = sampling.disk_from_uniform(u[rows, 2 * j:2 * j + 2], 0.0, radii[j])
         inside = contains(spec, pts)
+        hits = int(np.count_nonzero(inside))
+        accepted.append(hits)
         out = np.zeros(count, dtype=complex)
-        if np.any(inside):
+        if hits:
             out[rows[inside]] = integrand(pts[inside])
         return out * box_volume
 
     est, err = mc.mc_mean(values, samples, seed, cfg.chunk_size, cfg.workers)
+    if sum(accepted) == 0:
+        raise ValueError(f"the box-rejection estimate accepted none of its {samples} "
+                         f"proposals, so it has no error bar; raise the sample count "
+                         f"(--samples)")
     return float(np.real(est)), err
 
 

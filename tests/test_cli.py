@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -127,6 +128,13 @@ class TestEstimatesCommand:
                     "--r-max", "0.999", "--grid-points", "3", "--max-terms", "64"])
         assert code == 1
 
+    def test_large_ball_dimension_prints_finite_values(self, capsys):
+        assert run(["estimates", "--which", "ball", "--k", "400", "--alpha", "-0.5",
+                    "--grid-points", "3"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0.4995", "0.999"]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
     def test_closed_form_default_and_series_route(self, capsys):
         base = ["estimates", "--which", "disk", "--alpha", "-0.5", "--beta", "-1",
                 "--r-min", "0.1", "--r-max", "0.99", "--grid-points", "4"]
@@ -206,6 +214,14 @@ class TestTransferCommand:
                     "--seed", "14", "--isometry-monomial", "0,0,0,1"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["isometry"]["sigma_distance"] < 3.0
+
+    def test_isometry_check_with_no_accepted_proposal_exits_2(self, capsys):
+        assert run(["transfer", "--example", "affine4", "--p", "3", "--samples", "3",
+                    "--isometry-monomial", "0,0,0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "accepted none of its 3 proposals" in captured.err
+        assert "--samples" in captured.err
 
 
 # malformed spec files: (JSON text, the field the message names)

@@ -98,6 +98,21 @@ class TestMapFamilies:
             # the floor is not trivial: it is positive on most of the box
             assert np.mean(floor > 0.0) > 0.5
 
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("fam", _FLOOR_FAMILIES[3:5], ids=["2x2", "3x3"])
+    def test_affine_maps_match_matmul(self, fam, shape):
+        # the reference is the matrix product; the bound is relative to the
+        # sum of the term magnitudes, |A| |z| + |b|, entry by entry
+        a, b = np.array(fam.matrix), np.array(fam.shift)
+        inv = np.linalg.inv(a)
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=shape + (fam.dim,)) + 1j * rng.normal(size=shape + (fam.dim,))
+        for got, ref, scale in (
+                (fam.value(z), z @ a.T + b, np.abs(z) @ np.abs(a).T + np.abs(b)),
+                (fam.inverse(z), (z - b) @ inv.T, np.abs(z - b) @ np.abs(inv).T)):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+
     def test_rational_pole_raises(self):
         fam = MapFamily.rational_example()
         with pytest.raises(ZeroDivisionError):

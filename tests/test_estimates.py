@@ -545,6 +545,28 @@ class TestClosedForms:
                         err = _rel(g, _ball_ref(mpmath, k, alpha, r))
                         assert err <= tol, (k, alpha, r, err)
 
+    # scipy's 2F1 at r = 0.999 was off by 2e-12, 5e-5, 6.5e-3 and NaN here
+    LARGE_K_CASES = ((40, -0.9), (100, -0.9), (120, -0.5), (400, -0.5))
+
+    @pytest.mark.parametrize("k,alpha", LARGE_K_CASES)
+    def test_ball_large_k_matches_mpmath(self, k, alpha):
+        mpmath = _mp()
+        radii = np.array([0.0, 0.5, 0.999])
+        got = weighted_ball_integral(k, alpha, radii)
+        for r, g in zip(radii, got):
+            assert _rel(g, _ball_ref(mpmath, k, alpha, r)) <= 1e-10, (r, g)
+        assert got.tolist() == [weighted_ball_integral(k, alpha, r) for r in radii]
+
+    def test_non_finite_closed_form_raises(self, monkeypatch):
+        monkeypatch.setattr(estimates, "hyp2f1",
+                            lambda *args: np.full(np.shape(args[-1]), np.nan))
+        with pytest.raises(ValueError, match=r"closed-form ball integral at k=2, "
+                                             r"alpha=-0.5, r=0.5 is not finite \(got nan\)"):
+            weighted_ball_integral(2, -0.5, [0.5, 0.9])
+        with pytest.raises(ValueError, match="closed-form disk integral at alpha=-0.5, "
+                                             "beta=-1.0, r=0.5 is not finite"):
+            weighted_disk_integral(-0.5, -1.0, 0.5)
+
     def test_disk_matches_mpmath(self):
         mpmath = _mp()
         for alpha in ALPHA_GRID:

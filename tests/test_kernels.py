@@ -120,6 +120,42 @@ class TestHartogsKernel:
         with pytest.raises(ValueError):
             kernels.kernel_hartogs(spec, [0.5, 0.3], [0.1, 0.5])
 
+    @pytest.mark.parametrize("example", ["affine4", "rational3"])
+    def test_each_point_array_is_mapped_once(self, example, monkeypatch):
+        from hartogs.cli import builtin_example
+        spec = builtin_example(example)
+        std = spec.standardized()
+        z = domains.from_standard_model(spec, domains.from_product_model(
+            spec.n, spec.k, domains.sample_product_model(std, 50, seed=8, r_max=0.9)))
+        zeta = np.roll(z, 1, axis=0)
+        want = kernels.kernel_hartogs(spec, z, zeta)
+        calls = []
+        value = domains.MapFamily.value
+
+        def counted(fam, pts):
+            if not fam.is_identity:
+                calls.append(fam)
+            return value(fam, pts)
+
+        monkeypatch.setattr(domains.MapFamily, "value", counted)
+        got = kernels.kernel_hartogs(spec, z, zeta)
+        assert np.array_equal(got, want)
+        assert sorted(map(id, calls)) == sorted(2 * [id(fam) for _, fam in spec.blocks])
+
+    def test_mapped_domain_errors(self):
+        from hartogs.cli import builtin_example
+        spec = builtin_example("rational3")
+        ok = domains.from_standard_model(spec, np.array([0.05, 0.1, 0.5]))
+        outside = np.array([0.1, 0.1, 0.5])   # |3 z2 + 1| = 1.3 > |z3|
+        with pytest.raises(ValueError, match="kernel evaluated outside the domain"):
+            kernels.kernel_hartogs(spec, outside, ok)
+        with pytest.raises(ValueError, match="kernel evaluated outside the domain"):
+            kernels.kernel_hartogs(spec, ok, outside)
+        with pytest.raises(ValueError, match="point has non-finite coordinates"):
+            kernels.kernel_hartogs(spec, ok, np.array([0.1, np.nan, 0.5]))
+        with pytest.raises(ZeroDivisionError):
+            kernels.kernel_hartogs(spec, ok, np.array([0.1, 10.0, 0.5]))
+
     def test_mapped_domain_agrees_with_transfer(self):
         # kernel on a mapped domain = jacobians x standard kernel at the images
         from hartogs.cli import builtin_example

@@ -6,14 +6,37 @@ from hartogs.special import int_power, monomial
 
 
 class TestDiskPoints:
+    # the phase uniforms at the quarter turns and the last double below 1
+    EDGE_PHASES = (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53)
+
     @pytest.mark.parametrize("r_min,r_max", [(0.0, 1.0), (0.2, 0.9), (0.0, 32.0 / 3.0)])
-    def test_matches_complex_exp_to_one_ulp(self, r_min, r_max):
-        u = np.random.default_rng(7).random((100_000, 2))
+    def test_matches_mpmath_exp(self, r_min, r_max):
+        # each part within 8 units of 2^-53 r of the 40-digit r exp(2 pi i u)
+        mpmath = pytest.importorskip("mpmath")
+        u = np.random.default_rng(7).random((2000, 2))
+        u[:len(self.EDGE_PHASES), 1] = self.EDGE_PHASES
         got = sampling.disk_from_uniform(u, r_min, r_max)
-        r = np.sqrt(r_min * r_min + u[:, 0] * (r_max * r_max - r_min * r_min))
-        ref = r * np.exp(2j * np.pi * u[:, 1])
-        for a, b in ((got.real, ref.real), (got.imag, ref.imag)):
-            assert np.all(np.abs(a - b) <= np.spacing(np.abs(b)))
+        r = np.sqrt(sampling.disk_modulus_sq_from_uniform(u[:, 0], r_min, r_max))
+        with mpmath.workdps(40):
+            for ui, ri, gi in zip(u[:, 1], r, got):
+                ref = mpmath.mpf(ri) * mpmath.expjpi(2 * mpmath.mpf(ui))
+                tol = 8 * 2.0 ** -53 * ri
+                assert abs(gi.real - ref.real) <= tol and abs(gi.imag - ref.imag) <= tol
+
+    def test_zero_phase_is_exactly_real(self):
+        u = np.array([[0.3, 0.0], [0.0, 0.0], [0.99, 0.0]])
+        got = sampling.disk_from_uniform(u, 0.1, 0.7)
+        r = np.sqrt(sampling.disk_modulus_sq_from_uniform(u[:, 0], 0.1, 0.7))
+        assert np.array_equal(got.real, r) and np.all(got.imag == 0.0)
+
+    def test_bits_do_not_depend_on_offset_length_or_stride(self):
+        u = np.random.default_rng(11).random(4099)
+        full = sampling.polar_from_uniform(1.0, u)
+        for start in range(9):
+            for length in (1, 3, 7, 8, 9, 17, 1000):
+                part = sampling.polar_from_uniform(1.0, u[start:start + length])
+                assert np.array_equal(part, full[start:start + length])
+        assert np.array_equal(sampling.polar_from_uniform(1.0, u[::3]), full[::3])
 
     def test_squared_modulus_is_the_points_modulus(self):
         u = np.random.default_rng(8).random((1000, 2))

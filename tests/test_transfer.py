@@ -159,6 +159,12 @@ class TestPullbackIsometry:
         report = pullback_isometry_check(spec, f, CFG)
         assert report.sigma_distance < 3.0
 
+    def test_no_accepted_proposal_raises(self):
+        # 3 box proposals all miss affine4: the estimate would be 0 +- 0
+        spec = builtin_example("affine4")
+        with pytest.raises(ValueError, match=r"accepted none of its 3 proposals.*--samples"):
+            pullback_isometry_check(spec, lambda pts: pts[..., 3], CFG.with_(mc_samples=3))
+
     def test_json_report(self):
         spec = HartogsDomainSpec.standard(2, 1)
         report = pullback_isometry_check(spec, lambda pts: pts[..., 0],
