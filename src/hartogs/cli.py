@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from . import mc
 from .config import NumericConfig
 from .counterexample import blowup_demo, blowup_eval, projected_blowup
 from .domains import HartogsDomainSpec, MapFamily, product_model_contains
@@ -382,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nu", required=True, help="multi-index, e.g. 1,1")
     p.add_argument("--mc-samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=mc.WORKERS,
+                   help="worker threads (default: mc.WORKERS, the CPUs this "
+                        "process may run on: %(default)s)")
     p.add_argument("--ball-norm", action="store_true",
                    help="include the ball monomial squared norm")
     add_common(p)
@@ -456,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomial", help="project this monomial (exponent list)")
     p.add_argument("--blowup-m", type=int, help="project the m-th blow-up function")
     p.add_argument("--samples", type=_positive_int, default=200_000)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=mc.WORKERS,
+                   help="worker threads (default: mc.WORKERS, the CPUs this "
+                        "process may run on: %(default)s)")
     add_common(p)
     p.set_defaults(handler=cmd_project)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .mc import CHUNK_SIZE
+from .mc import CHUNK_SIZE, WORKERS
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,7 @@ class NumericConfig:
     seed: int = 12345
     mc_samples: int = 200_000
     chunk_size: int = CHUNK_SIZE
-    workers: int = 1
+    workers: int = WORKERS
 
     def with_(self, **kwargs) -> "NumericConfig":
         return replace(self, **kwargs)

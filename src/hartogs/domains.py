@@ -109,7 +109,7 @@ class MapFamily:
             inv = np.linalg.inv(self._matrix())
             return np.einsum("...j,ij->...i", w - self._shift(), inv)
         z2 = (w[..., 1] - 1.0) / 3.0
-        z1 = w[..., 0] * (z2 - _RATIONAL_POLE)
+        z1 = (z2 - _RATIONAL_POLE) * w[..., 0]  # operand order: see `kernels`
         return np.stack([z1, z2], axis=-1)
 
     def jacobian_det(self, z) -> np.ndarray:
@@ -404,7 +404,7 @@ def jacobian_det_to_standard(spec: HartogsDomainSpec, z) -> complex | np.ndarray
         raise ValueError(f"expected points in C^{spec.n}")
     det = np.ones(z.shape[:-1], dtype=complex)
     for (_, fam), sl in zip(spec.blocks, spec.slices):
-        det = det * fam.jacobian_det(z[..., sl])
+        det = fam.jacobian_det(z[..., sl]) * det  # operand order: see `kernels`
     return complex(det) if det.ndim == 0 else det
 
 

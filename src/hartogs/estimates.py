@@ -196,8 +196,9 @@ def weighted_ball_integral(k: int, alpha: float, r):
 
     Above k = 18 scipy's 2F1 loses digits (NaN by k = 400), so each radius
     goes to `weighted_ball_integral_series` instead, which raises
-    NonConvergenceError where its term cap is hit: r beyond about 0.99998,
-    or alpha near -1 with k in the hundreds.
+    NonConvergenceError where its term cap is hit (r beyond about 0.99998)
+    and ValueError where its partial sums overflow float64 (k in the
+    thousands near r = 1).
     Scalar r gives a float, an array of radii an array of the same shape
     whose entries equal the scalar calls bit for bit.
     """
@@ -233,10 +234,17 @@ def _series_sum(first: float, ratio, r: float, rel_tol: float, max_terms: int,
     """Sum of the positive series sum_m c_m r^(2m), with c_0 = first and
     c_(m+1)/c_m = ratio(m) for an array of m.
 
-    Once ratio(m) <= 1 it stays <= 1 for every later m (true for both
-    families), so the tail after the term t_m is at most t_m x/(1-x) with
-    x = r^2; the sum stops at the first term where that bound is below
-    rel_tol times the partial sum.
+    For both families sup_(j >= m) ratio(j) <= Q = max(ratio(m), 1). The
+    disk ratio (m+b)/(m+b+alpha+1) rises to 1 from below. The ball ratio
+    q(m) = (m+h)^2/((m+1)(m+c)), c = k+alpha+1, h = (k+1)/2, tends to 1,
+    and d/dm log q has the sign of (1+alpha) m + 2c - h(c+1), which grows
+    with m: q falls while that is negative and then rises to 1 from below,
+    so on [m, inf) it stays below max(q(m), 1). With x = r^2 and Qx < 1 the
+    tail after the term t_m is therefore at most t_m Qx/(1-Qx); the sum
+    stops at the first term where that bound is below rel_tol times the
+    partial sum. (The ball ratio falls to 1 only at m = (h^2-c)/(1+alpha),
+    past any term cap for k in the thousands.) Partial sums that overflow
+    float64 raise a ValueError.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"series evaluation requires 0 <= r < 1, got {r}")
@@ -248,17 +256,23 @@ def _series_sum(first: float, ratio, r: float, rel_tol: float, max_terms: int,
     x = r * r
     if x == 0.0:
         return first
-    tail_factor = x / (1.0 - x)
     total, term = 0.0, first       # term is t_start, the first term of the block
     for start in range(0, max_terms, _SERIES_BLOCK):
         m = np.arange(start, min(start + _SERIES_BLOCK, max_terms), dtype=float)
         q = ratio(m)
         steps = q * x
-        terms = term * np.concatenate(([1.0], np.cumprod(steps[:-1])))
-        done = (q <= 1.0) & (terms * tail_factor < rel_tol * (total + np.cumsum(terms)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = term * np.concatenate(([1.0], np.cumprod(steps[:-1])))
+            qx = np.maximum(q, 1.0) * x
+            done = (qx < 1.0) & (terms * (qx / (1.0 - qx))
+                                 < rel_tol * (total + np.cumsum(terms)))
+            stop = int(done.argmax()) if done.any() else terms.size - 1
+            total += float(terms[:stop + 1].sum())
+        if not math.isfinite(total):
+            raise ValueError(f"{label} series overflows float64 at r={r}: its partial sum "
+                             f"passes {np.finfo(float).max:.3g} within {start + stop + 1} terms")
         if done.any():
-            return total + float(terms[:int(done.argmax()) + 1].sum())
-        total += float(terms.sum())
+            return total
         term = float(terms[-1] * steps[-1])
     raise NonConvergenceError(
         f"{label} series did not converge within {max_terms} terms at r={r}",

@@ -10,6 +10,16 @@ factor has measure 1):
 
 Integer powers go through `special.int_power` (repeated multiplication, never
 the complex logarithm), so there is no branch ambiguity.
+
+Operand order of complex products: the right-hand operand is a named array
+or a scalar, never a freshly computed array, as in `np.conj(eta) * w`. numpy
+reuses a temporary operand of 256 KiB or more (16384 complex values) as the
+output, and for a commutative ufunc it moves a right-hand temporary to the
+left to do so. Complex multiplication is not bitwise commutative on FMA
+hardware, so `w * np.conj(eta)` would round long and short arrays
+differently. With any temporary already on the left, the order is the same
+at every length, and a point's value does not depend on the batch it comes
+in.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ Model = str | Tuple[str, object]
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
     w = np.asarray(w, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    base = 1.0 - w * np.conj(eta)
+    base = 1.0 - np.conj(eta) * w
     val = 1.0 / (base * base)
     return complex(val) if val.ndim == 0 else val
 
@@ -44,7 +54,7 @@ def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
         raise ValueError(f"expected points in C^{k}")
     # a row sum over k columns; np.sum's reduction costs several times more
     # per row there, and einsum adds the products in the same order
-    ip = np.einsum("...j->...", w * np.conj(eta))
+    ip = np.einsum("...j->...", np.conj(eta) * w)
     val = 1.0 / int_power(1.0 - ip, k + 1)
     return complex(val) if val.ndim == 0 else val
 
@@ -56,9 +66,9 @@ def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
         raise ValueError(f"expected points in C^{spec.n}")
     val = np.ones(np.broadcast_shapes(w.shape[:-1], eta.shape[:-1]), dtype=complex)
     for (kj, _), sl in zip(spec.blocks, spec.slices):
-        val = val * kernel_ball(kj, w[..., sl], eta[..., sl])
+        val = kernel_ball(kj, w[..., sl], eta[..., sl]) * val
     for j in range(spec.k, spec.n):
-        val = val * kernel_punctured_disk(w[..., j], eta[..., j])
+        val = kernel_punctured_disk(w[..., j], eta[..., j]) * val
     return complex(val) if val.ndim == 0 else val
 
 
@@ -71,28 +81,56 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
     membership test runs on its image in `spec.standardized()`, which
     decides as `contains(spec, z)` does, bit for bit, and the Jacobians are
     taken after it.
+
+    A batch is evaluated in blocks of `mc.CHUNK_SIZE` rows along its first
+    axis, on `mc.WORKERS` threads (`mc.map_chunks`); a single pair of points
+    is a batch of one row, and a batch of at most that many rows is one
+    block. Each value depends on its own pair of points only, bit for bit,
+    so the result does not depend on the batch, the block split or the
+    worker count. A bad point raises the error it raises alone, in whichever
+    block it lies; with bad points in several blocks, the first such block's
+    error is raised.
     """
+    z = np.asarray(z, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)
+    batch = np.broadcast_shapes(z.shape[:-1], zeta.shape[:-1])
+    single = not batch
+    if single:  # one row, so that it takes the arithmetic of a batch row
+        z, zeta, batch = z[None], zeta[None], (1,)
+    rows = batch[0]
+    out = np.empty(batch, dtype=complex)
+
+    def block(start: int) -> None:
+        stop = start + mc.CHUNK_SIZE
+        # an operand broadcast along the first batch axis goes whole to every block
+        parts = [x[start:stop] if x.ndim == len(batch) + 1 and x.shape[0] == rows else x
+                 for x in (z, zeta)]
+        out[start:stop] = _kernel_hartogs_block(spec, *parts)
+
+    mc.map_chunks(block, range(0, max(rows, 1), mc.CHUNK_SIZE), mc.WORKERS)
+    return complex(out[0]) if single else out
+
+
+def _kernel_hartogs_block(spec: HartogsDomainSpec, z: np.ndarray,
+                          zeta: np.ndarray) -> np.ndarray:
     std = spec.standardized()
     w = _standard_image(spec, std, z)
     weta = _standard_image(spec, std, zeta)
     factor = 1.0
     if not spec.is_standard:
-        factor = jacobian_det_to_standard(spec, z) * np.conj(jacobian_det_to_standard(spec, zeta))
+        conj_zeta = np.conj(jacobian_det_to_standard(spec, zeta))
+        factor = jacobian_det_to_standard(spec, z) * conj_zeta
     n, k = spec.n, spec.k
     fz = to_product_model(n, k, w)
     fzeta = to_product_model(n, k, weta)
     det_z = jacobian_det_from_product(n, k, fz)
     det_zeta = jacobian_det_from_product(n, k, fzeta)
-    val = factor * kernel_product(spec, fz, fzeta) / (det_z * np.conj(det_zeta))
-    val = np.asarray(val)
-    return complex(val) if val.ndim == 0 else val
+    return kernel_product(spec, fz, fzeta) * factor / (np.conj(det_zeta) * det_z)
 
 
 def _standard_image(spec: HartogsDomainSpec, std: HartogsDomainSpec, z) -> np.ndarray:
     """z mapped to the standard model `std`, checked to lie in the domain."""
-    w = np.asarray(z, dtype=complex)
-    if not spec.is_standard:
-        w = to_standard_model(spec, w)
+    w = z if spec.is_standard else to_standard_model(spec, z)
     if not np.all(contains(std, w)):
         raise ValueError("kernel evaluated outside the domain")
     return w
@@ -141,7 +179,7 @@ def _composition(positions: tuple[int, ...], k: int, degree: int) -> tuple[int, 
 
 def _degree_parts_disk(N: int, w, eta) -> np.ndarray:
     """parts[m] = (m+1) (w conj(eta))^m, the degree-m slice of the disk kernel."""
-    x = np.asarray(w, dtype=complex) * np.conj(np.asarray(eta, dtype=complex))
+    x = np.conj(np.asarray(eta, dtype=complex)) * np.asarray(w, dtype=complex)
     m = np.arange(N + 1)
     return (m + 1) * x[..., None] ** m
 
@@ -150,7 +188,7 @@ def _degree_parts_ball(k: int, N: int, w, eta) -> np.ndarray:
     """parts[m] = C(m+k, k) <w, eta>^m, the degree-m slice of the ball kernel."""
     w = np.asarray(w, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    ip = np.einsum("...j->...", w * np.conj(eta))
+    ip = np.einsum("...j->...", np.conj(eta) * w)
     m = np.arange(N + 1)
     coeff = np.array([math.comb(mm + k, k) for mm in range(N + 1)], dtype=float)
     return coeff * ip[..., None] ** m
@@ -197,13 +235,17 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
 
 
 def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.ndarray],
-                          z, samples: int, seed: int, workers: int = 1
+                          z, samples: int, seed: int, workers: int = mc.WORKERS
                           ) -> tuple[complex, float]:
     """Monte-Carlo estimate of the Bergman projection of f at the point z.
 
     Integrates K(z, .) f(.) over the domain by sampling the product model and
     weighting with the quotient-chart Jacobian. Returns (estimate, stderr).
     Requires a standard-model spec.
+
+    `f` is called on `workers` threads at once (`mc.mc_mean`), one batch of
+    points per call, so it must be safe to call concurrently; the result
+    does not depend on `workers`.
     """
     if not spec.is_standard:
         raise ValueError("projection quadrature is implemented on the standard model")

@@ -7,13 +7,18 @@ Each chunk also reports the sum of squared deviations from its own mean, and
 the chunks are merged by the pairwise update of Chan, Golub & LeVeque (1979),
 so the error bar does not cancel away when the spread is small against the
 mean.
+
+`map_chunks` owns the package's thread pool: `mc_mean` runs its chunks
+through it and `kernels.kernel_hartogs` its row blocks. Both default to
+`WORKERS` threads, and neither result depends on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
@@ -21,6 +26,34 @@ SampleFn = Callable[[np.random.Generator, int], np.ndarray]
 
 # Samples per chunk unless a caller sets another size.
 CHUNK_SIZE = 1 << 15
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+# Worker threads unless a caller sets another count: the CPUs this process
+# may run on.
+WORKERS = _usable_cpus()
+
+
+def map_chunks(fn: Callable, items: Iterable, workers: int = WORKERS) -> list:
+    """[fn(item) for item in items], run on min(workers, len(items)) threads.
+
+    Results come back in item order. One item or one worker runs in the
+    calling thread and starts no pool. An exception raised by `fn` reaches
+    the caller unchanged; with several, the one of the earliest item does,
+    whichever thread raised first.
+    """
+    items = list(items)
+    threads = min(workers, len(items))
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -43,14 +76,16 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def mc_mean(values: SampleFn, total: int, seed: int,
-            chunk_size: int = CHUNK_SIZE, workers: int = 1) -> Tuple[complex, float]:
+            chunk_size: int = CHUNK_SIZE, workers: int = WORKERS) -> Tuple[complex, float]:
     """Mean and standard error of `values(rng, count)` over `total` samples.
 
     `values` must return one finite value per sample (complex or real). The
     standard error is sqrt(Var/N) with Var the usual unbiased sample variance
     (E|x - mean|^2 for complex values). Raises ValueError for fewer than two
     samples, which leave the variance undefined, and for a chunk with a
-    non-finite value, naming the chunk index.
+    non-finite value, naming the chunk index. The chunks run on `workers`
+    threads (`map_chunks`), so `values` must be safe to call from several
+    threads at once.
     """
     if total < 2:
         raise ValueError(f"mc_mean needs at least two samples, got {total}")
@@ -69,12 +104,7 @@ def mc_mean(values: SampleFn, total: int, seed: int,
         dev *= dev
         return s, float(dev.sum()), count
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(partial, layout))
-    else:
-        partials = [partial(item) for item in layout]
-
+    partials = map_chunks(partial, layout, workers)
     s = sum(p[0] for p in partials)
     n = sum(p[2] for p in partials)
     mean = s / n

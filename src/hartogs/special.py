@@ -86,7 +86,7 @@ def monomial(z, exps) -> np.ndarray:
     for j, e in enumerate(exps):
         e = int(e)
         if e > 0:
-            out = out * int_power(z[..., j], e)
+            out = int_power(z[..., j], e) * out  # operand order: see `kernels`
         elif e < 0:
             out = out / int_power(z[..., j], -e)
     return out

@@ -219,6 +219,10 @@ def pullback_isometry_check(spec: HartogsDomainSpec,
 
     Both sides use the same box-rejection estimator and the same seed, so the
     identity spec reproduces the target estimate bit for bit.
+
+    `f` is called on `cfg.workers` threads at once (`mc.mc_mean`), one batch
+    of points per call, so it must be safe to call concurrently; the result
+    does not depend on `cfg.workers`.
     """
     target = spec.standardized()
 

@@ -92,6 +92,18 @@ class TestMomentsCommand:
         assert first == second
 
 
+class TestWorkersOption:
+    def test_each_default_is_the_library_default(self, monkeypatch):
+        from hartogs import cli, mc
+        monkeypatch.setattr(mc, "WORKERS", 7)
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        defaults = {name: action.default for name, sub in subparsers.items()
+                    for action in sub._actions if action.dest == "workers"}
+        assert defaults == {"moments": 7, "project": 7}
+        assert "mc.WORKERS" in subparsers["project"].format_help()
+
+
 class TestEstimatesCommand:
     def test_csv_columns(self, capsys):
         assert run(["estimates", "--which", "ball", "--k", "1", "--alpha", "-0.5",
@@ -134,6 +146,26 @@ class TestEstimatesCommand:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0", "0.4995", "0.999"]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+    def test_large_ball_dimension_near_alpha_minus_one(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        assert run(["estimates", "--which", "ball", "--k", "400", "--alpha=-0.99",
+                    "--grid-points", "3"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "0.4995", "0.999"]
+        for r, value, _, _ in rows:
+            h, a = mpmath.mpf(401) / 2, mpmath.mpf(-0.99)
+            want = (mpmath.factorial(400) * mpmath.gamma(a + 1) / mpmath.gamma(401 + a)
+                    * mpmath.hyp2f1(h, h, 401 + a, mpmath.mpf(r) ** 2))
+            assert abs(float(value) / want - 1) <= 1e-10, r
+
+    def test_overflowing_series_exits_2_naming_the_radius(self, capsys):
+        assert run(["estimates", "--which", "ball", "--k", "1500", "--alpha=-0.5",
+                    "--grid-points", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err and "r=0.999" in captured.err
 
     def test_closed_form_default_and_series_route(self, capsys):
         base = ["estimates", "--which", "disk", "--alpha", "-0.5", "--beta", "-1",

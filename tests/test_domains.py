@@ -224,6 +224,22 @@ class TestStandardization:
         assert np.max(np.abs(fwd - z_std)) < 1e-12
         assert np.all(domains.contains(std, fwd))
 
+    @pytest.mark.parametrize("example", ["affine4", "rational3"])
+    def test_maps_are_prefix_stable(self, example):
+        # numpy reuses temporaries from 16384 complex values on; a row's
+        # image must not depend on the length of the array it comes in
+        from hartogs.cli import builtin_example
+        spec = builtin_example(example)
+        rows = 40_000
+        w = domains.sample_product_model(spec.standardized(), rows, seed=22, r_max=0.9)
+        z_std = domains.from_product_model(spec.n, spec.k, w)
+        z = domains.from_standard_model(spec, z_std)
+        for fn, pts in [(domains.from_standard_model, z_std), (domains.to_standard_model, z),
+                        (domains.jacobian_det_to_standard, z)]:
+            whole = fn(spec, pts)
+            for length in (100, 16383, 16384):
+                assert np.array_equal(fn(spec, pts[:length]), whole[:length]), (fn, length)
+
 
 class TestSampling:
     def test_zero_count(self):

@@ -622,6 +622,20 @@ class TestSeriesReferenceRoute:
     # the tail bound, not just the last term, is held to rel_tol
     RADII = (0.99, 0.999)
 
+    @pytest.mark.parametrize("k, alpha", [(400, -0.99), (1500, -0.5)])
+    def test_large_ball_dimension_stops_while_the_ratio_exceeds_one(self, k, alpha):
+        # the ratio stays above 1 up to m = (h^2 - (k+alpha+1))/(1+alpha), past the term cap
+        assert ((k + 1) ** 2 / 4 - (k + alpha + 1)) / (1 + alpha) > 1_000_000
+        mpmath = _mp()
+        for r in (0.0, 0.4995, 0.9):
+            got = weighted_ball_integral_series(k, alpha, r)
+            assert _rel(got, _ball_ref(mpmath, k, alpha, r)) <= 1e-10, r
+
+    def test_overflow_is_a_value_error_naming_the_radius(self):
+        # the integral is about 1.25e426 there
+        with pytest.raises(ValueError, match=r"ball series overflows float64 at r=0\.999"):
+            weighted_ball_integral_series(1500, -0.5, 0.999)
+
     def test_ball_meets_its_tolerance(self):
         mpmath = _mp()
         for k in K_GRID:

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hartogs import domains, kernels
+from hartogs import domains, kernels, mc
+from hartogs.cli import builtin_example
 from hartogs.domains import HartogsDomainSpec
 
 
@@ -304,3 +306,130 @@ class TestMcProjection:
         b = kernels.mc_bergman_projection(spec, f, z, 20_000, seed=13)
         c = kernels.mc_bergman_projection(spec, f, z, 20_000, seed=13, workers=3)
         assert a == b == c
+
+    def test_error_of_a_later_chunk_reaches_the_caller(self):
+        # 3 full chunks and a short fourth (index 3), under the default worker count
+        spec = HartogsDomainSpec.standard(2, 1)
+        z = np.array([0.1, 0.4], dtype=complex)
+
+        def f(pts):
+            if len(pts) == 7:
+                raise ValueError("f rejects the short chunk")
+            return np.ones(pts.shape[:-1], dtype=complex)
+
+        with pytest.raises(ValueError, match="^f rejects the short chunk$"):
+            kernels.mc_bergman_projection(spec, f, z, 3 * mc.CHUNK_SIZE + 7, seed=13)
+
+
+# --- batch independence --------------------------------------------------
+
+ROWS = 40_000
+PREFIXES = [1, 100, 16383, 16384, ROWS]  # numpy elides temporaries from 16384 complex values
+
+
+def _spec(name):
+    return HartogsDomainSpec.standard(2, 1) if name == "standard" else builtin_example(name)
+
+
+def _domain_points(spec, seed):
+    w = domains.sample_product_model(spec.standardized(), ROWS, seed=seed, r_max=0.9)
+    return domains.from_standard_model(spec, domains.from_product_model(spec.n, spec.k, w))
+
+
+def _ball_points(k, seed):
+    x = np.random.default_rng(seed).normal(size=(ROWS, 2 * k)).view(complex)
+    return 0.9 * x / np.sqrt(1.0 + np.sum(np.abs(x) ** 2, axis=1, keepdims=True))
+
+
+def _assert_prefix_stable(fn, *arrays):
+    """fn on the first L rows equals the first L rows of fn on all rows, bit for bit.
+
+    Operands without ROWS rows (single points) are passed whole."""
+    whole = fn(*arrays)
+    for length in PREFIXES:
+        part = fn(*[a[:length] if a.shape[:1] == (ROWS,) else a for a in arrays])
+        assert np.array_equal(part, whole[:length]), length
+
+
+class TestPrefixStability:
+    def test_ball_kernel(self):
+        x, y = _ball_points(2, 1), _ball_points(2, 2)
+        _assert_prefix_stable(lambda a, b: kernels.kernel_ball(2, a, b), x, y)
+        _assert_prefix_stable(lambda b: kernels.kernel_ball(2, x[3], b), y)
+        _assert_prefix_stable(lambda b: kernels.kernel_ball(1, x[3, :1], b), y[:, :1])
+
+    def test_disk_kernel(self):
+        w, eta = _ball_points(1, 3)[:, 0], _ball_points(1, 4)[:, 0]
+        _assert_prefix_stable(kernels.kernel_punctured_disk, w, eta)
+        _assert_prefix_stable(lambda b: kernels.kernel_punctured_disk(w[5], b), eta)
+
+    def test_product_kernel(self):
+        spec = HartogsDomainSpec.standard(3, 1)
+        w = domains.sample_product_model(spec, ROWS, seed=5, r_max=0.9)
+        eta = np.roll(w, 1, axis=0)
+        _assert_prefix_stable(lambda a, b: kernels.kernel_product(spec, a, b), w, eta)
+        _assert_prefix_stable(lambda b: kernels.kernel_product(spec, w[7], b), eta)
+
+    def test_degree_parts(self):
+        x, y = _ball_points(2, 6), _ball_points(2, 7)
+        _assert_prefix_stable(lambda a, b: kernels._degree_parts_ball(2, 3, a, b), x, y)
+        _assert_prefix_stable(lambda a, b: kernels._degree_parts_disk(3, a, b), x[:, 0], y[:, 0])
+
+    @pytest.mark.parametrize("name", ["standard", "affine4", "rational3"])
+    def test_hartogs_kernel(self, name):
+        spec = _spec(name)
+        z, zeta = _domain_points(spec, 8), _domain_points(spec, 9)
+        _assert_prefix_stable(lambda a, b: kernels.kernel_hartogs(spec, a, b), z, zeta)
+        _assert_prefix_stable(lambda b: kernels.kernel_hartogs(spec, z[0], b), zeta)
+
+
+class TestBlockedHartogsKernel:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["standard", "affine4", "rational3"])
+    def test_blocks_equal_one_block(self, name, workers, monkeypatch):
+        spec = _spec(name)
+        z, zeta = _domain_points(spec, 10), _domain_points(spec, 11)
+        # pairs, and a batch of ROWS x 2 pairs broadcast from z[:, None] and zeta[:2]
+        monkeypatch.setattr(mc, "WORKERS", workers)
+        for a, b in [(z, zeta), (z[:, None], zeta[:2])]:
+            one_block = kernels._kernel_hartogs_block(spec, a, b)
+            assert np.array_equal(kernels.kernel_hartogs(spec, a, b), one_block)
+
+    def test_many_threads_on_small_blocks(self, monkeypatch):
+        # more threads than cores, each block written into the shared output
+        # while the interpreter switches threads as often as it can
+        spec = _spec("rational3")
+        z, zeta = _domain_points(spec, 15), _domain_points(spec, 16)
+        want = kernels._kernel_hartogs_block(spec, z, zeta)
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
+        monkeypatch.setattr(mc, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = kernels.kernel_hartogs(spec, z, zeta)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    def test_single_point_and_empty_batch(self):
+        spec = _spec("affine4")
+        z = _domain_points(spec, 12)[:2]
+        value = kernels.kernel_hartogs(spec, z[0], z[1])
+        assert isinstance(value, complex)
+        assert value == kernels.kernel_hartogs(spec, z, z[::-1])[0]
+        assert kernels.kernel_hartogs(spec, z[:0], z[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("row", [5, ROWS - 3])
+    def test_errors_do_not_depend_on_the_block(self, row):
+        spec = _spec("rational3")
+        z, zeta = _domain_points(spec, 13), _domain_points(spec, 14)
+        cases = [(np.array([0.1, 0.1, 0.5]), ValueError, "kernel evaluated outside the domain"),
+                 (np.array([0.1, np.nan, 0.5]), ValueError, "point has non-finite coordinates"),
+                 (np.array([0.1, 10.0, 0.5]), ZeroDivisionError, "pole")]
+        for bad, error, message in cases:
+            for first in (True, False):
+                broken = (z if first else zeta).copy()
+                broken[row] = bad
+                args = (broken, zeta) if first else (z, broken)
+                with pytest.raises(error, match=message):
+                    kernels.kernel_hartogs(spec, *args)

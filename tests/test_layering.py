@@ -4,7 +4,8 @@ Parses src/hartogs/*.py with `ast`: the module-level imports inside the
 package form an acyclic graph, and the only package imports made inside a
 function are the scipy deferrals of `estimates` in `cli` and `schur`, which
 keep scipy out of the import of everything else. Those deferred edges keep
-the graph acyclic too, so no local import hides a cycle.
+the graph acyclic too, so no local import hides a cycle. Threads have one
+owner: only `mc` imports `concurrent.futures` or asks for the CPU affinity.
 """
 
 import ast
@@ -71,3 +72,25 @@ def test_only_the_documented_deferrals_import_inside_functions():
 
 def test_deferred_imports_close_no_cycle():
     TopologicalSorter({name: top | local for name, (top, local) in GRAPH.items()}).prepare()
+
+
+def _uses_threads(name: str) -> bool:
+    """Whether a module imports concurrent.futures or names sched_getaffinity."""
+    tree = ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name.startswith("concurrent") for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("concurrent")
+                or any(alias.name == "sched_getaffinity" for alias in node.names)):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "sched_getaffinity":
+            return True
+        if isinstance(node, ast.Name) and node.id == "sched_getaffinity":
+            return True
+    return False
+
+
+def test_only_mc_owns_threads():
+    assert {name for name in MODULES if _uses_threads(name)} == {"mc"}

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -51,3 +52,40 @@ class TestMcMeanVariance:
             return out
         with pytest.raises(ValueError, match="chunk 2"):
             mc.mc_mean(values, 2007, seed=1, chunk_size=1000)
+
+
+class TestPool:
+    def test_default_worker_count_is_the_usable_cpus(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert mc.WORKERS == len(os.sched_getaffinity(0))
+        else:
+            assert mc.WORKERS == os.cpu_count()
+
+    def test_one_chunk_or_one_worker_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        est, err = mc.mc_mean(offset_values(0.0, 1.0), 1000, seed=2, chunk_size=1000, workers=4)
+        assert math.isfinite(est) and err > 0
+        assert mc.map_chunks(lambda i: i, range(5), workers=1) == list(range(5))
+
+    def test_results_in_item_order_on_at_most_one_thread_per_item(self, monkeypatch):
+        sizes = []
+        pool = mc.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", recorded)
+        assert mc.map_chunks(lambda i: i * i, range(7), workers=3) == [i * i for i in range(7)]
+        assert mc.map_chunks(lambda i: -i, range(2), workers=8) == [0, -1]
+        assert sizes == [3, 2]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_error_of_a_later_chunk_reaches_the_caller(self, workers):
+        def values(rng, count):
+            if count == 7:  # the short last chunk, index 3
+                raise ValueError("bad sample in the short chunk")
+            return rng.random(count)
+        with pytest.raises(ValueError, match="^bad sample in the short chunk$"):
+            mc.mc_mean(values, 3007, seed=1, chunk_size=1000, workers=workers)
