@@ -85,6 +85,18 @@ def _complex_json(value: complex) -> dict:
     return {"re": float(value.real), "im": float(value.imag)}
 
 
+def _sigmas(est, expected, err: float) -> float:
+    """|est - expected| in standard errors. A zero error bar is 0 sigmas only
+    for an exact match; otherwise it has collapsed (say, squared deviations
+    that underflow), and no number of sigmas is meaningful."""
+    if err > 0:
+        return abs(est - expected) / err
+    if est != expected:
+        raise ValueError(f"the Monte-Carlo error bar is {err} but the estimate "
+                         f"{est} differs from the expected {expected}")
+    return 0.0
+
+
 def _parse_point(text: str) -> np.ndarray:
     try:
         return np.array([complex(part) for part in text.split(",")], dtype=complex)
@@ -183,7 +195,7 @@ def cmd_moments(args) -> str:
         "formula": formula,
         "mc_estimate": est,
         "std_error": err,
-        "sigmas": abs(formula - est) / err if err > 0 else 0.0,
+        "sigmas": _sigmas(est, formula, err),
     }
     if args.ball_norm:
         out["ball_norm_sq"] = monomial_norm_sq_ball(args.k, nu)
@@ -302,7 +314,7 @@ def cmd_project(args) -> str:
         "expected": _complex_json(expected),
         "mc_estimate": _complex_json(est),
         "std_error": err,
-        "sigmas": abs(est - expected) / err if err > 0 else 0.0,
+        "sigmas": _sigmas(est, expected, err),
     }
     return render_json(out) + "\n"
 

@@ -9,6 +9,9 @@ truncated to |z_n| > a_(m+1). At p = 2n/(n+1) its norm stays bounded in m
 while its Bergman projection is exactly 2 C_m / z_n^(n-1) with C_m growing
 like a squared logarithm, so bound/norm diverges. All breakpoint arithmetic
 lives in the log domain (a_j underflows double precision near j = 150).
+
+Stages 1..m_max are the prefixes of one cumulative pass over the pieces. Where
+k!/n! is subnormal (n > 170 at k = 1), the columns raise ValueError naming n, k.
 """
 
 from __future__ import annotations
@@ -17,23 +20,16 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .domains import standard_volume
-from .special import int_power
+from .special import int_power, log_factorial
 
-# Size cap of the demo table, not a numerical limit: the piece sums match
-# 20-digit mpmath at m = 20000 (test_counterexample.py), and a piece whose
-# exp underflows is below the smallest double and adds nothing to the sum.
+# Size cap of the demo table, not a numerical limit: the piece sums match 20-digit
+# mpmath at m = 20000 (test_counterexample.py); an underflowing piece adds nothing.
 DEMO_MAX_M = 120
-
-
-def _log_breakpoints(m: int) -> np.ndarray:
-    """ln a_j for j = 1..m+1 (strictly decreasing, a_1 = 1)."""
-    j = np.arange(1, m + 2, dtype=float)
-    return -j * np.log(j)
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,9 @@ class RadialStepFunction:
 
     @property
     def log_breakpoints(self) -> np.ndarray:
-        return _log_breakpoints(self.m)
+        """ln a_j for j = 1..m+1 (strictly decreasing, a_1 = 1)."""
+        j = np.arange(1, self.m + 2, dtype=float)
+        return -j * np.log(j)
 
     @property
     def exponents(self) -> np.ndarray:
@@ -92,54 +90,56 @@ def blowup_eval(n: int, m: int, z) -> complex | np.ndarray:
 
 
 def moment_constant(n: int, k: int) -> float:
-    """Product of the intermediate chain moments: k!/(n-1)!."""
+    """k!/(n-1)!, the chain moments' product; k!/n! must be normal, or digits are lost."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
+    if log_factorial(k) - log_factorial(n) < math.log(np.finfo(float).tiny):
+        raise ValueError(f"n = {n}, k = {k}: k!/n! is below the smallest normal double")
     return math.factorial(k) / math.factorial(n - 1)
+
+
+def _stages(n: int, p: float, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radial_norm_power_integral, C_m) at every stage m = 0..m_max, by one pass.
+
+    Their pieces are (a_j^c - a_(j+1)^c)/c, c = p (1/j - (n+1)) + 2n, and, as
+    g(r) r^n has antiderivative j r^(1/j) on ring j, 1 - j a_(j+1)^(1/j).
+    """
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    profile = RadialStepFunction(n, m_max)
+    logs = profile.log_breakpoints
+    c = p * profile.exponents + 2 * n
+    if np.any(c <= 0.0):  # c decreases in j
+        j = np.argmax(c <= 0.0)
+        raise ValueError(f"piece j={j + 1} has exponent {c[j]:.6g} <= 0: the profile is not "
+                         f"p-integrable in the large-m limit (p > 2n/(n+1))")
+    j = np.arange(1, m_max + 1)
+    sums = np.zeros((2, m_max + 1))  # stage 0 is the empty sum
+    np.cumsum([(np.exp(c * logs[:-1]) - np.exp(c * logs[1:])) / c,
+               1.0 - j * np.exp(logs[1:] / j)], axis=1, out=sums[:, 1:])
+    return 2.0 * sums[0], sums[1]
+
+
+def _norms(n: int, k: int, p: float, power: np.ndarray) -> np.ndarray:
+    """||f_m|| from power entries, by array arithmetic (numpy's 0-d power rounds otherwise)."""
+    return (moment_constant(n, k) * power) ** (1.0 / p)
 
 
 def radial_norm_power_integral(n: int, m: int, p: float) -> float:
     """2 * integral of g(r)^p r^(2n-1) over (a_(m+1), 1], piecewise closed form."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    logs = _log_breakpoints(m)
-    total = 0.0
-    for j in range(1, m + 1):
-        c = p * (1.0 / j - (n + 1)) + 2 * n
-        if c <= 0.0:
-            raise ValueError(
-                f"piece j={j} has exponent {c:.6g} <= 0: the profile is not "
-                f"p-integrable in the large-m limit (p > 2n/(n+1))")
-        total += (math.exp(c * logs[j - 1]) - math.exp(c * logs[j])) / c
-    return 2.0 * total
+    return float(_stages(n, p, m)[0][m])
 
 
 def blowup_norm(n: int, k: int, m: int, p: float) -> float:
     """Exact L^p norm of the m-th blow-up function on the dimension-(n,k) domain."""
-    if m == 0:
-        return 0.0
-    power = moment_constant(n, k) * radial_norm_power_integral(n, m, p)
-    return power ** (1.0 / p)
+    return float(_norms(n, k, p, _stages(n, p, m)[0][m:])[0])
 
 
-class ProjectionLowerBound(NamedTuple):
-    constant: float          # C_m, the ring-sum lower-bound constant
-    radial_integral: float   # 2 * integral of g(r) r^n over the support = 2 C_m
-
-
-def projection_constant(n: int, m: int) -> ProjectionLowerBound:
-    """C_m = sum_j j (a_j^(1/j) - a_(j+1)^(1/j)) plus the matching radial integral.
-
-    The integrand g(r) r^n has antiderivative j r^(1/j) on each ring, so the
-    radial integral equals 2 C_m exactly; the value is independent of n.
-    """
+def projection_constant(m: int) -> float:
+    """C_m = sum_j j (a_j^(1/j) - a_(j+1)^(1/j)); 2 C_m = integral of g(r) r^n, any n."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    logs = _log_breakpoints(m)
-    c = 0.0
-    for j in range(1, m + 1):
-        c += 1.0 - j * math.exp(logs[j] / j)
-    return ProjectionLowerBound(c, 2.0 * c)
+    return float(_stages(2, 1.0, m)[1][m])  # C_m's pieces depend on neither n nor p
 
 
 def projected_blowup(n: int, m: int, z) -> complex | np.ndarray:
@@ -152,7 +152,7 @@ def projected_blowup(n: int, m: int, z) -> complex | np.ndarray:
     zn = z[..., -1]
     if np.any(zn == 0.0):
         raise ZeroDivisionError("last coordinate vanishes (outside the domain)")
-    val = np.asarray(projection_constant(n, m).radial_integral / int_power(zn, n - 1))
+    val = np.asarray(2.0 * projection_constant(m) / int_power(zn, n - 1))
     return complex(val) if val.ndim == 0 else val
 
 
@@ -195,8 +195,7 @@ def blowup_demo(n: int, k: int, p: float, m_values: Sequence[int]) -> BlowupTabl
         raise ValueError("m values must be positive")
     if m_values[-1] > DEMO_MAX_M:
         raise ValueError(f"demo is capped at m = {DEMO_MAX_M}")
-    vol_factor = standard_volume(n, k) ** (1.0 / p)
-    norms = np.array([blowup_norm(n, k, m, p) for m in m_values])
-    bounds = np.array([vol_factor * projection_constant(n, m).radial_integral
-                       for m in m_values])
-    return BlowupTable(n, k, p, np.array(m_values), norms, bounds)
+    power, constant = _stages(n, p, m_values[-1])
+    rows = np.array(m_values)
+    bounds = standard_volume(n, k) ** (1.0 / p) * (2.0 * constant[rows])
+    return BlowupTable(n, k, p, rows, _norms(n, k, p, power[rows]), bounds)

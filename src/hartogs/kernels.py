@@ -24,6 +24,7 @@ in.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Sequence, Tuple
@@ -39,29 +40,45 @@ from .special import int_power, log_factorial
 Model = str | Tuple[str, object]
 
 
+def _pair_as_row(point_ndim: int):
+    """Evaluate a lone pair of points as a one-row batch.
+
+    numpy's 0-d scalar arithmetic rounds differently from its array loops,
+    so a pair given alone gets the bits of the same pair as a batch row. A
+    point has `point_ndim` axes; the decorated evaluator takes its leading
+    arguments, then the two point arrays.
+    """
+    def decorate(evaluate):
+        @functools.wraps(evaluate)
+        def evaluate_rows(*args):
+            *head, w, eta = args
+            w = np.asarray(w, dtype=complex)
+            eta = np.asarray(eta, dtype=complex)
+            if w.ndim != point_ndim or eta.ndim != point_ndim:
+                return evaluate(*head, w, eta)
+            return complex(evaluate(*head, w[None], eta[None])[0])
+        return evaluate_rows
+    return decorate
+
+
+@_pair_as_row(0)
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
     base = 1.0 - np.conj(eta) * w
-    val = 1.0 / (base * base)
-    return complex(val) if val.ndim == 0 else val
+    return 1.0 / (base * base)
 
 
+@_pair_as_row(1)
 def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
     if w.shape[-1] != k or eta.shape[-1] != k:
         raise ValueError(f"expected points in C^{k}")
     # a row sum over k columns; np.sum's reduction costs several times more
     # per row there, and einsum adds the products in the same order
     ip = np.einsum("...j->...", np.conj(eta) * w)
-    val = 1.0 / int_power(1.0 - ip, k + 1)
-    return complex(val) if val.ndim == 0 else val
+    return 1.0 / int_power(1.0 - ip, k + 1)
 
 
+@_pair_as_row(1)
 def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
     if w.shape[-1] != spec.n or eta.shape[-1] != spec.n:
         raise ValueError(f"expected points in C^{spec.n}")
     val = np.ones(np.broadcast_shapes(w.shape[:-1], eta.shape[:-1]), dtype=complex)
@@ -69,9 +86,10 @@ def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
         val = kernel_ball(kj, w[..., sl], eta[..., sl]) * val
     for j in range(spec.k, spec.n):
         val = kernel_punctured_disk(w[..., j], eta[..., j]) * val
-    return complex(val) if val.ndim == 0 else val
+    return val
 
 
+@_pair_as_row(1)
 def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
     """Bergman kernel of the spec's domain via the product-model transfer.
 
@@ -91,12 +109,7 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
     block it lies; with bad points in several blocks, the first such block's
     error is raised.
     """
-    z = np.asarray(z, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)
     batch = np.broadcast_shapes(z.shape[:-1], zeta.shape[:-1])
-    single = not batch
-    if single:  # one row, so that it takes the arithmetic of a batch row
-        z, zeta, batch = z[None], zeta[None], (1,)
     rows = batch[0]
     out = np.empty(batch, dtype=complex)
 
@@ -108,7 +121,7 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
         out[start:stop] = _kernel_hartogs_block(spec, *parts)
 
     mc.map_chunks(block, range(0, max(rows, 1), mc.CHUNK_SIZE), mc.WORKERS)
-    return complex(out[0]) if single else out
+    return out
 
 
 def _kernel_hartogs_block(spec: HartogsDomainSpec, z: np.ndarray,

@@ -262,8 +262,8 @@ def test_acceptance_07b_ratio_tenfold_growth_as_stated():
         growth_100 = table.ratio[-1] / table.ratio[0]
         oracle = _ring_growth_oracle(n, 100)
         ok &= abs(growth_100 - oracle) <= 1e-10 * oracle
-        growth_tenfold = (projection_constant(n, TENFOLD_STAGE).constant
-                          / projection_constant(n, 1).constant
+        growth_tenfold = (projection_constant(TENFOLD_STAGE)
+                          / projection_constant(1)
                           * blowup_norm(n, k, 1, p)
                           / blowup_norm(n, k, TENFOLD_STAGE, p))
         ok &= growth_tenfold >= 10.0

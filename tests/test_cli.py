@@ -91,6 +91,12 @@ class TestMomentsCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_constant_moment_has_zero_sigmas(self, capsys):
+        # every sample of |xi^0|^2 is 1, so the zero error bar is exact
+        assert run(["moments", "--k", "2", "--nu", "0,0", "--mc-samples", "1000"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["mc_estimate"], data["std_error"], data["sigmas"]) == (1, 0, 0)
+
 
 class TestWorkersOption:
     def test_each_default_is_the_library_default(self, monkeypatch):
@@ -199,6 +205,11 @@ class TestBlowupCommand:
 
     def test_supercritical_p_rejected(self):
         assert run(["blowup", "--n", "2", "--p", "2.0", "--m-max", "5"]) == 2
+
+    def test_largest_dimension_with_a_normal_volume(self, capsys):
+        # 1/170! is the last normal k!/n! at k = 1; the ratio at m = 1 is C_1 = 0.75
+        assert run(["blowup", "--n", "170", "--k", "1", "--p", "1.0", "--m-max", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "0.75"
 
 
 class TestSchurVerifyCommand:
@@ -464,7 +475,12 @@ _EXTREME_CASES = [
      "--samples", "3"],
     ["schur-verify", "--n", "2", "--k", "1", "--p", "1.5", "--puncture-margin=-1",
      "--samples", "3"],
+    ["blowup", "--n", "180", "--k", "1", "--p", "1.0", "--m-max", "2"],
 ]
+
+# a point of the n = 60, k = 1 domain where the constant monomial's Monte-Carlo
+# samples are so small that their squared deviations underflow to 0
+_TINY_SAMPLES_POINT = ",".join(["0.01"] + [repr(0.02 + 0.97 * j / 60) for j in range(2, 61)])
 
 
 class TestExtremeValues:
@@ -497,12 +513,95 @@ class TestExtremeValues:
          "series tolerance must be finite and positive, and below 1"),
         (["transfer", "--example", "rational3", "--p", "1e308"],
          "the transferred bound overflows"),
+        (["blowup", "--n", "175", "--k", "1", "--p", "1.0", "--m-max", "2"],
+         "n = 175, k = 1: k!/n! is below the smallest normal double"),
+        (["project", "--n", "60", "--k", "1", "--monomial", ",".join(["0"] * 60),
+          "--samples", "20000", "--point", _TINY_SAMPLES_POINT],
+         "the Monte-Carlo error bar is 0.0 but the estimate"),
     ])
     def test_seen_cases_exit_2_with_a_message(self, argv, message, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+# The determinism contract as a test: these invocations and their exact
+# stdout. A rework of the blow-up stages or of the kernel arithmetic must
+# leave every byte as it is.
+_PINNED_STDOUT = [
+    (["blowup", "--n", "2", "--p", "1.3333333333333333", "--m-list", "120,1,10"],
+     'm,norm_fm,proj_lower_bound,ratio\n'
+     '1,1.19192709363,0.891905336252,0.74828849937\n'
+     '10,3.50657275606,5.25381442862,1.49827617851\n'
+     '120,6.22205769913,17.7148054006,2.84709757723\n'),
+    (["blowup", "--n", "5", "--k", "2", "--p", "1", "--m-max", "5"],
+     'm,norm_fm,proj_lower_bound,ratio\n'
+     '1,0.03330078125,0.025,0.75073313783\n'
+     '2,0.0333731058008,0.0455033273513,1.36347296002\n'
+     '3,0.0333731299234,0.063087647561,1.89037251543\n'
+     '4,0.0333731299257,0.078587906095,2.35482576162\n'
+     '5,0.0333731299257,0.092509375018,2.77197179958\n'),
+    (["kernel", "--model", "disk", "--w", "0.5+0.1j", "--eta", "-0.3+0.6j"],
+     '{\n'
+     '  "model": "disk",\n'
+     '  "value": {\n'
+     '    "re": 0.641537407064,\n'
+     '    "im": -0.427651974279\n'
+     '  }\n'
+     '}\n'),
+    (["kernel", "--model", "ball", "--k", "2", "--w", "0.3,0.1j", "--eta",
+      "-0.2+0.4j,0.5"],
+     '{\n'
+     '  "model": "ball",\n'
+     '  "value": {\n'
+     '    "re": 0.817887476833,\n'
+     '    "im": -0.163943634504\n'
+     '  }\n'
+     '}\n'),
+    (["kernel", "--model", "product", "--n", "3", "--k", "1", "--w", "0.2,0.5j,-0.7",
+      "--eta", "0.1-0.1j,0.3,0.6+0.2j"],
+     '{\n'
+     '  "model": "product",\n'
+     '  "value": {\n'
+     '    "re": 0.430055352488,\n'
+     '    "im": 0.254954191034\n'
+     '  }\n'
+     '}\n'),
+    (["kernel", "--model", "hartogs", "--n", "2", "--k", "1", "--w", "0.1+0.2j,0.6",
+      "--eta", "-0.2,0.5-0.3j"],
+     '{\n'
+     '  "model": "hartogs",\n'
+     '  "value": {\n'
+     '    "re": 4.38378130396,\n'
+     '    "im": -0.710939728406\n'
+     '  }\n'
+     '}\n'),
+    (["kernel", "--model", "hartogs", "--example", "affine4", "--w",
+      "0.53-0.08j,0.08,-0.05+0.03j,0.2", "--eta",
+      "0.42+0.26j,0.59-0.16j,-0.31+0.09j,0.69+0.28j"],
+     '{\n'
+     '  "model": "hartogs",\n'
+     '  "value": {\n'
+     '    "re": 394.804532007,\n'
+     '    "im": 1279.59761083\n'
+     '  }\n'
+     '}\n'),
+    (["schur-range", "--n", "3"],
+     '{\n'
+     '  "low": 1.5,\n'
+     '  "high": 3\n'
+     '}\n'),
+]
+
+
+class TestPinnedStdout:
+    @pytest.mark.parametrize("argv,stdout", _PINNED_STDOUT, ids=[
+        "blowup-m-list", "blowup-m-max", "kernel-disk", "kernel-ball", "kernel-product",
+        "kernel-hartogs", "kernel-affine4", "schur-range"])
+    def test_bytes(self, argv, stdout, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == stdout
 
 
 def _fresh_interpreter(code: str):

@@ -138,6 +138,23 @@ class TestNorms:
         with pytest.raises(ValueError):
             blowup_norm(2, 1, 50, 2.0)
 
+    def test_supercritical_p_names_the_first_bad_piece(self):
+        # n = 2, p = 1.45: c_j = 1.45/j - 0.35 is positive for j <= 4 only
+        assert blowup_norm(2, 1, 4, 1.45) > 0.0
+        for stage in (radial_norm_power_integral, lambda n, m, p: blowup_norm(n, 1, m, p)):
+            with pytest.raises(ValueError, match=r"piece j=5 has exponent -0\.06 <= 0"):
+                stage(2, 50, 1.45)
+
+    def test_empty_stage(self):
+        assert radial_norm_power_integral(3, 0, 1.5) == 0.0
+        assert blowup_norm(3, 2, 0, 1.0) == 0.0
+
+    def test_subnormal_volume_rejected_naming_n_and_k(self):
+        # 1/170! is a normal double, 1/171! is not
+        assert blowup_norm(170, 1, 1, 1.0) > 0.0
+        with pytest.raises(ValueError, match="n = 171, k = 1"):
+            blowup_norm(171, 1, 1, 1.0)
+
     def test_norm_against_mc_oracle(self):
         # sample the product model and integrate |f|^p with the chart Jacobian
         from hartogs import domains
@@ -154,12 +171,10 @@ class TestNorms:
 
 class TestProjectionConstant:
     def test_first_values(self):
-        c1 = projection_constant(2, 1)
-        assert c1.constant == pytest.approx(0.75)
-        assert c1.radial_integral == pytest.approx(1.5)
-        c2 = projection_constant(2, 2)
-        assert c2.constant == pytest.approx(0.75 + 2 * (0.5 - 3.0 ** -1.5), rel=1e-12)
-        assert c2.constant == pytest.approx(1.3651, abs=5e-5)
+        assert projection_constant(1) == pytest.approx(0.75)
+        c2 = projection_constant(2)
+        assert c2 == pytest.approx(0.75 + 2 * (0.5 - 3.0 ** -1.5), rel=1e-12)
+        assert c2 == pytest.approx(1.3651, abs=5e-5)
 
     def test_quadrature_oracle(self):
         for n, m in [(2, 1), (2, 2), (3, 4)]:
@@ -172,14 +187,10 @@ class TestProjectionConstant:
             ref, err = integrate.quad(integrand, a_last, 1.0,
                                       points=np.exp(prof.log_breakpoints)[::-1],
                                       limit=200)
-            assert projection_constant(n, m).radial_integral == pytest.approx(ref, rel=1e-10)
-
-    def test_n_independence(self):
-        for m in (1, 5, 40):
-            assert projection_constant(2, m) == projection_constant(5, m)
+            assert 2 * projection_constant(m) == pytest.approx(ref, rel=1e-10)
 
     def test_monotone_increments(self):
-        values = [projection_constant(2, m).constant for m in range(1, 120)]
+        values = [projection_constant(m) for m in range(1, 120)]
         diffs = np.diff(values)
         assert np.all(diffs > 0)
         # increment formula: m (1/m - (m+1)^(-(m+1)/m))
@@ -189,7 +200,31 @@ class TestProjectionConstant:
 
     def test_harmonic_lower_bound(self):
         for m in range(1, 101):
-            assert projection_constant(2, m).constant >= 0.5 * harmonic_number(m)
+            assert projection_constant(m) >= 0.5 * harmonic_number(m)
+
+
+class TestStagePass:
+    # the stages are prefix sums over np.exp'd piece arrays; a per-piece
+    # math.exp loop is the reference, and np.exp and math.exp may round an
+    # ulp apart, hence the tolerance
+    @staticmethod
+    def loop_stages(n, p, m_max):
+        power, constant, out = 0.0, 0.0, []
+        for j in range(1, m_max + 1):
+            la, lb = -j * math.log(j), -(j + 1) * math.log(j + 1)
+            c = p * (1.0 / j - (n + 1)) + 2 * n
+            power += (math.exp(c * la) - math.exp(c * lb)) / c
+            constant += 1.0 - j * math.exp(lb / j)
+            out.append((2.0 * power, constant))
+        return out
+
+    def test_every_stage_matches_the_loop(self):
+        for n in (2, 3, 6):
+            for p in (1.0, 1.1, 2 * n / (n + 1)):
+                for m, (power, constant) in enumerate(self.loop_stages(n, p, 120), 1):
+                    assert radial_norm_power_integral(n, m, p) == pytest.approx(
+                        power, rel=1e-14, abs=0.0)
+                    assert projection_constant(m) == pytest.approx(constant, rel=1e-14, abs=0.0)
 
 
 class TestLargeStageAccuracy:
@@ -213,9 +248,8 @@ class TestLargeStageAccuracy:
                     pieces.append((mp.exp(e * logs[j - 1])
                                    - mp.exp(e * logs[j])) / e)
                 powers[n] = 2 * mp.fsum(pieces)
+        assert projection_constant(self.M) == pytest.approx(float(c), rel=1e-10, abs=0.0)
         for n, power in powers.items():
-            assert projection_constant(n, self.M).constant == pytest.approx(
-                float(c), rel=1e-10, abs=0.0)
             assert radial_norm_power_integral(
                 n, self.M, 2 * n / (n + 1)) == pytest.approx(
                     float(power), rel=1e-10, abs=0.0)
@@ -232,7 +266,7 @@ class TestProjectedBlowup:
         w = domains.sample_product_model(spec, 500, seed=5)
         z = domains.from_product_model(2, 1, w)
         vals = np.abs(projected_blowup(2, 3, z))
-        assert np.all(vals >= projection_constant(2, 3).radial_integral - 1e-12)
+        assert np.all(vals >= 2 * projection_constant(3) - 1e-12)
 
     def test_matches_mc_projection(self):
         from hartogs.domains import HartogsDomainSpec
@@ -278,7 +312,23 @@ class TestBlowupDemo:
         row = lines[1].split(",")
         assert int(row[0]) == 1
         assert float(row[2]) == pytest.approx(
-            0.5 ** 0.75 * projection_constant(2, 1).radial_integral)
+            0.5 ** 0.75 * 2 * projection_constant(1))
+
+    def test_rows_are_stages_of_one_pass(self):
+        # every row, however the m values are ordered or repeated, has the
+        # bits of its row in the full table and of the single-stage calls
+        from hartogs.domains import standard_volume
+        for n, k, p in [(2, 1, 4 / 3), (3, 2, 1.5), (4, 1, 1.0), (5, 3, 1.1)]:
+            full = blowup_demo(n, k, p, range(1, 121))
+            part = blowup_demo(n, k, p, [120, 1, 10, 10, 57, 3])
+            assert part.m.tolist() == [1, 3, 10, 57, 120]
+            rows = part.m - 1
+            assert np.array_equal(part.norm, full.norm[rows])
+            assert np.array_equal(part.bound, full.bound[rows])
+            vol_factor = standard_volume(n, k) ** (1 / p)
+            for m, norm, bound in zip(part.m.tolist(), part.norm, part.bound):
+                assert norm == blowup_norm(n, k, m, p)
+                assert bound == vol_factor * (2.0 * projection_constant(m))
 
     def test_p_validation_and_cap(self):
         with pytest.raises(ValueError):

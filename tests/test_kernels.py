@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -433,3 +434,32 @@ class TestBlockedHartogsKernel:
                 args = (broken, zeta) if first else (z, broken)
                 with pytest.raises(error, match=message):
                     kernels.kernel_hartogs(spec, *args)
+
+
+
+def _pair_case(name):
+    """An evaluator and two arrays of points of its domain, paired by row."""
+    if name == "disk":
+        return kernels.kernel_punctured_disk, _ball_points(1, 21)[:, 0], _ball_points(1, 22)[:, 0]
+    if name == "ball":
+        return functools.partial(kernels.kernel_ball, 3), _ball_points(3, 23), _ball_points(3, 24)
+    if name == "product":
+        spec = HartogsDomainSpec.standard(3, 1)
+        w = domains.sample_product_model(spec, ROWS, seed=25, r_max=0.9)
+        return functools.partial(kernels.kernel_product, spec), w, np.roll(w, 1, axis=0)
+    spec = _spec(name)
+    return (functools.partial(kernels.kernel_hartogs, spec),
+            _domain_points(spec, 26), _domain_points(spec, 27))
+
+
+class TestLonePair:
+    # numpy's 0-d scalar arithmetic rounds differently from its array loops;
+    # a pair of points given alone must get the bits of its batch row
+    @pytest.mark.parametrize("name", ["disk", "ball", "product", "standard", "affine4",
+                                      "rational3"])
+    def test_pair_equals_batch_row(self, name):
+        fn, z, zeta = _pair_case(name)
+        z, zeta = z[:200], zeta[:200]
+        alone = [fn(a, b) for a, b in zip(z, zeta)]
+        assert all(isinstance(value, complex) for value in alone)
+        assert np.array_equal(np.array(alone), fn(z, zeta))
