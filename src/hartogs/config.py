@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .mc import CHUNK_SIZE, WORKERS
 
@@ -19,9 +19,6 @@ class NumericConfig:
     mc_samples: int = 200_000
     chunk_size: int = CHUNK_SIZE
     workers: int = WORKERS
-
-    def with_(self, **kwargs) -> "NumericConfig":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = NumericConfig()

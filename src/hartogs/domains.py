@@ -276,11 +276,6 @@ class HartogsDomainSpec:
         with open(path, "r", encoding="utf-8") as f:
             return HartogsDomainSpec.from_json_dict(json.load(f))
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_json_dict(), f, indent=2)
-            f.write("\n")
-
 
 # --- validation of the JSON spec format ----------------------------------
 # Each helper raises a ValueError that names the offending field and shows

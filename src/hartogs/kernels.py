@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations_with_replacement
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -152,13 +151,6 @@ def _standard_image(spec: HartogsDomainSpec, std: HartogsDomainSpec, z) -> np.nd
 # --- orthonormal monomial machinery ------------------------------------
 
 
-def monomial_norm_sq_disk(m: int) -> float:
-    """Squared norm of w^m on the normalized disk: 1/(m+1)."""
-    if m < 0:
-        raise ValueError("monomial degree must be >= 0")
-    return 1.0 / (m + 1)
-
-
 def monomial_norm_sq_ball(k: int, nu: Sequence[int]) -> float:
     """Squared norm of the monomial eta^nu on the normalized ball: k! nu!/(|nu|+k)!."""
     nu = tuple(int(v) for v in nu)
@@ -167,27 +159,6 @@ def monomial_norm_sq_ball(k: int, nu: Sequence[int]) -> float:
     total = sum(nu)
     return math.exp(log_factorial(k) + sum(log_factorial(v) for v in nu)
                     - log_factorial(total + k))
-
-
-def multi_indices(k: int, max_degree: int) -> Iterator[tuple[int, ...]]:
-    """Multi-indices of length k with total degree <= max_degree.
-
-    Ordered by total degree, ties broken lexicographically (ordering is part
-    of the test contract only).
-    """
-    for degree in range(max_degree + 1):
-        seen = sorted(set(
-            _composition(c, k, degree)
-            for c in combinations_with_replacement(range(k), degree)))
-        for nu in seen:
-            yield nu
-
-
-def _composition(positions: tuple[int, ...], k: int, degree: int) -> tuple[int, ...]:
-    out = [0] * k
-    for p in positions:
-        out[p] += 1
-    return tuple(out)
 
 
 def _degree_parts_disk(N: int, w, eta) -> np.ndarray:

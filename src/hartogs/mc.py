@@ -6,7 +6,11 @@ estimate is bit-identical for any worker count and any chunk execution order.
 Each chunk also reports the sum of squared deviations from its own mean, and
 the chunks are merged by the pairwise update of Chan, Golub & LeVeque (1979),
 so the error bar does not cancel away when the spread is small against the
-mean.
+mean. Each chunk squares its deviations scaled by 2^-e, with e the binary
+exponent of the largest of them, and the merge works at the largest e, so
+the error bar neither underflows to zero nor overflows. Scaling by a power of
+two is exact: wherever the unscaled squares are normal numbers, the result
+has the same bits.
 
 `map_chunks` owns the package's thread pool: `mc_mean` runs its chunks
 through it and `kernels.kernel_hartogs` its row blocks. Both default to
@@ -101,15 +105,20 @@ def mc_mean(values: SampleFn, total: int, seed: int,
         dev = vals - (mean if np.iscomplexobj(vals) else mean.real)
         if np.iscomplexobj(dev):
             dev = dev.view(dev.real.dtype)  # |d|^2 is the sum of its squared parts
+        exp = math.frexp(float(np.abs(dev).max()))[1]
+        np.ldexp(dev, -exp, out=dev)
         dev *= dev
-        return s, float(dev.sum()), count
+        return s, float(dev.sum()), exp, count
 
     partials = map_chunks(partial, layout, workers)
     s = sum(p[0] for p in partials)
-    n = sum(p[2] for p in partials)
+    n = sum(p[3] for p in partials)
     mean = s / n
-    m2 = math.fsum(p[1] + p[2] * abs(p[0] / p[2] - mean) ** 2 for p in partials)
-    stderr = math.sqrt(m2 / (n - 1) / n)
+    top = max(p[2] for p in partials)
+    m2 = math.fsum(math.ldexp(m2_i, 2 * (exp - top))
+                   + count * math.ldexp(abs(s_i / count - mean), -top) ** 2
+                   for s_i, m2_i, exp, count in partials)
+    stderr = math.ldexp(math.sqrt(m2 / (n - 1) / n), top)
     if mean.imag == 0.0:
         return mean.real, stderr
     return mean, stderr

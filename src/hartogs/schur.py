@@ -6,9 +6,9 @@ The boundedness test hinges on a weight
              * prod_{j=k+1}^n (1-|eta_j|^2)^s |eta_j|^(t_j)
 
 whose exponents must satisfy two inequality systems (one per conjugate
-exponent). Each system confines s and every t_j to an interval; intersecting
-the two systems yields the feasibility windows, whose joint non-emptiness is
-equivalent to 2n/(n+1) < p < 2n/(n-1) for every k.
+exponent). Together the two systems confine s and every t_j to windows with
+closed-form ends, which are non-empty exactly when 2n/(n+1) < p < 2n/(n-1),
+for every k; `feasible_params` decides feasibility by that sharp range alone.
 
 `schur_verify` estimates both Schur conditions on sampled product-model
 points. The condition integrals factor exactly into one weighted ball
@@ -18,7 +18,6 @@ high-dimensional quadrature is ever performed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,32 +45,12 @@ class FeasibilityWindow:
             return self.lower_open or self.upper_open
         return True
 
-    def intersect(self, other: "FeasibilityWindow") -> "FeasibilityWindow":
-        if self.lower > other.lower:
-            lo, lo_open = self.lower, self.lower_open
-        elif self.lower < other.lower:
-            lo, lo_open = other.lower, other.lower_open
-        else:
-            lo, lo_open = self.lower, self.lower_open or other.lower_open
-        if self.upper < other.upper:
-            hi, hi_open = self.upper, self.upper_open
-        elif self.upper > other.upper:
-            hi, hi_open = other.upper, other.upper_open
-        else:
-            hi, hi_open = self.upper, self.upper_open or other.upper_open
-        return FeasibilityWindow(lo, hi, lo_open, hi_open)
-
     def contains(self, x: float) -> bool:
         if x < self.lower or (x == self.lower and self.lower_open):
             return False
         if x > self.upper or (x == self.upper and self.upper_open):
             return False
         return True
-
-    def interior_midpoint(self) -> float:
-        if self.is_empty:
-            raise ValueError("empty window has no midpoint")
-        return 0.5 * (self.lower + self.upper)
 
 
 @dataclass(frozen=True)
@@ -96,37 +75,38 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def system_windows(n: int, k: int, exponent: float
-                   ) -> tuple[FeasibilityWindow, dict[int, FeasibilityWindow]]:
-    """Windows imposed by one inequality system with the given exponent e:
-    -1 < s e < 0 and -2 < t_j e + (j-1) <= 0 for j = k+1..n."""
+def param_windows(n: int, k: int, p: float
+                  ) -> tuple[FeasibilityWindow, dict[int, FeasibilityWindow]]:
+    """Joint windows of the two systems for the conjugate exponents p, q.
+
+    The system with exponent e asks -1 < s e < 0 and
+    -2 < t_j e + (j-1) <= 0 for j = k+1..n; with lo = min(p, q) and
+    hi = max(p, q) both hold exactly on s in (-1/hi, 0) and
+    t_j in (-(j+1)/hi, -(j-1)/lo].
+    """
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    e = float(exponent)
-    s_win = FeasibilityWindow(-1.0 / e, 0.0, True, True)
-    t_wins = {j: FeasibilityWindow(-(j + 1) / e, -(j - 1) / e, True, False)
+    q = conjugate_exponent(p)
+    lo, hi = min(p, q), max(p, q)
+    s_win = FeasibilityWindow(-1.0 / hi, 0.0, True, True)
+    t_wins = {j: FeasibilityWindow(-(j + 1) / hi, -(j - 1) / lo, True, False)
               for j in range(k + 1, n + 1)}
     return s_win, t_wins
 
 
-def param_windows(n: int, k: int, p: float
-                  ) -> tuple[FeasibilityWindow, dict[int, FeasibilityWindow]]:
-    """Intersection of the two systems' windows for conjugate exponents p, q."""
-    q = conjugate_exponent(p)
-    s_q, t_q = system_windows(n, k, q)
-    s_p, t_p = system_windows(n, k, p)
-    s_win = s_q.intersect(s_p)
-    t_wins = {j: t_q[j].intersect(t_p[j]) for j in t_q}
-    return s_win, t_wins
-
-
 def feasible_params(n: int, k: int, p: float) -> SchurWitness | None:
-    """Interior-midpoint witness of the joint windows, or None if any is empty."""
+    """Midpoint witness of the joint windows, or None when p lies outside the
+    open sharp range `admissible_p_range(n)`, the one test of feasibility.
+
+    Just inside the ends the chain windows are a few ulps wide, or empty
+    in floating point; the midpoint of their ends is still the witness.
+    """
     s_win, t_wins = param_windows(n, k, p)
-    if s_win.is_empty or any(w.is_empty for w in t_wins.values()):
+    low, high = admissible_p_range(n)
+    if not low < p < high:
         return None
-    return SchurWitness(s_win.interior_midpoint(),
-                        {j: w.interior_midpoint() for j, w in t_wins.items()})
+    return SchurWitness(0.5 * (s_win.lower + s_win.upper),
+                        {j: 0.5 * (w.lower + w.upper) for j, w in t_wins.items()})
 
 
 def admissible_p_range(n: int) -> tuple[float, float]:
@@ -134,37 +114,6 @@ def admissible_p_range(n: int) -> tuple[float, float]:
     if n < 2:
         raise ValueError("n must be >= 2")
     return 2.0 * n / (n + 1.0), 2.0 * n / (n - 1.0)
-
-
-def p_range_by_search(n: int, k: int, tol: float = 1e-9, iters: int = 60
-                      ) -> tuple[float, float]:
-    """Locate both feasibility endpoints by bisection on `feasible_params`."""
-    def feasible(p: float) -> bool:
-        return feasible_params(n, k, p) is not None
-
-    if not feasible(2.0):
-        raise RuntimeError("p = 2 should always be feasible")
-    lo, hi = 1.0 + 1e-12, 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol / 4:
-            break
-    low_end = 0.5 * (lo + hi)
-    lo, hi = 2.0, 2.0 * n  # upper endpoint 2n/(n-1) <= 2n
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol / 4:
-            break
-    high_end = 0.5 * (lo + hi)
-    return low_end, high_end
 
 
 # --- numerical verification of the two Schur conditions ------------------
@@ -207,9 +156,6 @@ class SchurReport:
             "samples": self.samples,
             "notes": self.notes,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: float,

@@ -46,10 +46,6 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def beta(a: float, b: float) -> float:
-    return math.exp(log_beta(a, b))
-
-
 def log_factorial(n: int) -> float:
     if n < 0:
         raise ValueError("factorial of a negative integer")

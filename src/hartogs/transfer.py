@@ -10,18 +10,17 @@ change of variables by integrating the same test function over both domains.
 
 Its box-rejection estimator keeps a fixed draw layout (2n uniforms per
 proposal, one disk point per coordinate) but computes angles only for
-proposals that may be accepted. Stage 1 uses the squared moduli alone: the
-chain order, and for every block a floor on its image norm
-(`MapFamily.image_norm_sq_floor`) against |z_{k+1}|; on the source side of
-the built-in examples it keeps about a quarter of the proposals. Stage 2
-maps one non-identity block at a time on the survivors, and the exact
-`contains` decides on the rest. The accepted set and the estimate are the ones a full
-`contains` over every proposal gives, bit for bit.
+proposals that may be accepted. One angle-free pre-test on the squared
+moduli picks the candidates: the chain order, and for every block a floor on
+its image norm (`MapFamily.image_norm_sq_floor`) against |z_{k+1}|; on the
+source side of the built-in examples it keeps about a quarter of the
+proposals. `contains` alone decides on the candidates. The accepted set and
+the estimate are the ones a full `contains` over every proposal gives, bit
+for bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -117,9 +116,6 @@ class PullbackReport:
             "sigma_distance": self.sigma_distance,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def _coordinate_radii(spec: HartogsDomainSpec) -> np.ndarray:
     radii = np.ones(spec.n)
@@ -128,7 +124,7 @@ def _coordinate_radii(spec: HartogsDomainSpec) -> np.ndarray:
     return radii
 
 
-# Relative slack of the staged pre-tests. They compare squared moduli,
+# Relative slack of the pre-tests. They compare squared moduli,
 # which agree with the moduli `contains` compares to a few ulps, so a row is
 # dropped only when `contains` would certainly reject it.
 _PRETEST_SLACK = 1.0 + 1e-9
@@ -138,13 +134,12 @@ def _box_candidates(spec: HartogsDomainSpec, u: np.ndarray,
                     radii: np.ndarray) -> np.ndarray:
     """Indices of the box proposals (rows of u) that may lie in the domain.
 
-    Stage 1 needs no angle: the squared moduli |z_j|^2 settle the chain
-    |z_{k+1}| < ... < |z_n| < 1, and they bound every block's image norm
-    from below (`MapFamily.image_norm_sq_floor`: exact for an identity
-    block, a floor for the others), which is tested against |z_{k+1}|.
-    Stage 2 maps the surviving rows of each non-identity block, one block at
-    a time. Each test has relative slack, so every row `contains` accepts is
-    kept; the exact `contains` runs afterwards on the survivors.
+    The one pre-test stage needs no angle: the squared moduli |z_j|^2
+    settle the chain |z_{k+1}| < ... < |z_n| < 1, and they bound every
+    block's image norm from below (`MapFamily.image_norm_sq_floor`: exact
+    for an identity block, a floor for the others), which is tested against
+    |z_{k+1}|. Each test has relative slack, so every row `contains` accepts
+    is kept; `contains` alone then decides on the candidates.
     """
     k, n = spec.k, spec.n
     sq = sampling.disk_modulus_sq_from_uniform(u[:, 0::2], 0.0, radii)
@@ -154,15 +149,7 @@ def _box_candidates(spec: HartogsDomainSpec, u: np.ndarray,
     bound = sq[:, k] * _PRETEST_SLACK
     for (_, fam), sl in zip(spec.blocks, spec.slices):
         keep &= fam.image_norm_sq_floor(sq[:, sl]) <= bound
-    rows = np.flatnonzero(keep)
-    for (_, fam), sl in zip(spec.blocks, spec.slices):
-        if fam.is_identity:
-            continue
-        block = np.stack([sampling.disk_from_uniform(u[rows, 2 * j:2 * j + 2], 0.0, radii[j])
-                          for j in range(sl.start, sl.stop)], axis=1)
-        v = fam.value(block).view(float)
-        rows = rows[np.einsum("ij,ij->i", v, v) <= bound[rows]]
-    return rows
+    return np.flatnonzero(keep)
 
 
 def _box_rejection_integral(spec: HartogsDomainSpec,
@@ -173,13 +160,13 @@ def _box_rejection_integral(spec: HartogsDomainSpec,
 
     Proposals fill a bounding polydisk, 2n uniforms per proposal (one disk
     point per coordinate); rejected points contribute zero, so the estimate
-    is unbiased for integral(domain) = V(box) * mean. Rejection is staged
-    (`_box_candidates`): cheap tests on squared moduli and on single blocks
-    drop most proposals before any of their angles is computed, and the exact
-    `contains` decides on the rest. The accepted set, and so the estimate, is
-    the one a full `contains` over every proposal gives. With no proposal
-    accepted the estimate would be 0 with a zero error bar, so that raises a
-    ValueError instead.
+    is unbiased for integral(domain) = V(box) * mean. An angle-free
+    pre-test on the squared moduli (`_box_candidates`) drops most proposals
+    before any of their angles is computed, and `contains` alone decides on
+    the rest. The accepted set, and so the estimate, is the one a full
+    `contains` over every proposal gives. With no proposal accepted the
+    estimate would be 0 with a zero error bar, so that raises a ValueError
+    instead.
     """
     radii = _coordinate_radii(spec)
     # box volume in normalized units: prod radii^2 times the ball-vs-polydisk

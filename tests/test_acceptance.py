@@ -28,10 +28,10 @@ from hartogs.estimates import (asymptotic_ratio_check, sphere_moment,
                                weighted_disk_integral_series)
 from hartogs.kernels import (kernel_hartogs, kernel_punctured_disk,
                              kernel_truncated, mc_bergman_projection)
-from hartogs.schur import admissible_p_range, p_range_by_search
+from hartogs.schur import admissible_p_range
 from hartogs.transfer import (JacobianBounds, jacobian_bounds,
                               pullback_isometry_check, transfer_norm_bound)
-from helpers import harmonic_number
+from helpers import harmonic_number, multi_indices, p_range_by_search
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -61,7 +61,7 @@ def test_acceptance_02_sphere_moment_oracle():
     cfg = NumericConfig(seed=1021, mc_samples=1_000_000)
     ok = True
     for k in (1, 2, 3):
-        for nu in kernels.multi_indices(k, 3):
+        for nu in multi_indices(k, 3):
             formula = sphere_moment(k, nu)
             est, err = sphere_moment_mc(k, nu, cfg)
             ok &= abs(est - formula) <= 3 * err + 1e-12 * formula

@@ -246,7 +246,7 @@ class TestTransferCommand:
     def test_spec_file(self, tmp_path, capsys):
         from hartogs.cli import builtin_example
         path = tmp_path / "spec.json"
-        builtin_example("rational3").save(path)
+        path.write_text(json.dumps(builtin_example("rational3").to_json_dict()))
         assert run(["transfer", "--spec", str(path), "--p", "2.0"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["bounds"]["method"] == "sampled"
@@ -478,9 +478,15 @@ _EXTREME_CASES = [
     ["blowup", "--n", "180", "--k", "1", "--p", "1.0", "--m-max", "2"],
 ]
 
-# a point of the n = 60, k = 1 domain where the constant monomial's Monte-Carlo
-# samples are so small that their squared deviations underflow to 0
-_TINY_SAMPLES_POINT = ",".join(["0.01"] + [repr(0.02 + 0.97 * j / 60) for j in range(2, 61)])
+
+
+def _tiny_samples_argv(n):
+    """`project` of the constant monomial at a point of the n-dimensional,
+    k = 1 domain where the Monte-Carlo samples are tiny: about 1e-166 at
+    n = 60, whose squared deviations underflow, and exactly 0 at n = 80."""
+    point = ",".join(["0.01"] + [repr(0.02 + 0.97 * j / n) for j in range(2, n + 1)])
+    return ["project", "--n", str(n), "--k", "1", "--monomial", ",".join(["0"] * n),
+            "--samples", "20000", "--point", point]
 
 
 class TestExtremeValues:
@@ -515,15 +521,24 @@ class TestExtremeValues:
          "the transferred bound overflows"),
         (["blowup", "--n", "175", "--k", "1", "--p", "1.0", "--m-max", "2"],
          "n = 175, k = 1: k!/n! is below the smallest normal double"),
-        (["project", "--n", "60", "--k", "1", "--monomial", ",".join(["0"] * 60),
-          "--samples", "20000", "--point", _TINY_SAMPLES_POINT],
-         "the Monte-Carlo error bar is 0.0 but the estimate"),
+        (_tiny_samples_argv(80), "the Monte-Carlo error bar is 0.0 but the estimate"),
     ])
     def test_seen_cases_exit_2_with_a_message(self, argv, message, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        _tiny_samples_argv(60),
+        ["project", "--n", "2", "--k", "1", "--point", "0.3,0.5", "--monomial=-60,0",
+         "--samples", "20000"],
+    ], ids=["squares-underflow", "squares-overflow"])
+    def test_extreme_samples_keep_a_finite_error_bar(self, argv, capsys):
+        assert run(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert 0.0 < data["std_error"] < math.inf
+        assert math.isfinite(data["sigmas"])
 
 
 # The determinism contract as a test: these invocations and their exact

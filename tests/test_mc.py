@@ -38,6 +38,25 @@ class TestMcMeanVariance:
         one = mc.mc_mean(values, 70_001, seed=9, chunk_size=1000)
         assert mc.mc_mean(values, 70_001, seed=9, chunk_size=1000, workers=3) == one
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_error_bar_of_tiny_and_huge_samples(self, scale):
+        # unscaled, the squared deviations underflow to 0 or overflow to inf
+        total = 3 * mc.CHUNK_SIZE + 5
+        est, err = mc.mc_mean(lambda rng, c: scale * rng.random(c), total, 1)
+        ref_est, ref_err = mc.mc_mean(lambda rng, c: rng.random(c), total, 1)
+        assert est == pytest.approx(scale * ref_est, rel=1e-14, abs=0)
+        assert err == pytest.approx(scale * ref_err, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_power_of_two_scale_is_exact(self, e):
+        def values(rng, count):
+            return rng.normal(size=count) + 1j * rng.normal(size=count)
+        est, err = mc.mc_mean(values, 50_000, seed=4, chunk_size=3000)
+        got = mc.mc_mean(lambda rng, c: np.ldexp(values(rng, c).view(float), e).view(complex),
+                         50_000, seed=4, chunk_size=3000)
+        assert got == (complex(math.ldexp(est.real, e), math.ldexp(est.imag, e)),
+                       math.ldexp(err, e))
+
     @pytest.mark.parametrize("total", [0, 1])
     def test_rejects_fewer_than_two_samples(self, total):
         with pytest.raises(ValueError, match="at least two"):

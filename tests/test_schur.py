@@ -1,13 +1,17 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hartogs.config import NumericConfig
 from hartogs.schur import (FeasibilityWindow, SchurWitness, admissible_p_range,
                            conjugate_exponent, feasible_params, param_windows,
-                           p_range_by_search, schur_verify, system_windows)
+                           schur_verify)
+from helpers import p_range_by_search
 
 
 class TestWindows:
@@ -24,10 +28,10 @@ class TestWindows:
         assert t_wins[2].is_empty
 
     def test_self_dual_at_p2(self):
+        # p = q = 2: both systems give -1 < 2s < 0 and -2 < 2 t_3 + 2 <= 0
         s_win, t_wins = param_windows(3, 2, 2.0)
-        s_q, t_q = system_windows(3, 2, 2.0)
-        assert s_win == s_q.intersect(s_q)
-        assert t_wins[3] == t_q[3].intersect(t_q[3])
+        assert s_win == FeasibilityWindow(-0.5, 0.0, True, True)
+        assert t_wins == {3: FeasibilityWindow(-2.0, -1.0, True, False)}
 
     def test_duality_symmetry_as_data(self):
         # swapping p and its conjugate exponent swaps the two systems, so the
@@ -38,10 +42,7 @@ class TestWindows:
             assert abs(conjugate_exponent(q) - p) < 1e-12
 
     def test_interval_algebra(self):
-        a = FeasibilityWindow(0.0, 1.0, True, False)
-        b = FeasibilityWindow(0.5, 2.0, True, True)
-        got = a.intersect(b)
-        assert (got.lower, got.upper, got.lower_open, got.upper_open) == (0.5, 1.0, True, False)
+        got = FeasibilityWindow(0.5, 1.0, True, False)
         assert not got.is_empty
         point = FeasibilityWindow(1.0, 1.0, False, False)
         assert not point.is_empty
@@ -61,10 +62,6 @@ class TestWindows:
             conjugate_exponent(p)
         with pytest.raises(ValueError, match="finite"):
             feasible_params(2, 1, p)
-
-    def test_empty_window_has_no_midpoint(self):
-        with pytest.raises(ValueError):
-            FeasibilityWindow(1.0, 1.0, True, False).interior_midpoint()
 
 
 class TestFeasibleParams:
@@ -102,9 +99,34 @@ class TestFeasibleParams:
                 got = np.array([feasible_params(n, k, p) is not None for p in grid])
                 expect = (grid > low) & (grid < high)
                 np.testing.assert_array_equal(got, expect)
-                # closed endpoints are infeasible
-                assert feasible_params(n, k, low) is None
-                assert feasible_params(n, k, high) is None
+        # at the float ends the windows are empty or a few ulps wide; the
+        # closed ends and beyond are infeasible, and every p inside is not
+        for n in range(2, 200):
+            low, high = admissible_p_range(n)
+            outside = (low, high, math.nextafter(low, 0.0), math.nextafter(high, math.inf))
+            inside = (math.nextafter(low, 2.0), math.nextafter(high, 2.0),
+                      low + 1e-15, high - 1e-15)
+            for k in {1, n - 1}:
+                for p in outside:
+                    assert feasible_params(n, k, p) is None, (n, k, p)
+                for p in inside:
+                    assert feasible_params(n, k, p) is not None, (n, k, p)
+
+    @given(st.data())
+    def test_witness_satisfies_both_systems_exactly(self, data):
+        # an oracle independent of the closed-form windows: the paper's two
+        # systems, in exact rational arithmetic at P and its conjugate P/(P-1)
+        n = data.draw(st.integers(2, 40))
+        k = data.draw(st.integers(1, n - 1))
+        low, high = admissible_p_range(n)
+        p = data.draw(st.floats(low + 1e-9, high - 1e-9))
+        w = feasible_params(n, k, p)
+        P = Fraction(p)
+        s = Fraction(w.s)
+        for e in (P, P / (P - 1)):
+            assert -1 < s * e < 0
+            for j in range(k + 1, n + 1):
+                assert -2 < Fraction(w.t[j]) * e + (j - 1) <= 0
 
 
 class TestAdmissibleRange:
@@ -237,7 +259,7 @@ class TestVerifier:
     def test_report_json_schema(self):
         witness = feasible_params(2, 1, 2.0)
         report = schur_verify(2, 1, 2.0, witness, CFG, samples=50)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_json_dict()))
         assert set(data) >= {"p", "q", "witness", "ratios_summary", "samples"}
         assert set(data["ratios_summary"]) >= {"max", "mean"}
         assert data["witness"]["t"]["2"] == -1.0

@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,12 +164,12 @@ class TestPullbackIsometry:
         # 3 box proposals all miss affine4: the estimate would be 0 +- 0
         spec = builtin_example("affine4")
         with pytest.raises(ValueError, match=r"accepted none of its 3 proposals.*--samples"):
-            pullback_isometry_check(spec, lambda pts: pts[..., 3], CFG.with_(mc_samples=3))
+            pullback_isometry_check(spec, lambda pts: pts[..., 3], replace(CFG, mc_samples=3))
 
     def test_json_report(self):
         spec = HartogsDomainSpec.standard(2, 1)
         report = pullback_isometry_check(spec, lambda pts: pts[..., 0],
-                                         CFG.with_(mc_samples=20_000))
+                                         replace(CFG, mc_samples=20_000))
         data = report.to_json_dict()
         assert set(data) == {"source", "target", "sigma_distance"}
 
@@ -223,6 +224,31 @@ class TestStagedBoxRejection:
             got = (rep.source_value, rep.source_stderr, rep.target_value, rep.target_stderr)
             assert got == _unfiltered_pullback(spec, f, cfg)
 
+
+    @pytest.mark.parametrize("name", ["affine4", "rational3"])
+    def test_contains_alone_maps_the_candidates(self, name, monkeypatch):
+        # per chunk, every block is mapped once by `contains` on each side and
+        # once more by the source integrand; the pre-test maps none
+        spec = builtin_example(name)
+        calls = []
+        value = MapFamily.value
+
+        def counted(fam, z):
+            calls.append(fam)
+            return value(fam, z)
+        monkeypatch.setattr(MapFamily, "value", counted)
+        cfg = NumericConfig(seed=3, mc_samples=3 * 4096, chunk_size=4096, workers=1)
+        pullback_isometry_check(spec, lambda pts: pts[..., 0] + 1, cfg)
+        assert len(calls) == 3 * 3 * len(spec.blocks)
+
+    def test_pinned_estimates(self):
+        cfg = NumericConfig(seed=7, mc_samples=300_000)
+        rep = pullback_isometry_check(builtin_example("rational3"),
+                                      lambda pts: pts[..., 0] + 1, cfg)
+        assert (rep.source_value, rep.source_stderr) == (0.4191311318896981,
+                                                         0.00440032515061663)
+        assert (rep.target_value, rep.target_stderr) == (0.41584245691365507,
+                                                         0.0020177317148936083)
 
     @pytest.mark.parametrize("name", ["affine4", "rational3"])
     def test_stage_1_drops_most_source_proposals(self, name):
