@@ -6,10 +6,8 @@ digits and every stochastic run is seeded, so identical invocations produce
 byte-identical output. Exit codes: 0 success, 1 numerical non-convergence,
 2 invalid arguments.
 
-The weighted integrals live in `estimates`, which loads scipy.special. It is
-imported only where they are evaluated (the moments and estimates handlers,
-and `schur_verify`), so `import hartogs.cli` and the other subcommands run
-without scipy.
+The package needs numpy alone, so every subcommand starts from the same
+import floor (the interpreter, numpy and the package).
 """
 
 from __future__ import annotations
@@ -26,23 +24,13 @@ from . import mc
 from .config import NumericConfig
 from .counterexample import blowup_demo, blowup_eval, projected_blowup
 from .domains import HartogsDomainSpec, MapFamily, product_model_contains
+from .estimates import asymptotic_ratio_check, sphere_moment, sphere_moment_mc
 from .kernels import (kernel_ball, kernel_hartogs, kernel_product,
                       kernel_punctured_disk, kernel_truncated,
                       mc_bergman_projection, monomial_norm_sq_ball)
 from .schur import SchurWitness, admissible_p_range, feasible_params, schur_verify
 from .special import NonConvergenceError, monomial
 from .transfer import jacobian_bounds, pullback_isometry_check, transfer_norm_bound
-
-# Names re-exported from `estimates`, resolved on first access (PEP 562) so
-# that importing this module does not load scipy.
-_FROM_ESTIMATES = ("asymptotic_ratio_check", "sphere_moment", "sphere_moment_mc")
-
-
-def __getattr__(name: str):
-    if name in _FROM_ESTIMATES:
-        from . import estimates
-        return getattr(estimates, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _g12(x: float) -> str:
@@ -183,8 +171,6 @@ def cmd_kernel(args) -> str:
 
 
 def cmd_moments(args) -> str:
-    from .estimates import sphere_moment, sphere_moment_mc
-
     nu = _parse_ints(args.nu)
     cfg = NumericConfig(seed=args.seed, mc_samples=args.mc_samples, workers=args.workers)
     formula = sphere_moment(args.k, nu)
@@ -203,8 +189,6 @@ def cmd_moments(args) -> str:
 
 
 def cmd_estimates(args) -> str:
-    from .estimates import asymptotic_ratio_check
-
     for option, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not math.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value}")

@@ -14,15 +14,19 @@ depend on r = |w| only and are Gauss hypergeometric functions of r^2
       = B(alpha+1, beta/2+1) 2F1(1, beta/2+1; alpha+beta/2+2; r^2)
 
 The closed forms (`weighted_ball_integral`, `weighted_disk_integral`) are
-the default evaluators; they take an array of radii in one call. The
+the default evaluators; they take an array of radii in one call. Their 2F1s
+come from `special.hyp2f1`, which continues F along the hypergeometric
+equation toward r = 1 with numpy alone; c - a - b = alpha in both families,
+and the same path serves integer, near-integer and non-integer alpha. The
 positive-term series of the same 2F1s (`*_series`) is the reference route,
 with a stopping rule that bounds the geometric tail; the CLI selects it with
 `estimates --tol/--max-terms`. For -1 < alpha < 0 both integrals stay
 comparable to (1-r^2)^alpha up to constants; `asymptotic_ratio_check`
 measures the constants on a grid. The disk integral also has an exact
 one-dimensional radial form (angular average of the kernel is
-1/(1 - r^2 rho^2)), evaluated by a fixed Gauss-Jacobi rule as an
-independent route and as the truncated evaluator for divergent exponents.
+1/(1 - r^2 rho^2)), evaluated by fixed Gauss-Jacobi rules
+(`special.gauss_jacobi`) as an independent route and as the truncated
+evaluator for divergent exponents.
 
 The Monte-Carlo estimators draw the squared radius rho = |eta|^2 from the
 Kumaraswamy(a, b) law, whose inverse CDF (1 - (1-u)^(1/b))^(1/a) is closed
@@ -59,14 +63,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# Loaded with the module, not inside the evaluators: deferred, its ~0.26 s
-# import would land in the first integral call of every process. The CLI
-# keeps its scipy-free start by importing this module only where needed.
-from scipy.special import hyp2f1, roots_jacobi, roots_legendre
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import NonConvergenceError, int_power, log_beta, log_factorial, log_gamma
+from .special import (HYP2F1_MAX_C, NonConvergenceError, gauss_jacobi, hyp2f1, int_power,
+                      log_beta, log_factorial, log_gamma)
 
 MultiIndex = Sequence[int]
 
@@ -170,12 +171,12 @@ def _like(r, values: np.ndarray):
     return float(values) if np.ndim(r) == 0 else values
 
 
-# Largest ball dimension whose closed form is used. scipy's hyp2f1 was
-# checked against 30-digit mpmath (at the same double x = r^2) for every
-# k <= 40, alpha in [-0.99, 30] and r in [0, 1 - 1e-6]: the relative error
-# is at most 5.3e-12 up to k = 18 and exceeds 1e-11 from k = 19 on, growing
-# to 1.3e-5 at k = 40 (near r = 0.95 for alpha >= 1), 6.5e-3 at k = 120 and
-# NaN at k = 400 (both near r = 0.999, alpha = -0.5).
+# Largest ball dimension whose closed form is used. Up to k = 18 the closed
+# form meets 1e-12 against 40-digit mpmath on [0, 1 - 1e-6] for every alpha
+# in (-1, 30] (tests/test_estimates.py). `hyp2f1` alone stays within 2.3e-15
+# of 30-digit mpmath at k = 40 and 100 too (alpha from -0.99 to 30, x = r^2
+# up to 1 - 2^-39), so the cap could rise; larger k keep the series route,
+# with its overflow and term-cap reports, until a change moves it.
 _BALL_CLOSED_FORM_MAX_K = 18
 
 
@@ -190,12 +191,17 @@ def _finite(values: np.ndarray, radii: np.ndarray, family: str, **params) -> np.
                      f"is not finite (got {values[bad].flat[0]})")
 
 
+def _series_at(series, radii: np.ndarray) -> np.ndarray:
+    """The series route at every radius, in the shape of radii."""
+    return np.array([series(x) for x in radii.flat]).reshape(radii.shape)
+
+
 def weighted_ball_integral(k: int, alpha: float, r):
     """Weighted ball integral at radii r in [0, 1), in closed form:
     k! G(alpha+1)/G(k+alpha+1) 2F1((k+1)/2, (k+1)/2; k+alpha+1; r^2).
 
-    Above k = 18 scipy's 2F1 loses digits (NaN by k = 400), so each radius
-    goes to `weighted_ball_integral_series` instead, which raises
+    Above k = 18, and where k+alpha+1 exceeds the reach of `hyp2f1`, each
+    radius goes to `weighted_ball_integral_series` instead, which raises
     NonConvergenceError where its term cap is hit (r beyond about 0.99998)
     and ValueError where its partial sums overflow float64 (k in the
     thousands near r = 1).
@@ -204,11 +210,11 @@ def weighted_ball_integral(k: int, alpha: float, r):
     """
     half, scale = _ball_params(k, alpha)
     radii = _radii(r)
-    if k > _BALL_CLOSED_FORM_MAX_K:
-        values = np.array([weighted_ball_integral_series(k, alpha, x) for x in radii.flat])
-        values = values.reshape(radii.shape)
+    c = k + alpha + 1.0
+    if k > _BALL_CLOSED_FORM_MAX_K or c > HYP2F1_MAX_C:
+        values = _series_at(functools.partial(weighted_ball_integral_series, k, alpha), radii)
     else:
-        values = _finite(scale * hyp2f1(half, half, k + alpha + 1.0, radii * radii),
+        values = _finite(scale * hyp2f1(half, half, c, radii * radii),
                          radii, "ball", k=k, alpha=alpha)
     return _like(r, values)
 
@@ -217,13 +223,21 @@ def weighted_disk_integral(alpha: float, beta: float, r):
     """Weighted disk integral at radii r in [0, 1), in closed form:
     B(alpha+1, beta/2+1) 2F1(1, beta/2+1; alpha+beta/2+2; r^2).
 
+    Where alpha+beta/2+2 exceeds the reach of `hyp2f1`, each radius goes to
+    `weighted_disk_integral_series` instead (NonConvergenceError where its
+    term cap is hit).
     Scalar r gives a float, an array of radii an array of the same shape
     whose entries equal the scalar calls bit for bit.
     """
     b, scale = _disk_params(alpha, beta)
     radii = _radii(r)
-    return _like(r, _finite(scale * hyp2f1(1.0, b, alpha + b + 1.0, radii * radii),
-                            radii, "disk", alpha=alpha, beta=beta))
+    c = alpha + b + 1.0
+    if c > HYP2F1_MAX_C:
+        values = _series_at(functools.partial(weighted_disk_integral_series, alpha, beta), radii)
+    else:
+        values = _finite(scale * hyp2f1(1.0, b, c, radii * radii),
+                         radii, "disk", alpha=alpha, beta=beta)
+    return _like(r, values)
 
 
 _SERIES_BLOCK = 1024
@@ -484,7 +498,7 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
     span = 1.0 - a
 
     # [a, 1]: s = 1 - span (1-y)/2, so (1-s)^alpha ds = (span/2)^(alpha+1) (1-y)^alpha dy
-    y, wy = roots_jacobi(_QUAD_NODES, alpha, 0.0)
+    y, wy = gauss_jacobi(_QUAD_NODES, alpha, 0.0)
     s = 1.0 - 0.5 * span * (1.0 - y)
     g_pole = np.where(x >= 0.5, np.maximum(x, 0.5) ** -h, 0.0)
     xs = x[:, None]
@@ -496,14 +510,14 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
 
     if low < a:
         if low > 0.0:
-            u, wu = roots_legendre(_QUAD_NODES)
+            u, wu = gauss_jacobi(_QUAD_NODES, 0.0, 0.0)
             log_lo, log_hi = math.log(low), math.log(a)
             s = np.exp(log_lo + 0.5 * (log_hi - log_lo) * (u + 1.0))
             f = (1.0 - s) ** alpha * s ** (h + 1.0) / (1.0 - xs * s)
             total = total + 0.5 * (log_hi - log_lo) * (wu * f).sum(axis=-1)
         else:
             # s = a (1+y)/2, so s^h ds = (a/2)^(h+1) (1+y)^h dy
-            y, wy = roots_jacobi(_QUAD_NODES, 0.0, h)
+            y, wy = gauss_jacobi(_QUAD_NODES, 0.0, h)
             s = 0.5 * a * (1.0 + y)
             f = (1.0 - s) ** alpha / (1.0 - xs * s)
             total = total + (0.5 * a) ** (h + 1.0) * (wy * f).sum(axis=-1)
@@ -527,10 +541,6 @@ class RatioReport:
     @property
     def ratio(self) -> np.ndarray:
         return self.value / self.envelope
-
-    @property
-    def min_ratio(self) -> float:
-        return float(self.ratio.min())
 
     @property
     def max_ratio(self) -> float:

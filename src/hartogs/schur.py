@@ -26,6 +26,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, NumericConfig
 from .domains import HartogsDomainSpec, sample_product_model
+from .estimates import (weighted_ball_integral, weighted_disk_integral,
+                        weighted_disk_integral_quad)
 
 
 @dataclass(frozen=True)
@@ -162,10 +164,6 @@ def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: 
                       points: np.ndarray, puncture_margin: float,
                       notes: list[str]) -> np.ndarray:
     """Factored estimate of one Schur condition, divided by h^exponent."""
-    # imported here so that the windows and the p-range come without scipy
-    from .estimates import (weighted_ball_integral, weighted_disk_integral,
-                            weighted_disk_integral_quad)
-
     e = exponent
     alpha = witness.s * e
     n, k = spec.n, spec.k

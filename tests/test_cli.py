@@ -507,6 +507,9 @@ class TestExtremeValues:
           "--r-min", "0.1", "--grid-points", "3"], "log-Gamma overflows at x = 5e+307"),
         (["schur-verify", "--n", "2", "--k", "1", "--p", "1.5", "--witness-s", "0.1",
           "--witness-t", "1e308", "--samples", "3"], "beta must exceed -2 and be finite"),
+        (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--witness-s", "3000",
+          "--witness-t=-2", "--samples", "3"],
+         "Gauss-Jacobi weights overflow float64 at alpha=6000.0, beta=0.0"),
         (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--boundary-margin", "1.5"],
          "--boundary-margin"),
         (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--puncture-margin=-1"],
@@ -640,18 +643,26 @@ def quiet(argv):
 
 
 class TestImportBudget:
-    """The CLI loads scipy only for the subcommands that evaluate integrals."""
+    """No subcommand loads scipy: the package needs numpy alone."""
 
     def test_cli_import_loads_no_scipy(self):
         code = f"import json, sys, hartogs.cli; print(json.dumps({_SCIPY_MODULES}))"
         assert _fresh_interpreter(code) == []
 
-    def test_scipy_free_subcommands_leave_scipy_out(self):
+    def test_all_subcommands_leave_scipy_out(self):
         commands = [
             ["--help"],
             ["kernel", "--model", "hartogs", "--n", "2", "--k", "1",
              "--w", "0,0.5", "--eta", "0,0.5"],
+            ["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "2000"],
+            ["estimates", "--which", "ball", "--k", "2", "--alpha=-0.5",
+             "--grid-points", "3", "--r-max", "0.9999"],
+            ["estimates", "--which", "disk", "--alpha=-0.5", "--beta=-1",
+             "--r-min", "0.1", "--grid-points", "3"],
             ["schur-range", "--n", "3"],
+            ["schur-verify", "--n", "3", "--k", "1", "--p", "2.0", "--samples", "20"],
+            ["schur-verify", "--n", "2", "--k", "1", "--p", "2.0", "--witness-s=-0.25",
+             "--witness-t=-2", "--samples", "20"],
             ["blowup", "--n", "2", "--p", "1.3", "--m-max", "5"],
             ["transfer", "--example", "affine4", "--p", "3", "--samples", "2000",
              "--isometry-monomial", "0,0,0,1"],
@@ -670,32 +681,21 @@ class TestImportBudget:
 est = quiet(["estimates", "--which", "ball", "--k", "2", "--alpha", "-0.5",
              "--grid-points", "3", "--r-max", "0.9"])
 ver = quiet(["schur-verify", "--n", "2", "--k", "1", "--p", "2.0", "--samples", "20"])
-print(json.dumps([est, ver, "hartogs.estimates" in sys.modules]))
+print(json.dumps([est, ver]))
 """
-        (est_code, est_out), (ver_code, ver_out), loaded = _fresh_interpreter(code)
+        (est_code, est_out), (ver_code, ver_out) = _fresh_interpreter(code)
         assert est_code == ver_code == 0
         assert est_out.splitlines()[0] == "r,value,envelope,ratio"
         assert len(est_out.splitlines()) == 4
         assert json.loads(ver_out)["feasible"] is True
-        assert loaded
 
-    def test_deferred_names_are_the_home_objects(self):
-        code = """
-import json, sys
-import hartogs.cli as cli
-before = "hartogs.estimates" in sys.modules
-homes = {"sphere_moment": "estimates", "sphere_moment_mc": "estimates",
-         "asymptotic_ratio_check": "estimates", "schur_verify": "schur",
-         "feasible_params": "schur", "admissible_p_range": "schur", "SchurWitness": "schur"}
-got = {name: getattr(cli, name) for name in homes}  # first access loads estimates
-same = {name: got[name] is getattr(sys.modules["hartogs." + home], name)
-        for name, home in homes.items()}
-print(json.dumps([before, same, hasattr(cli, "no_such_name")]))
-"""
-        before, same, missing_resolves = _fresh_interpreter(code)
-        assert before is False
-        assert all(same.values()), same
-        assert missing_resolves is False
+    def test_reexported_names_are_the_home_objects(self):
+        from hartogs import cli, estimates, schur
+        for name in ("sphere_moment", "sphere_moment_mc", "asymptotic_ratio_check"):
+            assert getattr(cli, name) is getattr(estimates, name)
+        for name in ("schur_verify", "feasible_params", "admissible_p_range", "SchurWitness"):
+            assert getattr(cli, name) is getattr(schur, name)
+        assert not hasattr(cli, "no_such_name")
 
     def test_non_convergence_error_is_one_class(self):
         from hartogs import estimates, special

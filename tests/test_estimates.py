@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from hartogs import estimates, mc, sampling, special
@@ -284,15 +286,15 @@ class TestRatioReports:
     def test_ball_ratio_two_sided(self):
         grid = np.linspace(0.0, 0.999, 120)
         report = asymptotic_ratio_check("ball", {"k": 1, "alpha": -0.5}, grid)
-        assert report.min_ratio > 0
-        assert report.max_ratio / report.min_ratio < 50
+        assert report.ratio.min() > 0
+        assert report.max_ratio / report.ratio.min() < 50
         assert np.all(np.isfinite(report.ratio))
 
     def test_ball_ratio_alpha_range(self):
         grid = np.linspace(0.0, 0.999, 80)
         for alpha in (-0.1, -0.9):
             report = asymptotic_ratio_check("ball", {"k": 2, "alpha": alpha}, grid)
-            assert report.max_ratio / report.min_ratio < 50
+            assert report.max_ratio / report.ratio.min() < 50
 
     def test_disk_refined_envelope_bounded(self):
         grid = np.linspace(0.001, 0.999, 120)
@@ -464,6 +466,9 @@ ALPHA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.5, 3.0)   # alpha = 0: c-a-b = 0, 
 BETA_GRID = (-1.99, -1.5, -1.0, 0.0, 0.5, 2.0, 4.0)
 RADII_TIGHT = (0.0, 0.3, 0.7, 0.9, 0.99, 0.999, 0.9999)
 RADII_EDGE = (1.0 - 1e-5, 1.0 - 1e-6)   # rounding x = r^2 costs digits here
+# c - a - b = alpha within 1e-4 of an integer, where scipy's 2F1 (connection
+# formula) missed 1e-12, by 1.7e-4 at k = 18, alpha = -1e-6, r = 0.999999
+NEAR_INTEGER_ALPHAS = (-1e-6, 1e-6, -1e-4, 3.0 + 1e-7)
 
 
 def _mp(dps=40):
@@ -546,6 +551,57 @@ class TestClosedForms:
                         err = _rel(g, _ball_ref(mpmath, k, alpha, r))
                         assert err <= tol, (k, alpha, r, err)
 
+    @pytest.mark.parametrize("alpha", NEAR_INTEGER_ALPHAS)
+    def test_ball_near_integer_alpha_matches_mpmath(self, alpha):
+        mpmath = _mp()
+        for k in K_GRID + (18,):
+            for radii, tol in ((RADII_TIGHT, 1e-12), (RADII_EDGE, 1e-10)):
+                got = weighted_ball_integral(k, alpha, np.array(radii))
+                for r, g in zip(radii, got):
+                    err = _rel(g, _ball_ref(mpmath, k, alpha, r))
+                    assert err <= tol, (k, r, err)
+
+    @pytest.mark.parametrize("alpha", NEAR_INTEGER_ALPHAS)
+    def test_disk_near_integer_alpha_matches_mpmath(self, alpha):
+        mpmath = _mp()
+        for beta in BETA_GRID:
+            for radii, tol in ((RADII_TIGHT, 1e-12), (RADII_EDGE, 1e-10)):
+                got = weighted_disk_integral(alpha, beta, np.array(radii))
+                for r, g in zip(radii, got):
+                    err = _rel(g, _disk_ref(mpmath, alpha, beta, r))
+                    assert err <= tol, (beta, r, err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 18),
+           alpha=st.floats(-1.0, 30.0, exclude_min=True),
+           r=st.floats(0.0, 1.0 - 1e-6))
+    def test_ball_sweep_matches_mpmath(self, k, alpha, r):
+        err = _rel(weighted_ball_integral(k, alpha, r), _ball_ref(_mp(), k, alpha, r))
+        assert err <= (1e-12 if r <= 0.9999 else 1e-10), err
+
+    # c = alpha + beta/2 + 2 = 132.5: half steps lose every digit by x = 0.75
+    # here, so the bands about x = 1/2 must be shorter (`special._step`)
+    @pytest.mark.parametrize("alpha", [-0.5, 30.0])
+    def test_disk_with_large_c_matches_mpmath(self, alpha):
+        mpmath = _mp()
+        for radii, tol in ((RADII_TIGHT, 1e-12), (RADII_EDGE, 1e-10)):
+            got = weighted_disk_integral(alpha, 201.0, np.array(radii))
+            for r, g in zip(radii, got):
+                assert _rel(g, _disk_ref(mpmath, alpha, 201.0, r)) <= tol, r
+
+    def test_past_the_reach_of_the_continuation_takes_the_series(self):
+        # c = alpha + beta/2 + 2 and k + alpha + 1 exceed special.HYP2F1_MAX_C
+        mpmath = _mp()
+        radii = np.array([0.0, 0.5, 0.99])
+        disk = weighted_disk_integral(-0.5, 1e4, radii)
+        ball = weighted_ball_integral(2, 5000.0, radii)
+        for r, d, b in zip(radii, disk, ball):
+            assert _rel(d, _disk_ref(mpmath, -0.5, 1e4, r)) <= 1e-11, r
+            assert _rel(b, _ball_ref(mpmath, 2, 5000.0, r)) <= 1e-11, r
+        assert disk.tolist() == [weighted_disk_integral_series(-0.5, 1e4, r) for r in radii]
+        with pytest.raises(ValueError, match="c <= 4096"):
+            special.hyp2f1(1.0, 1.0, 5000.0, 0.5)
+
     # scipy's 2F1 at r = 0.999 was off by 2e-12, 5e-5, 6.5e-3 and NaN here
     LARGE_K_CASES = ((40, -0.9), (100, -0.9), (120, -0.5), (400, -0.5))
 
@@ -559,6 +615,7 @@ class TestClosedForms:
         assert got.tolist() == [weighted_ball_integral(k, alpha, r) for r in radii]
 
     def test_non_finite_closed_form_raises(self, monkeypatch):
+        assert estimates.hyp2f1 is special.hyp2f1
         monkeypatch.setattr(estimates, "hyp2f1",
                             lambda *args: np.full(np.shape(args[-1]), np.nan))
         with pytest.raises(ValueError, match=r"closed-form ball integral at k=2, "
@@ -680,6 +737,47 @@ class TestSeriesReferenceRoute:
             for r in (0.0, 0.5):
                 with pytest.raises(ValueError, match="series"):
                     series(r, **limits)
+
+
+class TestHyp2f1:
+    # (a, b, c - a - b): the first two sum one series for every x, the last
+    # two continue it in short bands (|c - a - b| or |c - 1| sets the step)
+    @pytest.mark.parametrize("a, b, alpha", [(1.0, 1.0, 100.0), (9.5, 9.5, 60.0),
+                                             (1.0, 1000.0, 100.0), (1.0, 3000.0, -0.5)])
+    def test_large_parameters_match_the_positive_series(self, a, b, alpha):
+        mpmath = _mp(30)
+        c = a + b + alpha
+        xs = (0.3, 0.9, 0.99)
+        got = special.hyp2f1(a, b, c, np.array(xs))
+        for x, g in zip(xs, got):
+            term = total = mpmath.mpf(1)
+            m = 0
+            while term > total * mpmath.mpf(10) ** -25:
+                term *= (m + a) * (m + b) / ((m + 1) * (m + c)) * mpmath.mpf(x)
+                total += term
+                m += 1
+            assert _rel(g, total) <= 1e-13, x
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("alpha, beta", [(-0.99, 0.0), (0.0, -0.995), (0.0, 20.0),
+                                             (0.0, 0.0)])
+    def test_exact_through_degree_127(self, alpha, beta):
+        # monomials t^d in t = (1+y)/2: int t^d (1-y)^alpha (1+y)^beta dy is
+        # 2^(alpha+beta+1) B(d+beta+1, alpha+1), a sum of positive terms
+        mpmath = _mp(30)
+        y, w = special.gauss_jacobi(64, alpha, beta)
+        assert np.all(np.diff(y) > 0) and -1.0 < y[0] and y[-1] < 1.0 and np.all(w > 0)
+        t = 0.5 * (1.0 + y)
+        for d in range(128):
+            want = 2 ** mpmath.mpf(alpha + beta + 1) * mpmath.beta(d + beta + 1, alpha + 1)
+            assert _rel(float(np.sum(w * t ** d)), want) <= 1e-13, d
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="exceed -1"):
+            special.gauss_jacobi(64, -1.0, 0.0)
+        with pytest.raises(ValueError, match="n >= 1"):
+            special.gauss_jacobi(0, 0.0, 0.0)
 
 
 class TestQuadratureRule:
