@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -260,8 +261,8 @@ def _taylor_band(a: float, b: float, c: float, x: float, y: float,
     return g
 
 
-def _value_and_slope(poly: list[float], s: float) -> tuple[float, float]:
-    """sum_j g_j s^j and its derivative in s, by Horner."""
+def _value_and_slope(poly: list[float], s):
+    """sum_j g_j s^j and its derivative in s, by Horner (s a float or an array)."""
     value = slope = 0.0
     for coef in reversed(poly):
         slope = slope * s + value
@@ -271,7 +272,7 @@ def _value_and_slope(poly: list[float], s: float) -> tuple[float, float]:
 
 # --- Gauss-Jacobi rules ----------------------------------------------------------
 
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @functools.lru_cache(maxsize=32)
@@ -369,10 +370,6 @@ def _jacobi_series(n: int, alpha: float, beta: float, u: np.ndarray
     for m in range(n):
         coefs.append(coefs[-1] * (m - n) * (n + alpha + beta + 1.0 + m)
                      / ((beta + 1.0 + m) * (m + 1.0)))
-    t = 0.5 * u
-    value, slope = np.zeros_like(t), np.zeros_like(t)
-    for coef in reversed(coefs):
-        slope = slope * t + value
-        value = value * t + coef
+    value, slope = _value_and_slope(coefs, 0.5 * u)
     front = (-1) ** n * math.prod((j + beta) / j for j in range(1, n + 1))  # binomial(n+beta, n)
     return front * value, 0.5 * front * slope

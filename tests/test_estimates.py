@@ -579,8 +579,10 @@ class TestClosedForms:
         err = _rel(weighted_ball_integral(k, alpha, r), _ball_ref(_mp(), k, alpha, r))
         assert err <= (1e-12 if r <= 0.9999 else 1e-10), err
 
-    # c = alpha + beta/2 + 2 = 132.5: half steps lose every digit by x = 0.75
-    # here, so the bands about x = 1/2 must be shorter (`special._step`)
+    # c = alpha + beta/2 + 2 up to 132.5: half steps lose digits here (5e-5 at
+    # alpha = -0.5, all of them at alpha = 30 by x = 0.75), so the bands
+    # about x = 1/2 must be shorter (`special._step`), or at alpha = 30 the
+    # series at 0 must serve every x
     @pytest.mark.parametrize("alpha", [-0.5, 30.0])
     def test_disk_with_large_c_matches_mpmath(self, alpha):
         mpmath = _mp()
