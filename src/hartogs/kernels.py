@@ -8,6 +8,9 @@ factor has measure 1):
     product model:   product of the factor kernels
     Hartogs domain:  product kernel divided by the quotient-chart Jacobians
 
+A truncated expansion is one coefficient of the generating function of its
+degree parts, taken by running scans with no degree axis (`kernel_truncated`).
+
 Integer powers go through `special.int_power` (repeated multiplication, never
 the complex logarithm), so there is no branch ambiguity.
 
@@ -161,58 +164,53 @@ def monomial_norm_sq_ball(k: int, nu: Sequence[int]) -> float:
                     - log_factorial(total + k))
 
 
-def _degree_parts_disk(N: int, w, eta) -> np.ndarray:
-    """parts[m] = (m+1) (w conj(eta))^m, the degree-m slice of the disk kernel."""
-    x = np.conj(np.asarray(eta, dtype=complex)) * np.asarray(w, dtype=complex)
-    m = np.arange(N + 1)
-    return (m + 1) * x[..., None] ** m
-
-
-def _degree_parts_ball(k: int, N: int, w, eta) -> np.ndarray:
-    """parts[m] = C(m+k, k) <w, eta>^m, the degree-m slice of the ball kernel."""
-    w = np.asarray(w, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    ip = np.einsum("...j->...", np.conj(eta) * w)
-    m = np.arange(N + 1)
-    coeff = np.array([math.comb(mm + k, k) for mm in range(N + 1)], dtype=float)
-    return coeff * ip[..., None] ** m
+# Largest truncation degree: the scans' time grows with N, their memory does not.
+TRUNCATED_MAX_N = 100_000
 
 
 def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
-    """Orthonormal-basis kernel truncated at total degree N.
+    """Orthonormal-basis kernel truncated at total degree N <= TRUNCATED_MAX_N.
 
     `model` is "disk", ("ball", k) or ("product", spec). For the product the
-    truncation is by total degree across all factors (the factor degree parts
-    are convolved).
+    truncation is by total degree across all factors. A ball factor's degree-m
+    part is C(m+k, k) x^m with x = <w, eta> (a chain disk is the ball with
+    k = 1), so the truncation is the coefficient of t^N in
+    (1 - t)^-1 prod_j (1 - x_j t)^-(k_j+1).
     """
-    if N < 0:
-        raise ValueError("truncation degree must be >= 0")
+    if not 0 <= N <= TRUNCATED_MAX_N:
+        raise ValueError(f"truncation degree must lie in [0, {TRUNCATED_MAX_N}], got {N}")
     if model == "disk":
-        parts = _degree_parts_disk(N, w, eta)
+        blocks, w, eta = [(1, slice(None))], np.asarray(w)[..., None], np.asarray(eta)[..., None]
     elif isinstance(model, tuple) and model[0] == "ball":
-        parts = _degree_parts_ball(int(model[1]), N, np.asarray(w), np.asarray(eta))
+        blocks = [(int(model[1]), slice(None))]
     elif isinstance(model, tuple) and model[0] == "product":
         spec: HartogsDomainSpec = model[1]
-        w = np.asarray(w, dtype=complex)
-        eta = np.asarray(eta, dtype=complex)
-        factor_parts = [
-            _degree_parts_ball(kj, N, w[..., sl], eta[..., sl])
-            for (kj, _), sl in zip(spec.blocks, spec.slices)
-        ] + [
-            _degree_parts_disk(N, w[..., j], eta[..., j])
-            for j in range(spec.k, spec.n)
-        ]
-        parts = factor_parts[0]
-        for nxt in factor_parts[1:]:
-            acc = np.zeros_like(parts)
-            for m in range(N + 1):
-                # degree-m slice of the product, truncated at total degree N
-                acc[..., m] = np.sum(parts[..., :m + 1] * nxt[..., m::-1], axis=-1)
-            parts = acc
+        blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
+        blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
     else:
         raise ValueError(f"unknown truncated-kernel model {model!r}")
-    val = parts.sum(axis=-1)
-    return complex(val) if val.ndim == 0 else val
+    return _generating_coefficient(blocks, N, w, eta)
+
+
+@_pair_as_row(1)
+def _generating_coefficient(blocks, N: int, w, eta) -> np.ndarray:
+    """[t^N] of (1 - t)^-1 prod_j (1 - x_j t)^-(k_j+1), x_j = <w, eta> on the
+    columns of block (k_j, columns). Each factor 1/(1 - x t) is a scan of the
+    coefficients y of the product before it, y_r[s] = y_(r-1)[s] + x y_r[s-1]
+    with y_0 = 1; the scans advance together one degree at a time, each
+    keeping only its last coefficient, so no array has a degree axis."""
+    xs = [x for k, sl in blocks
+          for x in [np.einsum("...j->...", np.conj(eta[..., sl]) * w[..., sl])] * (k + 1)]
+    states = [np.ones(xs[0].shape, dtype=complex) for _ in xs]
+    # numpy rounds `state *= x` on one element unlike its array loop: use a scratch array
+    product = np.empty_like(states[0])
+    for _ in range(N):
+        below = 1.0
+        for x, state in zip(xs, states):
+            np.multiply(state, x, out=product)
+            np.add(product, below, out=state)
+            below = state
+    return states[-1]
 
 
 # --- Monte-Carlo Bergman projection -------------------------------------

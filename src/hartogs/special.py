@@ -2,10 +2,11 @@
 function, Gauss-Jacobi rules and the series non-convergence error.
 
 Every radial integral in the library reduces to Beta-function values; all of
-them are computed as exp(lnG(a) + lnG(b) - lnG(a+b)) so large arguments never
-overflow. The log-Gamma carries a |relative error| < 1e-13 contract on the
-positive axis (checked in the test suite against Gamma(1/2) = sqrt(pi) and the
-recurrence Gamma(x+1) = x*Gamma(x)).
+them are computed as exp(ln B(a, b)) so large arguments never overflow, and
+`log_beta` takes lnG(b) - lnG(a+b) for a large b from Stirling series, so the
+two large log-Gammas do not cancel. The log-Gamma carries a |relative error|
+< 1e-13 contract on the positive axis (checked in the test suite against
+Gamma(1/2) = sqrt(pi) and the recurrence Gamma(x+1) = x*Gamma(x)).
 
 `int_power` is the one integer-power routine of the library: kernels,
 Jacobians and per-sample Monte-Carlo observables raise to integer exponents by
@@ -49,8 +50,40 @@ def log_gamma(x: float) -> float:
         raise ValueError(f"log-Gamma overflows at x = {x}") from None
 
 
+# From this larger argument b on, log_beta takes lnG(b) - lnG(a+b) from
+# Stirling series; the first term they leave out is below 1e-15 there.
+_STIRLING_MIN = 8.0
+# B_2j / (2j (2j-1)), j = 1..7: the Stirling series lnG(z) = (z-1/2) ln z - z
+# + ln(2 pi)/2 + sum_j _STIRLING[j-1] z^(1-2j).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
 def log_beta(a: float, b: float) -> float:
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    """ln B(a, b) = lnG(a) + lnG(b) - lnG(a+b) for finite a, b > 0.
+
+    For a large argument b the two log-Gammas grow like b ln b while their
+    difference is about a ln b, so subtracting them loses digits (B(0.5, b)
+    by 9e-10 at b = 1e6). From _STIRLING_MIN on, that difference comes from
+    the difference of Stirling series, written with log1p:
+
+        lnG(b) - lnG(b+a) = -a ln b - [(b+a-1/2) log1p(a/b) - a] + S(b) - S(b+a).
+    """
+    log_a, log_b = log_gamma(a), log_gamma(b)  # the argument checks and overflow errors
+    if max(a, b) < _STIRLING_MIN:
+        return log_a + log_b - log_gamma(a + b)
+    if a > b:
+        a, b, log_a = b, a, log_b
+    return (log_a - a * math.log(b) - ((b + a - 0.5) * math.log1p(a / b) - a)
+            + (_stirling_tail(b) - _stirling_tail(b + a)))
+
+
+def _stirling_tail(z: float) -> float:
+    """sum_j _STIRLING[j-1] z^(1-2j), the series part of lnG(z) past Stirling's terms."""
+    r = 1.0 / z
+    total = 0.0
+    for coef in reversed(_STIRLING):
+        total = total * r * r + coef
+    return total * r
 
 
 def log_factorial(n: int) -> float:
@@ -156,9 +189,13 @@ def hyp2f1(a: float, b: float, c: float, x) -> np.ndarray:
     starts, scales, coefs = _hyp2f1_bands(a, b, c, float(flat.max(initial=0.0)))
     band = np.searchsorted(starts, flat, side="right") - 1
     s = (flat - starts[band]) / scales[band]
+    if flat.size == 1:  # Python floats round as numpy does, without its per-call cost
+        return np.full(x.shape, _value_and_slope(coefs[band[0]].tolist(), float(s[0]))[0])
     out = np.zeros_like(flat)
-    for column in coefs[band].T[::-1]:  # Horner, top coefficient first; top zeros are exact
-        out = out * s + column
+    # Horner over contiguous degree rows, top coefficient first; top zeros are exact
+    for row in coefs.T[::-1][:, band]:
+        out *= s
+        out += row
     return out.reshape(x.shape)
 
 

@@ -134,6 +134,18 @@ class TestEstimatesCommand:
         assert len(lines) == 4
         assert lines[1].startswith("0,")
 
+    def test_disk_with_large_beta_prints_the_mpmath_digits(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        assert run(["estimates", "--which", "disk", "--alpha=-0.5", "--beta", "8000",
+                    "--r-min", "0.998", "--r-max", "0.999", "--grid-points", "2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        with mpmath.workdps(40):
+            b = mpmath.mpf(4001)
+            for r, value, _, _ in rows:
+                x = mpmath.mpf(float(r)) ** 2
+                want = mpmath.beta(0.5, b) * mpmath.hyp2f1(1, b, b + 0.5, x)
+                assert value == f"{float(want):.12g}", r
+
     def test_refined_on_a_grid_with_zero_exits_2(self, capsys):
         assert run(["estimates", "--which", "disk", "--alpha", "-0.5",
                     "--grid-points", "3", "--refined"]) == 2
@@ -525,6 +537,8 @@ class TestExtremeValues:
         (["blowup", "--n", "175", "--k", "1", "--p", "1.0", "--m-max", "2"],
          "n = 175, k = 1: k!/n! is below the smallest normal double"),
         (_tiny_samples_argv(80), "the Monte-Carlo error bar is 0.0 but the estimate"),
+        (["kernel", "--model", "disk", "--w", "0.3", "--eta", "0.3", "--truncated",
+          "1000000000"], "truncation degree must lie in [0, 100000], got 1000000000"),
     ])
     def test_seen_cases_exit_2_with_a_message(self, argv, message, capsys):
         assert run(argv) == 2

@@ -39,6 +39,15 @@ class TestSpecialFunctions:
         assert math.exp(special.log_beta(0.5, 1.0)) == pytest.approx(2.0, rel=1e-13)
         assert special.log_beta(2.5, 3.5) == pytest.approx(special.log_beta(3.5, 2.5), rel=1e-14)
 
+    @pytest.mark.parametrize("a", [1e-3, 0.25, 0.5, 1.0, 1.5, 2.0])
+    def test_beta_matches_mpmath_up_to_large_b(self, a):
+        # lnG(b) - lnG(a+b) for large b must not cancel (parent: 9e-10 at b = 1e6)
+        mpmath = _mp()
+        for b in np.logspace(-2, 7, 46):
+            want = mpmath.beta(a, b)
+            for x, y in ((a, b), (b, a)):
+                assert _rel(math.exp(special.log_beta(float(x), float(y))), want) <= 1e-14, b
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             special.log_gamma(0.0)
@@ -590,6 +599,12 @@ class TestClosedForms:
             got = weighted_disk_integral(alpha, 201.0, np.array(radii))
             for r, g in zip(radii, got):
                 assert _rel(g, _disk_ref(mpmath, alpha, 201.0, r)) <= tol, r
+
+    def test_disk_with_large_beta_keeps_the_beta_factor(self):
+        # B(alpha + 1, 4001) from cancelling log-Gammas was 1.2e-12 off here
+        mpmath = _mp()
+        got = weighted_disk_integral(-0.5, 8000.0, 0.999)
+        assert _rel(got, _disk_ref(mpmath, -0.5, 8000.0, 0.999)) <= 1e-13
 
     def test_past_the_reach_of_the_continuation_takes_the_series(self):
         # c = alpha + beta/2 + 2 and k + alpha + 1 exceed special.HYP2F1_MAX_C

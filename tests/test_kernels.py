@@ -279,6 +279,73 @@ class TestTruncatedKernels:
                     * np.conj(domains.jacobian_det_from_product(2, 1, fzeta))))
         assert np.max(np.abs(trunc - exact) / np.abs(exact)) < 1e-6
 
+    @pytest.mark.parametrize("N", [-1, kernels.TRUNCATED_MAX_N + 1])
+    def test_degree_outside_the_cap_raises(self, N):
+        with pytest.raises(ValueError, match=f"\\[0, {kernels.TRUNCATED_MAX_N}\\], got {N}"):
+            kernels.kernel_truncated("disk", N, 0.4, 0.3)
+
+    @pytest.mark.parametrize("model", ["disk", "ball2", "ball3", "product31", "product52"])
+    def test_matches_mpmath_at_degree_200(self, model):
+        # coordinates up to 0.99, so |x_j| reaches about 0.98
+        mpmath = pytest.importorskip("mpmath")
+        fn, blocks, w, eta = _truncated_case(model, np.random.default_rng(31), 3, 0.99)
+        got = fn(200, w, eta)
+        for row, value in enumerate(got):
+            a, b = np.atleast_1d(w[row]), np.atleast_1d(eta[row])
+            with mpmath.workdps(120):
+                factors = [(mpmath.fsum(mpmath.conj(mpmath.mpc(b[c])) * mpmath.mpc(a[c])
+                                        for c in cols), k) for k, cols in blocks]
+                want = _generating_ref(mpmath, factors, 200)
+            # where the terms cancel no double evaluation keeps relative digits:
+            # the sum of their moduli, below the kernel at |x_j|, sets the scale
+            scale = math.prod((1.0 - abs(complex(x))) ** -(k + 1) for x, k in factors)
+            assert abs(value - want) <= 1e-13 * abs(want) + 1e-15 * scale, (row, value, want)
+
+
+def _truncated_case(model, rng, rows, radius):
+    """(fn(N, w, eta), blocks as (k_j, columns), w, eta) for a truncated model;
+    each point's ball blocks have norm below `radius`, its disks modulus."""
+    shapes = {"disk": (1, [(1, [0])]), "ball2": (2, [(2, [0, 1])]),
+              "ball3": (3, [(3, [0, 1, 2])]),
+              "product31": (3, [(1, [0]), (1, [1]), (1, [2])]),
+              "product52": (5, [(2, [0, 1]), (1, [2]), (1, [3]), (1, [4])])}
+    n, blocks = shapes[model]
+
+    def points():
+        z = rng.normal(size=(rows, n, 2)).view(complex)[..., 0]
+        for _, cols in blocks:
+            norm = np.sqrt(np.sum(np.abs(z[:, cols]) ** 2, axis=1, keepdims=True))
+            z[:, cols] *= radius * rng.random((rows, 1)) ** (1.0 / (2 * len(cols))) / norm
+        return z[:, 0] if model == "disk" else z
+
+    if model == "disk":
+        truncated = "disk"
+    elif model.startswith("ball"):
+        truncated = ("ball", n)
+    else:
+        truncated = ("product", HartogsDomainSpec.standard(n, len(blocks[0][1])))
+    return (lambda N, w, eta: kernels.kernel_truncated(truncated, N, w, eta),
+            blocks, points(), points())
+
+
+def _generating_ref(mpmath, factors, N):
+    """[t^N] of G(t) = (1 - t)^-1 prod (1 - x t)^-(k+1) over the (x, k)
+    factors, by Cauchy's formula on |t| = 1/2 with 256 nodes, in 120-digit
+    mpmath: the nodes alias the coefficients of degree N + 256 i (i >= 1),
+    scaled by 2^(-256 i) < 1e-77, into the result, and the sum cancels
+    |G| 2^N < 1e65 down to it, so more than 40 digits stay."""
+    nodes = 256
+    with mpmath.workdps(120):
+        total = 0
+        for i in range(nodes):
+            turn = mpmath.mpf(2 * i) / nodes
+            t = mpmath.expjpi(turn) / 2
+            g = 1 / (1 - t)
+            for x, k in factors:
+                g /= (1 - x * t) ** (k + 1)
+            total += g * mpmath.expjpi(-N * turn)
+        return complex(total * 2 ** N / nodes)
+
 
 class TestMcProjection:
     def test_reproduces_low_degree_monomial(self):
@@ -367,10 +434,10 @@ class TestPrefixStability:
         _assert_prefix_stable(lambda a, b: kernels.kernel_product(spec, a, b), w, eta)
         _assert_prefix_stable(lambda b: kernels.kernel_product(spec, w[7], b), eta)
 
-    def test_degree_parts(self):
-        x, y = _ball_points(2, 6), _ball_points(2, 7)
-        _assert_prefix_stable(lambda a, b: kernels._degree_parts_ball(2, 3, a, b), x, y)
-        _assert_prefix_stable(lambda a, b: kernels._degree_parts_disk(3, a, b), x[:, 0], y[:, 0])
+    @pytest.mark.parametrize("model", ["disk", "ball3", "product31"])
+    def test_truncated_kernel(self, model):
+        fn, _, w, eta = _truncated_case(model, np.random.default_rng(6), ROWS, 0.9)
+        _assert_prefix_stable(lambda a, b: fn(8, a, b), w, eta)
 
     @pytest.mark.parametrize("name", ["standard", "affine4", "rational3"])
     def test_hartogs_kernel(self, name):
@@ -459,3 +526,11 @@ class TestLonePair:
         alone = [fn(a, b) for a, b in zip(z, zeta)]
         assert all(isinstance(value, complex) for value in alone)
         assert np.array_equal(np.array(alone), fn(z, zeta))
+
+    @pytest.mark.parametrize("model", ["disk", "ball3", "product31"])
+    @pytest.mark.parametrize("N", [0, 20])
+    def test_truncated_pair_equals_batch_row(self, model, N):
+        fn, _, z, zeta = _truncated_case(model, np.random.default_rng(28), 200, 0.9)
+        alone = [fn(N, a, b) for a, b in zip(z, zeta)]
+        assert all(isinstance(value, complex) for value in alone)
+        assert np.array_equal(np.array(alone), fn(N, z, zeta))
