@@ -189,8 +189,6 @@ def hyp2f1(a: float, b: float, c: float, x) -> np.ndarray:
     starts, scales, coefs = _hyp2f1_bands(a, b, c, float(flat.max(initial=0.0)))
     band = np.searchsorted(starts, flat, side="right") - 1
     s = (flat - starts[band]) / scales[band]
-    if flat.size == 1:  # Python floats round as numpy does, without its per-call cost
-        return np.full(x.shape, _value_and_slope(coefs[band[0]].tolist(), float(s[0]))[0])
     out = np.zeros_like(flat)
     # Horner over contiguous degree rows, top coefficient first; top zeros are exact
     for row in coefs.T[::-1][:, band]:
