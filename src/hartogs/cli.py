@@ -198,8 +198,7 @@ def cmd_estimates(args) -> str:
         params["k"] = args.k
     else:
         params["beta"] = args.beta
-    report = asymptotic_ratio_check(args.which, params, grid,
-                                    rel_tol=args.tol, max_terms=args.max_terms)
+    report = asymptotic_ratio_check(args.which, params, grid)
     if not args.refined:
         return report.to_csv()
     if args.which != "disk" or args.beta > 0.0:
@@ -396,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=0.999)
     p.add_argument("--grid-points", type=_positive_int, default=200)
-    p.add_argument("--tol", type=float,
-                   help="series relative tolerance; selects the series reference route "
-                        "(default 1e-12 there)")
-    p.add_argument("--max-terms", type=_positive_int,
-                   help="series term cap; selects the series reference route "
-                        "(default 1000000 there)")
     p.add_argument("--refined", action="store_true",
                    help="emit the refined envelope ratio (disk, beta <= 0)")
     add_common(p, seed=False)

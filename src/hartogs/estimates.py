@@ -14,17 +14,17 @@ depend on r = |w| only and are Gauss hypergeometric functions of r^2
       = B(alpha+1, beta/2+1) 2F1(1, beta/2+1; alpha+beta/2+2; r^2)
 
 The closed forms (`weighted_ball_integral`, `weighted_disk_integral`) are
-the default evaluators; they take an array of radii in one call. Their 2F1s
-come from `special.hyp2f1`, which continues F along the hypergeometric
-equation toward r = 1 with numpy alone; c - a - b = alpha in both families,
-and the same path serves integer, near-integer and non-integer alpha. The
-positive-term series of the same 2F1s (`*_series`) is the reference route,
-with a stopping rule that bounds the geometric tail; the CLI selects it with
-`estimates --tol/--max-terms`. For -1 < alpha < 0 both integrals stay
-comparable to (1-r^2)^alpha up to constants; `asymptotic_ratio_check`
-measures the constants on a grid. The disk integral also has an exact
-one-dimensional radial form (angular average of the kernel is
-1/(1 - r^2 rho^2)), evaluated by fixed Gauss-Jacobi rules
+the evaluators; they take an array of radii in one call. Their 2F1s come
+from `special.hyp2f1`, which continues F along the hypergeometric equation
+toward r = 1 with numpy alone; c - a - b = alpha in both families, and the
+same path serves integer, near-integer and non-integer alpha, for every k.
+The positive-term series of the same 2F1s (`*_series`), with a stopping rule
+that bounds the geometric tail, evaluates them only past the reach of
+`hyp2f1` (c > HYP2F1_MAX_C), and is the reference the tests compare with.
+For -1 < alpha < 0 both integrals stay comparable to (1-r^2)^alpha up to
+constants; `asymptotic_ratio_check` measures the constants on a grid. The
+disk integral also has an exact one-dimensional radial form (angular average
+of the kernel is 1/(1 - r^2 rho^2)), evaluated by fixed Gauss-Jacobi rules
 (`special.gauss_jacobi`) as an independent route and as the truncated
 evaluator for divergent exponents.
 
@@ -67,7 +67,7 @@ import numpy as np
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
 from .special import (HYP2F1_MAX_C, NonConvergenceError, gauss_jacobi, hyp2f1, int_power,
-                      log_beta, log_factorial, log_gamma)
+                      log_beta, log_factorial)
 
 MultiIndex = Sequence[int]
 
@@ -140,12 +140,11 @@ def _check_beta(beta: float) -> None:
 
 def _ball_params(k: int, alpha: float) -> tuple[float, float]:
     """Checked ball parameters: (h, c_0) with h = (k+1)/2 and
-    c_0 = k! G(alpha+1)/G(k+alpha+1), the value at r = 0."""
+    c_0 = k! G(alpha+1)/G(k+alpha+1) = k B(k, alpha+1), the value at r = 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_alpha(alpha)
-    return ((k + 1) / 2.0,
-            math.exp(log_factorial(k) + log_gamma(alpha + 1.0) - log_gamma(k + alpha + 1.0)))
+    return (k + 1) / 2.0, k * math.exp(log_beta(float(k), alpha + 1.0))
 
 
 def _disk_params(alpha: float, beta: float) -> tuple[float, float]:
@@ -171,15 +170,6 @@ def _like(r, values: np.ndarray):
     return float(values) if np.ndim(r) == 0 else values
 
 
-# Largest ball dimension whose closed form is used. Up to k = 18 the closed
-# form meets 1e-12 against 40-digit mpmath on [0, 1 - 1e-6] for every alpha
-# in (-1, 30] (tests/test_estimates.py). `hyp2f1` alone stays within 2.3e-15
-# of 30-digit mpmath at k = 40 and 100 too (alpha from -0.99 to 30, x = r^2
-# up to 1 - 2^-39), so the cap could rise; larger k keep the series route,
-# with its overflow and term-cap reports, until a change moves it.
-_BALL_CLOSED_FORM_MAX_K = 18
-
-
 def _finite(values: np.ndarray, radii: np.ndarray, family: str, **params) -> np.ndarray:
     """values, checked to be finite: a closed form that lost every digit
     raises here instead of being printed."""
@@ -200,18 +190,18 @@ def weighted_ball_integral(k: int, alpha: float, r):
     """Weighted ball integral at radii r in [0, 1), in closed form:
     k! G(alpha+1)/G(k+alpha+1) 2F1((k+1)/2, (k+1)/2; k+alpha+1; r^2).
 
-    Above k = 18, and where k+alpha+1 exceeds the reach of `hyp2f1`, each
-    radius goes to `weighted_ball_integral_series` instead, which raises
-    NonConvergenceError where its term cap is hit (r beyond about 0.99998)
-    and ValueError where its partial sums overflow float64 (k in the
-    thousands near r = 1).
+    A value that is not finite (k in the thousands near r = 1) is a
+    ValueError. Where k+alpha+1 exceeds the reach of `hyp2f1`, each radius
+    goes to `weighted_ball_integral_series` instead, which raises
+    NonConvergenceError where its term cap is hit and ValueError where its
+    partial sums overflow float64.
     Scalar r gives a float, an array of radii an array of the same shape
     whose entries equal the scalar calls bit for bit.
     """
     half, scale = _ball_params(k, alpha)
     radii = _radii(r)
     c = k + alpha + 1.0
-    if k > _BALL_CLOSED_FORM_MAX_K or c > HYP2F1_MAX_C:
+    if c > HYP2F1_MAX_C:
         values = _series_at(functools.partial(weighted_ball_integral_series, k, alpha), radii)
     else:
         values = _finite(scale * hyp2f1(half, half, c, radii * radii),
@@ -555,9 +545,7 @@ class RatioReport:
         return buf.getvalue()
 
 
-def asymptotic_ratio_check(which: str, params: dict, grid,
-                           rel_tol: float | None = None,
-                           max_terms: int | None = None) -> RatioReport:
+def asymptotic_ratio_check(which: str, params: dict, grid) -> RatioReport:
     """Evaluate integral/envelope on a radius grid.
 
     which="ball": params k, alpha; envelope (1-r^2)^alpha.
@@ -566,30 +554,18 @@ def asymptotic_ratio_check(which: str, params: dict, grid,
     grid avoids r = 0, where r^beta is not defined.
 
     The integrals come from the closed forms, one call for the whole grid.
-    Giving rel_tol or max_terms selects the positive-term series reference
-    route instead (defaults 1e-12 and 1_000_000 for the one not given); it
-    raises NonConvergenceError when the term cap is hit.
     """
     grid = np.asarray(grid, dtype=float)
     alpha = float(params["alpha"])
     if not -1.0 < alpha < 0.0:
         raise ValueError("the envelope comparison needs -1 < alpha < 0")
     if which == "ball":
-        k = int(params["k"])
-        closed = functools.partial(weighted_ball_integral, k, alpha)
-        series = functools.partial(weighted_ball_integral_series, k, alpha)
+        value = weighted_ball_integral(int(params["k"]), alpha, grid)
     elif which == "disk":
         beta = float(params["beta"])
-        closed = functools.partial(weighted_disk_integral, alpha, beta)
-        series = functools.partial(weighted_disk_integral_series, alpha, beta)
+        value = weighted_disk_integral(alpha, beta, grid)
     else:
         raise ValueError(f"unknown integral family {which!r}")
-    limits = {key: val for key, val in (("rel_tol", rel_tol), ("max_terms", max_terms))
-              if val is not None}
-    if limits:
-        value = np.array([series(r, **limits) for r in grid])
-    else:
-        value = closed(grid)
     envelope = (1.0 - grid ** 2) ** alpha
     report = RatioReport(which, dict(params), grid, value, envelope)
     if which == "disk" and beta <= 0.0 and not np.any(grid == 0.0):

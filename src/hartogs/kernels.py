@@ -63,6 +63,11 @@ def _pair_as_row(point_ndim: int):
     return decorate
 
 
+def _check_points(dim: int, w, eta) -> None:
+    if np.shape(w)[-1:] != (dim,) or np.shape(eta)[-1:] != (dim,):
+        raise ValueError(f"expected points in C^{dim}")
+
+
 @_pair_as_row(0)
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
     base = 1.0 - np.conj(eta) * w
@@ -71,8 +76,7 @@ def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
 
 @_pair_as_row(1)
 def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
-    if w.shape[-1] != k or eta.shape[-1] != k:
-        raise ValueError(f"expected points in C^{k}")
+    _check_points(k, w, eta)
     # a row sum over k columns; np.sum's reduction costs several times more
     # per row there, and einsum adds the products in the same order
     ip = np.einsum("...j->...", np.conj(eta) * w)
@@ -81,8 +85,7 @@ def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
 
 @_pair_as_row(1)
 def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
-    if w.shape[-1] != spec.n or eta.shape[-1] != spec.n:
-        raise ValueError(f"expected points in C^{spec.n}")
+    _check_points(spec.n, w, eta)
     val = np.ones(np.broadcast_shapes(w.shape[:-1], eta.shape[:-1]), dtype=complex)
     for (kj, _), sl in zip(spec.blocks, spec.slices):
         val = kernel_ball(kj, w[..., sl], eta[..., sl]) * val
@@ -182,9 +185,12 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
     if model == "disk":
         blocks, w, eta = [(1, slice(None))], np.asarray(w)[..., None], np.asarray(eta)[..., None]
     elif isinstance(model, tuple) and model[0] == "ball":
-        blocks = [(int(model[1]), slice(None))]
+        k = int(model[1])
+        _check_points(k, w, eta)
+        blocks = [(k, slice(None))]
     elif isinstance(model, tuple) and model[0] == "product":
         spec: HartogsDomainSpec = model[1]
+        _check_points(spec.n, w, eta)
         blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
         blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
     else:

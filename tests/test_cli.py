@@ -1,12 +1,14 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hartogs.cli import render_json, run
+from hartogs.cli import build_parser, render_json, run
 
 
 def invoke(*args, env=None):
@@ -154,9 +156,13 @@ class TestEstimatesCommand:
         assert "grid point r = 0" in captured.err
 
     def test_nonconvergence_exit_code(self, capsys):
-        code = run(["estimates", "--which", "ball", "--k", "1", "--alpha", "-0.5",
-                    "--r-max", "0.999", "--grid-points", "3", "--max-terms", "64"])
+        # c = alpha + beta/2 + 2 > 4096 takes the series, whose term cap ends it near r = 1
+        code = run(["estimates", "--which", "disk", "--alpha=-0.5", "--beta", "10000",
+                    "--r-min", "0.5", "--r-max", "0.99999", "--grid-points", "2"])
         assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "did not converge" in captured.err and "r=0.99999" in captured.err
 
     def test_large_ball_dimension_prints_finite_values(self, capsys):
         assert run(["estimates", "--which", "ball", "--k", "400", "--alpha", "-0.5",
@@ -178,25 +184,23 @@ class TestEstimatesCommand:
                     * mpmath.hyp2f1(h, h, 401 + a, mpmath.mpf(r) ** 2))
             assert abs(float(value) / want - 1) <= 1e-10, r
 
-    def test_overflowing_series_exits_2_naming_the_radius(self, capsys):
+    def test_non_finite_closed_form_exits_2_naming_the_radius(self, capsys):
+        # the integral is about 1.25e426 at r = 0.999
         assert run(["estimates", "--which", "ball", "--k", "1500", "--alpha=-0.5",
                     "--grid-points", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "overflows" in captured.err and "r=0.999" in captured.err
+        assert "not finite" in captured.err and "r=0.999" in captured.err
 
-    def test_closed_form_default_and_series_route(self, capsys):
-        base = ["estimates", "--which", "disk", "--alpha", "-0.5", "--beta", "-1",
-                "--r-min", "0.1", "--r-max", "0.99", "--grid-points", "4"]
-        assert run(base) == 0
-        closed = capsys.readouterr().out.strip().splitlines()
-        assert run(base + ["--tol", "1e-13"]) == 0
-        series = capsys.readouterr().out.strip().splitlines()
-        assert closed[0] == series[0] == "r,value,envelope,ratio"
-        for a, b in zip(closed[1:], series[1:]):
-            for x, y in zip(a.split(","), b.split(",")):
-                assert float(x) == pytest.approx(float(y), rel=1e-11)
-        # past the series' reach: at r = 1 - 1e-7 it would need ~1e8 terms
+    @pytest.mark.parametrize("option", [["--tol", "1e-12"], ["--max-terms", "1000000"]])
+    def test_series_options_are_gone(self, option, capsys):
+        assert run(["estimates", "--which", "ball", "--alpha=-0.5"] + option) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " + " ".join(option) in captured.err
+
+    def test_closed_form_past_the_reach_of_the_series(self, capsys):
+        # at r = 1 - 1e-7 the series would need ~1e8 terms
         assert run(["estimates", "--which", "ball", "--k", "2", "--alpha", "-0.5",
                     "--r-max", "0.9999999", "--grid-points", "3"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
@@ -400,14 +404,6 @@ class TestInvalidNumbers:
         assert captured.out == ""
         assert "finite" in captured.err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
-    def test_invalid_series_tolerance_exits_2(self, tol, capsys):
-        assert run(["estimates", "--which", "ball", "--alpha", "-0.5",
-                    "--grid-points", "3", f"--tol={tol}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "series tolerance must be finite and positive" in captured.err
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
                                        np.float64("nan")])
     def test_render_json_rejects_non_finite_floats(self, value):
@@ -418,8 +414,6 @@ class TestInvalidNumbers:
         (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--samples", "0"], "--samples"),
         (["estimates", "--which", "ball", "--alpha", "-0.5", "--grid-points", "0"],
          "--grid-points"),
-        (["estimates", "--which", "ball", "--alpha", "-0.5", "--max-terms", "0"],
-         "--max-terms"),
         (["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "0"], "--mc-samples"),
         (["moments", "--k", "2", "--nu", "1,1", "--workers", "0"], "--workers"),
         (["blowup", "--n", "2", "--p", "1.3", "--m-max", "0"], "--m-max"),
@@ -465,8 +459,7 @@ _EXTREME_BASES = {
                   "--isometry-monomial", "1,0,1"]],
 }
 _EXTREME_OPTIONS = {
-    "estimates": [("--alpha", []), ("--beta", []), ("--r-min", []), ("--r-max", []),
-                  ("--tol", [])],
+    "estimates": [("--alpha", []), ("--beta", []), ("--r-min", []), ("--r-max", [])],
     "schur-verify": [("--p", []), ("--boundary-margin", []), ("--puncture-margin", []),
                      ("--witness-s", ["--witness-t=-0.5"]),
                      ("--witness-t", ["--witness-s=-0.2"])],
@@ -530,8 +523,6 @@ class TestExtremeValues:
          "--puncture-margin"),
         (["estimates", "--which", "ball", "--alpha=-0.5", "--r-max", "inf"],
          "--r-max must be finite"),
-        (["estimates", "--which", "ball", "--alpha=-0.5", "--tol", "1e308"],
-         "series tolerance must be finite and positive, and below 1"),
         (["transfer", "--example", "rational3", "--p", "1e308"],
          "the transferred bound overflows"),
         (["blowup", "--n", "175", "--k", "1", "--p", "1.0", "--m-max", "2"],
@@ -762,3 +753,20 @@ class TestProcessLevel:
                    "--mc-samples", "20000", "--seed", "777")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+README_COMMANDS = [line for line in
+                   (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+                   if line.startswith("hartogs ")]
+
+
+class TestReadmeExamples:
+    def test_there_are_examples(self):
+        assert len(README_COMMANDS) >= 20
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_every_readme_command_parses(self, line, capsys):
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}\n{capsys.readouterr().err}")

@@ -284,6 +284,15 @@ class TestTruncatedKernels:
         with pytest.raises(ValueError, match=f"\\[0, {kernels.TRUNCATED_MAX_N}\\], got {N}"):
             kernels.kernel_truncated("disk", N, 0.4, 0.3)
 
+    def test_ball_checks_the_point_dimension(self):
+        with pytest.raises(ValueError, match=r"expected points in C\^2"):
+            kernels.kernel_truncated(("ball", 2), 5, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+
+    def test_product_checks_the_point_dimension(self):
+        spec = HartogsDomainSpec.standard(3, 1)
+        with pytest.raises(ValueError, match=r"expected points in C\^3"):
+            kernels.kernel_truncated(("product", spec), 5, [0.1, 0.2], [0.3, 0.2])
+
     @pytest.mark.parametrize("model", ["disk", "ball2", "ball3", "product31", "product52"])
     def test_matches_mpmath_at_degree_200(self, model):
         # coordinates up to 0.99, so |x_j| reaches about 0.98
