@@ -190,8 +190,10 @@ def weighted_ball_integral(k: int, alpha: float, r):
     """Weighted ball integral at radii r in [0, 1), in closed form:
     k! G(alpha+1)/G(k+alpha+1) 2F1((k+1)/2, (k+1)/2; k+alpha+1; r^2).
 
-    A value that is not finite (k in the thousands near r = 1) is a
-    ValueError. Where k+alpha+1 exceeds the reach of `hyp2f1`, each radius
+    A value that is not finite is a ValueError: for k in the thousands the
+    2F1 passes float64's largest value near r = 1 (at alpha = -0.5, from
+    r = 0.967 at k = 1500 and r = 0.733 at k = 4000, where the integral
+    nears 1e305). Where k+alpha+1 exceeds the reach of `hyp2f1`, each radius
     goes to `weighted_ball_integral_series` instead, which raises
     NonConvergenceError where its term cap is hit and ValueError where its
     partial sums overflow float64.

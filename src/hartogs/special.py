@@ -166,13 +166,19 @@ def hyp2f1(a: float, b: float, c: float, x) -> np.ndarray:
     x(1-x)F'' + [c - (a+b+1)x]F' - abF = 0 by Taylor expansions about
     x_1 = 1/2, x_2, ..., each spanning a fraction theta_i of the remaining
     distance y_i = 1 - x_i (`_step`), with the coefficients scaled as
-    g_j = f_j y_i^j:
+    g_j = f_j (theta_i y_i)^j:
 
-        g_(j+2) = [(j+a)(j+b) y_i g_j - (q j + r)(j+1) g_(j+1)] / (x_i (j+2)(j+1)),
+        g_(j+2) = [(j+a)(j+b) y_i theta_i^2 g_j - (q j + r)(j+1) theta_i g_(j+1)]
+                  / (x_i (j+2)(j+1)),
         q = 1 - 2 x_i,  r = c - (a+b+1) x_i.
 
     Each x is evaluated from the expansion of its own band, at
-    s = (x - x_i)/y_i in [0, theta_i). No connection formula is used, so the
+    s = (x - x_i)/(theta_i y_i) in [0, 1); band 0 holds the terms c_m 2^-m
+    of the series at 0, at s = 2x. Every coefficient is then a term of the
+    positive Taylor series of F at the end of its band (theta_i is a power
+    of two, so the scaling is exact), and none overflows where F there does
+    not. Where F passes float64's largest value, the result is inf from the
+    start of that band on. No connection formula is used, so the
     path is the same for every c - a - b, integer or not; the expansions stay
     within their radius of convergence (y_i, the distance to the singularity
     at 1), so the error stays at rounding level as x -> 1 (mpmath sweeps are
@@ -209,14 +215,14 @@ def _step(a: float, b: float, c: float, x: float, y: float) -> float:
 
 def _hyp2f1_bands(a: float, b: float, c: float, x_max: float
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band starts x_i, scales y_i and coefficient rows (zero-padded) of the
-    expansions of F, up to the band that holds x_max. Band 0 is the power
-    series at 0, with scale 1."""
+    """Band starts x_i, scales theta_i y_i and coefficient rows (zero-padded)
+    of the expansions of F, up to the band that holds x_max. Band 0 is the
+    power series at 0, with scale 1/2 (scale 1 where it is the whole series)."""
     whole = _whole_series(a, b, c)
     if whole is not None:
         return np.zeros(1), np.ones(1), np.array([whole])
-    poly = _taylor_at_zero(a, b, c, 0.5)
-    x0, scale = 0.0, 1.0
+    x0, scale = 0.0, 0.5
+    poly = _taylor_at_zero(a, b, c, scale)
     starts, scales, polys = [x0], [scale], [poly]
     x_next = 0.5
     while x_next <= x_max:
@@ -224,7 +230,7 @@ def _hyp2f1_bands(a: float, b: float, c: float, x_max: float
         y = 1.0 - x_next
         theta = _step(a, b, c, x_next, y)
         poly = _taylor_band(a, b, c, x_next, y, value, slope * y / scale, theta)
-        x0, scale = x_next, y
+        x0, scale = x_next, theta * y
         starts.append(x0)
         scales.append(scale)
         polys.append(poly)
@@ -259,39 +265,43 @@ def _whole_series(a: float, b: float, c: float) -> list[float] | None:
 
 def _taylor_at_zero(a: float, b: float, c: float, x_end: float,
                     max_terms: float = math.inf) -> list[float] | None:
-    """Power-series coefficients of F at 0, enough for every x <= x_end, or
-    None if that takes more than max_terms."""
+    """Scaled power-series coefficients c_m x_end^m of F at 0, enough for
+    every x <= x_end, or None if that takes more than max_terms.
+
+    They are the terms of F(x_end), so none exceeds it; the bare c_m can
+    overflow where F(x_end) does not (they reach 1e613 in
+    2F1(2000.5, 2000.5; 4000.5; x) by x_end = 1/2, whose terms stay below
+    1e276). x_end is a power of two, so the scaling is exact."""
     coefs = [1.0]
-    total, term, small = 1.0, 1.0, 0
+    total, small = 1.0, 0
     while small < 2:
         if len(coefs) > max_terms:
             return None
         m = len(coefs) - 1.0
-        ratio = (m + a) * (m + b) / ((m + 1.0) * (m + c))
-        coefs.append(coefs[-1] * ratio)
-        term *= x_end * ratio  # c_m x_end^m
-        total += term
-        small = small + 1 if term < _TERM_EPS * total else 0
+        coefs.append(coefs[-1] * ((m + a) * (m + b) / ((m + 1.0) * (m + c))) * x_end)
+        total += coefs[-1]
+        small = small + 1 if coefs[-1] < _TERM_EPS * total else 0
     return coefs
 
 
 def _taylor_band(a: float, b: float, c: float, x: float, y: float,
                  value: float, scaled_slope: float, theta: float) -> list[float]:
     """Scaled coefficients g_j of F about x (see `hyp2f1`), from g_0 = F(x)
-    and g_1 = F'(x) y, enough for every s <= theta. A sum that stops being
-    finite ends the loop; its values then fail the callers' finiteness check."""
+    and g_1 = F'(x) y theta, enough for every s <= 1. They sum to F at
+    x + theta y; where that sum passes float64's largest value (or F(x) is
+    not finite), the band is [inf], so F is inf from x on."""
     q, r = 1.0 - 2.0 * x, c - (a + b + 1.0) * x
-    g = [value, scaled_slope]
-    g0, g1 = value, scaled_slope
-    total, power, small, j = value + scaled_slope * theta, theta, 0, 0.0
-    while small < 2 and total < math.inf:  # also false for NaN
-        g0, g1 = g1, ((j + a) * (j + b) * y * g0 - (q * j + r) * (j + 1.0) * g1) / (
-            x * (j + 2.0) * (j + 1.0))
+    g0, g1 = value, scaled_slope * theta
+    g = [g0, g1]
+    total, small, j = g0 + g1, 0, 0.0
+    while small < 2:
+        if not total < math.inf:  # also true for NaN
+            return [math.inf]
+        g0, g1 = g1, ((j + a) * (j + b) * y * g0 * theta * theta
+                      - (q * j + r) * (j + 1.0) * g1 * theta) / (x * (j + 2.0) * (j + 1.0))
         g.append(g1)
-        power *= theta
-        term = abs(g1) * power
-        total += term
-        small = small + 1 if term < _TERM_EPS * total else 0
+        total += abs(g1)
+        small = small + 1 if abs(g1) < _TERM_EPS * total else 0
         j += 1.0
     return g
 

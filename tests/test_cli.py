@@ -184,6 +184,19 @@ class TestEstimatesCommand:
                     * mpmath.hyp2f1(h, h, 401 + a, mpmath.mpf(r) ** 2))
             assert abs(float(value) / want - 1) <= 1e-10, r
 
+    def test_ball_in_the_thousands(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        assert run(["estimates", "--which", "ball", "--k", "3000", "--alpha=-0.5",
+                    "--r-max", "0.5", "--grid-points", "3"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0", "0.25", "0.5"]
+        for r, value, _, _ in rows:
+            h, a = mpmath.mpf(3001) / 2, mpmath.mpf(-0.5)
+            want = 3000 * mpmath.beta(3000, a + 1) * mpmath.hyp2f1(h, h, 3001 + a,
+                                                                   mpmath.mpf(r) ** 2)
+            assert abs(float(value) / want - 1) <= 1e-11, r
+
     def test_non_finite_closed_form_exits_2_naming_the_radius(self, capsys):
         # the integral is about 1.25e426 at r = 0.999
         assert run(["estimates", "--which", "ball", "--k", "1500", "--alpha=-0.5",

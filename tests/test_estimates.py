@@ -640,10 +640,12 @@ class TestClosedForms:
         got = weighted_ball_integral(k, -0.5, np.array([0.0, 0.5, 0.999]))
         assert np.isfinite(got).all()
 
-    @pytest.mark.parametrize("k", [300, 1000])
+    @pytest.mark.parametrize("k", [300, 1000, 2000, 4000])
     def test_ball_large_k_scale_matches_mpmath(self, k):
         # k! G(alpha+1)/G(k+alpha+1) from a difference of log-Gammas was
-        # 6.8e-13 off at k = 1000, alpha = -0.5; k B(k, alpha+1) is not
+        # 6.8e-13 off at k = 1000, alpha = -0.5; k B(k, alpha+1) is not.
+        # From k of about 1700 the bare coefficients of hyp2f1's series at 0
+        # pass float64; its scaled ones stay below the 2F1 at x = 1/2
         mpmath = _mp()
         for alpha in (-0.99, -0.5, 3.0):
             got = weighted_ball_integral(k, alpha, np.array([0.0, 0.5]))
@@ -785,6 +787,16 @@ class TestHyp2f1:
                 total += term
                 m += 1
             assert _rel(g, total) <= 1e-13, x
+
+    def test_overflow_is_inf_and_every_finite_value_holds(self):
+        # every coefficient is a term of F at the end of its band: the bare
+        # series coefficients at 0 reach 1e613 here, F(1/2) is 1.6e275
+        mpmath = _mp(30)
+        xs = [0.0, 0.25, 0.5, 0.52, 0.55, 0.9]
+        got = special.hyp2f1(2000.5, 2000.5, 4000.5, np.array(xs))
+        for x, g in zip(xs[:4], got):
+            assert _rel(g, mpmath.hyp2f1(2000.5, 2000.5, 4000.5, x)) <= 1e-13, x
+        assert got[4:].tolist() == [math.inf, math.inf]  # F(0.55) is 3.4e312
 
 
 class TestGaussJacobi:
