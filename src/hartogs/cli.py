@@ -1,11 +1,14 @@
 """Command-line front end: every experiment as a reproducible subcommand.
 
 Subcommands: kernel, moments, estimates, schur-range, schur-verify, blowup,
-transfer, project. All floating-point output is fixed at 12 significant
-digits and every stochastic run is seeded, so identical invocations produce
-byte-identical output. Exit codes: 0 success, 2 invalid arguments (among
-them a 2F1 parameter c above the cap of `special.hyp2f1` and results that
-are not finite); no subcommand sums a series to a tolerance, so none exits 1.
+transfer, project. The numerical modules return data; this module alone
+renders stdout, by `render_json` for records and `render_csv` for tables,
+with one scalar rule: integers as integers, floats at 12 significant digits,
+and no NaN or infinity. Every stochastic run is seeded, so identical
+invocations produce byte-identical output. Exit codes: 0 success, 2 invalid
+arguments (among them a 2F1 parameter c above the cap of `special.hyp2f1`
+and results that are not finite); no subcommand sums a series to a
+tolerance, so none exits 1.
 
 The package needs numpy alone, so every subcommand starts from the same
 import floor (the interpreter, numpy and the package).
@@ -26,7 +29,7 @@ from .config import NumericConfig
 from .counterexample import blowup_demo, blowup_eval, projected_blowup
 from .domains import HartogsDomainSpec, MapFamily, product_model_contains
 from .estimates import asymptotic_ratio_check, sphere_moment, sphere_moment_mc
-from .kernels import (kernel_ball, kernel_hartogs, kernel_product,
+from .kernels import (check_bergman_monomial, kernel_ball, kernel_hartogs, kernel_product,
                       kernel_punctured_disk, kernel_truncated,
                       mc_bergman_projection, monomial_norm_sq_ball)
 from .schur import SchurWitness, admissible_p_range, feasible_params, schur_verify
@@ -34,7 +37,14 @@ from .special import monomial
 from .transfer import jacobian_bounds, pullback_isometry_check, transfer_norm_bound
 
 
-def _g12(x: float) -> str:
+def _number(x, form: str) -> str:
+    """The one scalar rule of stdout: integers as integers, floats at 12
+    significant digits. NaN and infinity raise ValueError: neither a JSON
+    record nor a numeric table can hold them."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write the non-finite number {x} as {form}")
     return format(float(x), ".12g")
 
 
@@ -59,15 +69,19 @@ def render_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {obj} as JSON")
-        return _g12(obj)
+    if isinstance(obj, (int, np.integer, float, np.floating)):
+        return _number(obj, "JSON")
     if obj is None:
         return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def render_csv(header, *columns) -> str:
+    """A header line, then a line per row of the numeric columns, cells by the
+    scalar rule of `render_json`; numbers hold no comma or quote to escape."""
+    rows = [",".join(header)]
+    rows += [",".join(_number(x, "CSV") for x in row) for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
 
 
 def _complex_json(value: complex) -> dict:
@@ -166,6 +180,9 @@ def cmd_kernel(args) -> str:
                 out["truncated"] = _complex_json(
                     kernel_truncated(("product", spec), args.truncated, w, eta))
         else:
+            if args.truncated is not None:
+                raise ValueError("--truncated serves the disk, ball and product models, "
+                                 "not the hartogs model")
             value = kernel_hartogs(spec, w, eta)
     out["value"] = _complex_json(complex(value))
     return render_json(out) + "\n"
@@ -200,14 +217,15 @@ def cmd_estimates(args) -> str:
     else:
         params["beta"] = args.beta
     report = asymptotic_ratio_check(args.which, params, grid)
-    if not args.refined:
-        return report.to_csv()
-    if args.which != "disk" or args.beta > 0.0:
-        raise ValueError("refined envelope requires the disk family with beta <= 0")
-    if report.refined is None:
-        raise ValueError("refined envelope r^beta is undefined at the grid point r = 0; "
-                         "give --r-min > 0")
-    return report.refined.to_csv()
+    if args.refined:
+        if args.which != "disk" or args.beta > 0.0:
+            raise ValueError("refined envelope requires the disk family with beta <= 0")
+        if report.refined is None:
+            raise ValueError("refined envelope r^beta is undefined at the grid point r = 0; "
+                             "give --r-min > 0")
+        report = report.refined
+    return render_csv(("r", "value", "envelope", "ratio"),
+                      report.r, report.value, report.envelope, report.ratio)
 
 
 def cmd_schur_range(args) -> str:
@@ -233,9 +251,12 @@ def cmd_schur_verify(args) -> str:
                           samples=args.samples,
                           boundary_margin=args.boundary_margin,
                           puncture_margin=args.puncture_margin)
-    out = {"feasible": True}
-    out.update(report.to_json_dict())
-    return render_json(out) + "\n"
+    return render_json({
+        "feasible": True, "p": report.p, "q": report.q,
+        "witness": {"s": witness.s, "t": {str(j): v for j, v in sorted(witness.t.items())}},
+        "ratios_summary": {"max": report.max_ratio, "mean": report.mean_ratio,
+                           "cond1_max": report.cond1.max(), "cond2_max": report.cond2.max()},
+        "samples": report.samples, "notes": report.notes}) + "\n"
 
 
 def cmd_blowup(args) -> str:
@@ -245,7 +266,8 @@ def cmd_blowup(args) -> str:
         m_values = list(range(1, args.m_max + 1))
     k = args.k if args.k is not None else args.n - 1
     table = blowup_demo(args.n, k, args.p, m_values)
-    return table.to_csv()
+    return render_csv(("m", "norm_fm", "proj_lower_bound", "ratio"),
+                      table.m, table.norm, table.bound, table.ratio)
 
 
 def cmd_transfer(args) -> str:
@@ -253,21 +275,23 @@ def cmd_transfer(args) -> str:
     cfg = NumericConfig(seed=args.seed, mc_samples=args.samples)
     bounds = jacobian_bounds(spec, cfg)
     out = {
-        "bounds": bounds.to_json_dict(),
+        "bounds": {"c": bounds.c, "d": bounds.d, "method": bounds.method},
         "p": args.p,
         "constant": args.constant,
         "transfer_factor": transfer_norm_bound(args.constant, bounds, args.p),
     }
     if args.isometry_monomial is not None:
-        exps = np.array(_parse_ints(args.isometry_monomial))
-        if exps.size != spec.n:
-            raise ValueError(f"monomial needs {spec.n} exponents")
+        exps = _parse_ints(args.isometry_monomial)
+        check_bergman_monomial(spec.n, spec.k, exps)
 
         def test_fn(pts: np.ndarray) -> np.ndarray:
             return monomial(pts, exps)
 
         report = pullback_isometry_check(spec, test_fn, cfg)
-        out["isometry"] = report.to_json_dict()
+        out["isometry"] = {
+            "source": {"value": report.source_value, "stderr": report.source_stderr},
+            "target": {"value": report.target_value, "stderr": report.target_stderr},
+            "sigma_distance": report.sigma_distance}
     return render_json(out) + "\n"
 
 
@@ -276,15 +300,16 @@ def cmd_project(args) -> str:
     z = _parse_point(args.point)
     if args.monomial is None and args.blowup_m is None:
         raise ValueError("need --monomial or --blowup-m")
+    if z.size != args.n:
+        raise ValueError(f"point has length {z.size}, expected {args.n}")
     if args.blowup_m is not None:
         def f(pts):
             return blowup_eval(args.n, args.blowup_m, pts)
         expected = complex(projected_blowup(args.n, args.blowup_m, z))
         label = f"blowup_m={args.blowup_m}"
     else:
-        exps = np.array(_parse_ints(args.monomial))
-        if exps.size != args.n:
-            raise ValueError(f"monomial needs {args.n} exponents")
+        exps = _parse_ints(args.monomial)
+        check_bergman_monomial(args.n, args.k, exps)
 
         def f(pts):
             return monomial(pts, exps)

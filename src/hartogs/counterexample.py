@@ -16,8 +16,6 @@ k!/n! is subnormal (n > 170 at k = 1), the columns raise ValueError naming n, k.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -170,14 +168,6 @@ class BlowupTable:
     @property
     def ratio(self) -> np.ndarray:
         return self.bound / self.norm
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m", "norm_fm", "proj_lower_bound", "ratio"])
-        for m, nv, bv, rv in zip(self.m, self.norm, self.bound, self.ratio):
-            writer.writerow([int(m), f"{nv:.12g}", f"{bv:.12g}", f"{rv:.12g}"])
-        return buf.getvalue()
 
 
 def blowup_demo(n: int, k: int, p: float, m_values: Sequence[int]) -> BlowupTable:

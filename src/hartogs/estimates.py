@@ -53,8 +53,6 @@ an exponent whose Gamma function overflows.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,8 +61,7 @@ import numpy as np
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import (NonConvergenceError, gauss_jacobi, hyp2f1, int_power, log_beta,
-                      log_factorial)
+from .special import gauss_jacobi, hyp2f1, int_power, log_beta, log_factorial
 
 MultiIndex = Sequence[int]
 
@@ -210,6 +207,15 @@ def weighted_disk_integral(alpha: float, beta: float, r):
     values = _finite(scale * hyp2f1(1.0, b, alpha + b + 1.0, radii * radii),
                      radii, "disk", alpha=alpha, beta=beta)
     return _like(r, values)
+
+
+class NonConvergenceError(ArithmeticError):
+    """Series hit its term cap before meeting the relative tolerance."""
+
+    def __init__(self, message: str, partial_sum: float, terms: int):
+        super().__init__(message)
+        self.partial_sum = partial_sum
+        self.terms = terms
 
 
 _SERIES_BLOCK = 1024
@@ -509,14 +515,6 @@ class RatioReport:
     @property
     def max_ratio(self) -> float:
         return float(self.ratio.max())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r", "value", "envelope", "ratio"])
-        for r, v, e, q in zip(self.r, self.value, self.envelope, self.ratio):
-            writer.writerow([f"{r:.12g}", f"{v:.12g}", f"{e:.12g}", f"{q:.12g}"])
-        return buf.getvalue()
 
 
 def asymptotic_ratio_check(which: str, params: dict, grid) -> RatioReport:

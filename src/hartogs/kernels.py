@@ -222,6 +222,27 @@ def _generating_coefficient(blocks, N: int, w, eta) -> np.ndarray:
 # --- Monte-Carlo Bergman projection -------------------------------------
 
 
+def check_bergman_monomial(n: int, k: int, exps) -> None:
+    """Raise ValueError unless z^exps lies in A^2 of the standard model, where
+    P f = f holds.
+
+    The quotient chart turns z^e into prod_(i<=k) w_i^(e_i) prod_(j>k) w_j^(S_j),
+    S_j = e_1 + ... + e_j, and |J|^2 = prod_(j>k) |w_j|^(2(j-1)) (1-based j),
+    so |z^e|^2 is integrable iff e_i >= 0 for i <= k and S_j >= -(j-1) for j > k.
+    """
+    if len(exps) != n:
+        raise ValueError(f"monomial needs {n} exponents")
+    for i, e in enumerate(exps[:k], 1):
+        if e < 0:
+            raise ValueError(f"z^e is not in A^2: the ball exponent e_{i} = {e} is negative")
+    partial = sum(exps[:k])
+    for j, e in enumerate(exps[k:], k + 1):
+        partial += e
+        if partial < 1 - j:
+            raise ValueError(f"z^e is not in A^2: the partial sum e_1 + ... + e_{j} = "
+                             f"{partial} is below -{j - 1}")
+
+
 def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.ndarray],
                           z, samples: int, seed: int, workers: int = mc.WORKERS
                           ) -> tuple[complex, float]:

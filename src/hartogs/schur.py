@@ -143,22 +143,6 @@ class SchurReport:
     def mean_ratio(self) -> float:
         return float(np.concatenate([self.cond1, self.cond2]).mean())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "witness": {"s": self.witness.s,
-                        "t": {str(j): v for j, v in sorted(self.witness.t.items())}},
-            "ratios_summary": {
-                "max": self.max_ratio,
-                "mean": self.mean_ratio,
-                "cond1_max": float(self.cond1.max()),
-                "cond2_max": float(self.cond2.max()),
-            },
-            "samples": self.samples,
-            "notes": self.notes,
-        }
-
 
 def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: float,
                       points: np.ndarray, puncture_margin: float,

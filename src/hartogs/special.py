@@ -1,5 +1,5 @@
 """Log-domain Gamma/Beta helpers, integer powers, the Gauss hypergeometric
-function, Gauss-Jacobi rules and the series non-convergence error.
+function and Gauss-Jacobi rules.
 
 Every radial integral in the library reduces to Beta-function values; all of
 them are computed as exp(ln B(a, b)) so large arguments never overflow, and
@@ -16,9 +16,6 @@ branch ambiguity and no transcendental call per element.
 `hyp2f1`, the one route of the closed forms of the weighted integrals, and
 the one place that caps their c, and `gauss_jacobi`, the rules of their
 radial quadrature route, use numpy alone.
-
-`NonConvergenceError` is raised by the reference series of `estimates`, which
-no evaluator calls; `estimates` re-exports the same class.
 """
 
 from __future__ import annotations
@@ -28,15 +25,6 @@ import math
 import sys
 
 import numpy as np
-
-
-class NonConvergenceError(ArithmeticError):
-    """Series hit its term cap before meeting the relative tolerance."""
-
-    def __init__(self, message: str, partial_sum: float, terms: int):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.terms = terms
 
 
 def log_gamma(x: float) -> float:

@@ -45,9 +45,6 @@ class JacobianBounds:
         if not 0.0 < self.c <= self.d:
             raise ValueError("need 0 < c <= d")
 
-    def to_json_dict(self) -> dict:
-        return {"c": self.c, "d": self.d, "method": self.method}
-
 
 def jacobian_bounds(spec: HartogsDomainSpec,
                     cfg: NumericConfig = DEFAULT_CONFIG) -> JacobianBounds:
@@ -108,13 +105,6 @@ class PullbackReport:
         if spread == 0.0:
             return 0.0 if self.source_value == self.target_value else math.inf
         return abs(self.source_value - self.target_value) / spread
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source": {"value": self.source_value, "stderr": self.source_stderr},
-            "target": {"value": self.target_value, "stderr": self.target_stderr},
-            "sigma_distance": self.sigma_distance,
-        }
 
 
 def _coordinate_radii(spec: HartogsDomainSpec) -> np.ndarray:

@@ -304,16 +304,6 @@ class TestBlowupDemo:
             rhs = blowup_norm(n, k, m, p_star) * vol ** (1 - 1 / p_star)
             assert lhs <= rhs * (1 + 1e-12)
 
-    def test_csv_format(self):
-        text = blowup_demo(2, 1, 4 / 3, [1, 2]).to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "m,norm_fm,proj_lower_bound,ratio"
-        assert len(lines) == 3
-        row = lines[1].split(",")
-        assert int(row[0]) == 1
-        assert float(row[2]) == pytest.approx(
-            0.5 ** 0.75 * 2 * projection_constant(1))
-
     def test_rows_are_stages_of_one_pass(self):
         # every row, however the m values are ordered or repeated, has the
         # bits of its row in the full table and of the single-stage calls

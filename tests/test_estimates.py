@@ -326,17 +326,6 @@ class TestRatioReports:
         with pytest.raises(ValueError):
             asymptotic_ratio_check("ball", {"k": 1, "alpha": 0.5}, [0.0, 0.5])
 
-    def test_csv_format(self):
-        grid = np.linspace(0.0, 0.9, 4)
-        report = asymptotic_ratio_check("ball", {"k": 1, "alpha": -0.5}, grid)
-        text = report.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "r,value,envelope,ratio"
-        assert len(lines) == 5
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[3]) == pytest.approx(2.0)
-
 
 class TestSeriesInternals:
     def test_positive_terms_give_monotone_partial_sums(self, monkeypatch):

@@ -368,6 +368,35 @@ class TestMcProjection:
         assert abs(est - 0.04) < 3 * err
         assert err < 0.01
 
+    @pytest.mark.parametrize("n,k,exps,inside", [
+        (2, 1, (0, -1), True),
+        (2, 1, (-1, 1), False),
+        (2, 1, (0, -2), False),
+        (3, 1, (0, 0, -2), True),
+        (3, 1, (0, -2, 0), False),
+        (3, 1, (0, -1, -1), True),
+        (3, 2, (0, 0, -2), True),
+        (3, 2, (0, 0, -3), False),
+        (3, 2, (1, -1, 0), False),
+        (4, 1, (2, -2, -2, 0), True),
+        (4, 1, (1, -3, 0, 0), False),
+    ])
+    def test_bergman_monomials(self, n, k, exps, inside):
+        # |z^e|^2 on the product chart is prod |w_i|^(2 e_i) (i <= k) times
+        # prod |w_j|^(2 S_j + 2(j - 1)) (j > k): each factor must beat |w|^-2
+        chart = [2 * e for e in exps[:k]]
+        chart += [2 * sum(exps[:j]) + 2 * (j - 1) for j in range(k + 1, n + 1)]
+        assert all(power > -2 for power in chart) == inside
+        if inside:
+            kernels.check_bergman_monomial(n, k, exps)
+        else:
+            with pytest.raises(ValueError, match="not in A\\^2"):
+                kernels.check_bergman_monomial(n, k, exps)
+
+    def test_bergman_monomial_needs_n_exponents(self):
+        with pytest.raises(ValueError, match="monomial needs 3 exponents"):
+            kernels.check_bergman_monomial(3, 1, (0, 1))
+
     def test_determinism_and_workers(self):
         spec = HartogsDomainSpec.standard(2, 1)
         z = np.array([0.1, 0.4], dtype=complex)

@@ -6,7 +6,9 @@ function, so no local import hides a cycle. The package imports no scipy.
 Threads have one owner: only `mc` imports `concurrent.futures` or asks for
 the CPU affinity. The weighted integrals have one route: only `special`
 names the cap on the 2F1 parameter c, no module names the reference series,
-and only the two series wrappers call `_series_sum`.
+and only the two series wrappers call `_series_sum`. Stdout has one owner:
+no module imports `csv`, only `cli` writes a `.12g` format, and no class
+outside `domains` (whose spec files are read back) serializes itself.
 """
 
 import ast
@@ -15,6 +17,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hartogs"
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
 
 # (importing module, imported module) pairs allowed inside a function
 DEFERRED: set[tuple[str, str]] = set()
@@ -38,7 +44,7 @@ def _targets(node: ast.AST) -> list[str]:
 
 def _imports(name: str) -> tuple[set[str], set[str]]:
     """(module-level, function-level) package imports of one module."""
-    tree = ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
+    tree = _tree(name)
     top: set[str] = set()
     local: set[str] = set()
 
@@ -77,7 +83,7 @@ def test_deferred_imports_close_no_cycle():
 
 def _external_roots(name: str) -> set[str]:
     """Top-level names of the non-package modules one module imports, anywhere."""
-    tree = ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
+    tree = _tree(name)
     roots: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -94,7 +100,7 @@ def test_no_module_imports_scipy():
 
 def _uses_threads(name: str) -> bool:
     """Whether a module imports concurrent.futures or names sched_getaffinity."""
-    tree = ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
+    tree = _tree(name)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(
                 alias.name.startswith("concurrent") for alias in node.names):
@@ -116,7 +122,7 @@ def test_only_mc_owns_threads():
 
 def _identifiers(name: str) -> set[str]:
     """Every name one module refers to: variables, attributes and imported names."""
-    tree = ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
+    tree = _tree(name)
     found: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -144,7 +150,7 @@ def test_no_module_routes_to_the_reference_series():
 def _callers(name: str, callee: str) -> list[str]:
     """The innermost function around each call of `callee` in one module
     ("" for a call at module level)."""
-    tree = ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
+    tree = _tree(name)
     found: list[str] = []
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -163,3 +169,33 @@ def _callers(name: str, callee: str) -> list[str]:
 def test_only_the_series_wrappers_sum_the_series():
     callers = [(name, owner) for name in MODULES for owner in _callers(name, "_series_sum")]
     assert sorted(callers) == sorted(("estimates", wrapper) for wrapper in SERIES)
+
+
+def test_no_module_imports_csv():
+    assert {name for name in MODULES if "csv" in _external_roots(name)} == set()
+
+
+def _writes_12g(name: str) -> bool:
+    """Whether a string constant of one module holds `.12g`: a format() spec,
+    an f-string spec (its constant part) or a %-format."""
+    return any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and ".12g" in node.value for node in ast.walk(_tree(name)))
+
+
+def test_only_cli_writes_twelve_digits():
+    assert {name for name in MODULES if _writes_12g(name)} == {"cli"}
+
+
+def _serializers(name: str) -> set[str]:
+    """Class.method names of the to_csv / to_json_dict methods one module defines."""
+    return {f"{node.name}.{item.name}"
+            for node in ast.walk(_tree(name)) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name in ("to_csv", "to_json_dict")}
+
+
+def test_only_domains_classes_serialize_themselves():
+    found = {name: _serializers(name) for name in MODULES}
+    assert found["domains"] == {"MapFamily.to_json_dict", "HartogsDomainSpec.to_json_dict"}
+    assert {name for name, methods in found.items() if methods} == {"domains"}

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -255,12 +254,3 @@ class TestVerifier:
     def test_missing_chain_exponent_rejected(self):
         with pytest.raises(ValueError):
             schur_verify(3, 1, 2.0, SchurWitness(-0.25, {2: -1.0}), CFG, samples=10)
-
-    def test_report_json_schema(self):
-        witness = feasible_params(2, 1, 2.0)
-        report = schur_verify(2, 1, 2.0, witness, CFG, samples=50)
-        data = json.loads(json.dumps(report.to_json_dict()))
-        assert set(data) >= {"p", "q", "witness", "ratios_summary", "samples"}
-        assert set(data["ratios_summary"]) >= {"max", "mean"}
-        assert data["witness"]["t"]["2"] == -1.0
-        assert data["samples"] == 50

@@ -166,13 +166,6 @@ class TestPullbackIsometry:
         with pytest.raises(ValueError, match=r"accepted none of its 3 proposals.*--samples"):
             pullback_isometry_check(spec, lambda pts: pts[..., 3], replace(CFG, mc_samples=3))
 
-    def test_json_report(self):
-        spec = HartogsDomainSpec.standard(2, 1)
-        report = pullback_isometry_check(spec, lambda pts: pts[..., 0],
-                                         replace(CFG, mc_samples=20_000))
-        data = report.to_json_dict()
-        assert set(data) == {"source", "target", "sigma_distance"}
-
 
 def _unfiltered_pullback(spec, f, cfg):
     """Reference for pullback_isometry_check: map every box proposal to a full
