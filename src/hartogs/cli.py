@@ -224,6 +224,10 @@ def cmd_estimates(args) -> str:
             raise ValueError("refined envelope r^beta is undefined at the grid point r = 0; "
                              "give --r-min > 0")
         report = report.refined
+        overflow = ~np.isfinite(report.envelope)
+        if np.any(overflow):
+            raise ValueError(f"the refined envelope (1-r^2)^alpha r^beta overflows at "
+                             f"r = {grid[overflow][0]:.6g} (beta = {args.beta:.6g})")
     return render_csv(("r", "value", "envelope", "ratio"),
                       report.r, report.value, report.envelope, report.ratio)
 
@@ -305,7 +309,9 @@ def cmd_project(args) -> str:
     if args.blowup_m is not None:
         def f(pts):
             return blowup_eval(args.n, args.blowup_m, pts)
-        expected = complex(projected_blowup(args.n, args.blowup_m, z))
+
+        def projected(pt):
+            return projected_blowup(args.n, args.blowup_m, pt)
         label = f"blowup_m={args.blowup_m}"
     else:
         exps = _parse_ints(args.monomial)
@@ -313,10 +319,13 @@ def cmd_project(args) -> str:
 
         def f(pts):
             return monomial(pts, exps)
-        expected = complex(monomial(z, exps))
+        projected = f  # P f = f on A^2
         label = "monomial=" + args.monomial
     est, err = mc_bergman_projection(spec, f, z, args.samples, args.seed,
                                      workers=args.workers)
+    # only now: the projection has checked that z lies in the domain, where
+    # the closed form has no zero divisor
+    expected = complex(projected(z))
     out = {
         "function": label,
         "point": [_complex_json(v) for v in z],

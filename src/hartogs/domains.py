@@ -12,7 +12,15 @@ the blockwise map to the all-identity standard model, and a seeded uniform
 sampler of the product model.
 
 All point arrays are complex with coordinates along the last axis; every map
-broadcasts over leading axes.
+broadcasts over leading axes. The sampler's batches and those of
+`to_product_model` store one contiguous array per coordinate: a (count, n)
+batch is the transpose of an (n, count) array, so every column op runs on
+contiguous memory, where numpy's strided loops cost up to twice as much.
+`from_product_model` keeps the layout of its input, and `to_standard_model`
+returns a row-major copy, the layout a caller's test function gets from the
+pullback check. numpy's elementwise loops give the same bits in either
+layout; a reduction along the coordinates, such as `np.prod(z, axis=-1)`,
+may round differently.
 """
 
 from __future__ import annotations
@@ -349,12 +357,17 @@ def contains(spec: HartogsDomainSpec, z) -> bool | np.ndarray:
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def _new_batch(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty complex batch that stores each coordinate contiguously."""
+    return np.empty(shape, dtype=complex, order="F")
+
+
 def to_product_model(n: int, k: int, z) -> np.ndarray:
     """Quotient chart: first k coordinates over z_{k+1}, then successive ratios."""
     z = _check_point(n, z)
     if np.any(z[..., k:] == 0):
         raise ZeroDivisionError("chain coordinate is zero; quotient chart undefined")
-    w = np.empty_like(z)
+    w = _new_batch(z.shape)
     w[..., :k] = z[..., :k] / z[..., k][..., None]
     w[..., k:n - 1] = z[..., k:n - 1] / z[..., k + 1:n]
     w[..., n - 1] = z[..., n - 1]
@@ -427,8 +440,8 @@ def product_draws_per_point(spec: HartogsDomainSpec) -> int:
 def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
                          r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
     """Transform one uniform row per point into a product-model point."""
-    count = u.shape[0]
-    out = np.empty((count, spec.n), dtype=complex)
+    u = np.asfortranarray(u)  # each uniform column contiguous, as each output column is
+    out = _new_batch((u.shape[0], spec.n))
     col = 0
     for (kj, _), sl in zip(spec.blocks, spec.slices):
         d = sampling.ball_draws_per_point(kj)

@@ -523,7 +523,8 @@ def asymptotic_ratio_check(which: str, params: dict, grid) -> RatioReport:
     which="ball": params k, alpha; envelope (1-r^2)^alpha.
     which="disk": params alpha, beta; envelope (1-r^2)^alpha, plus the
     refined envelope (1-r^2)^alpha r^beta attached when beta <= 0 and the
-    grid avoids r = 0, where r^beta is not defined.
+    grid avoids r = 0, where r^beta is not defined. Where r^beta overflows
+    (r near 0 and beta < -1) the refined envelope is inf, with no warning.
 
     The integrals come from the closed forms, one call for the whole grid.
     """
@@ -541,6 +542,8 @@ def asymptotic_ratio_check(which: str, params: dict, grid) -> RatioReport:
     envelope = (1.0 - grid ** 2) ** alpha
     report = RatioReport(which, dict(params), grid, value, envelope)
     if which == "disk" and beta <= 0.0 and not np.any(grid == 0.0):
+        with np.errstate(over="ignore"):
+            refined_envelope = envelope * grid ** beta
         report.refined = RatioReport("disk-refined", dict(params), grid, value,
-                                     envelope * grid ** beta)
+                                     refined_envelope)
     return report

@@ -23,6 +23,14 @@ hardware, so `w * np.conj(eta)` would round long and short arrays
 differently. With any temporary already on the left, the order is the same
 at every length, and a point's value does not depend on the batch it comes
 in.
+
+One complex division per kernel value: numpy's complex divide costs about
+ten complex multiplies per element. A product kernel is the reciprocal of
+the product of its factor denominators, (1 - <w, eta>)^(k_j+1) per ball
+block and (1 - conj(eta_j) w_j)^2 per chain disk (`_product_denominator`),
+taken by one division. `kernel_hartogs` folds the two chart Jacobians into
+that same denominator, and the Monte-Carlo projection divides its integrand
+by it once per sample.
 """
 
 from __future__ import annotations
@@ -68,30 +76,48 @@ def _check_points(dim: int, w, eta) -> None:
         raise ValueError(f"expected points in C^{dim}")
 
 
+def _disk_denominator(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(1 - conj(eta) w)^2, the reciprocal of the punctured-disk kernel."""
+    base = 1.0 - np.conj(eta) * w
+    return base * base
+
+
+def _ball_denominator(k: int, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(1 - <w, eta>)^(k+1), the reciprocal of the ball kernel."""
+    # a row sum over k columns; np.sum's reduction costs several times more
+    # per row there, and einsum adds the products in the same order
+    ip = np.einsum("...j->...", np.conj(eta) * w)
+    return int_power(1.0 - ip, k + 1)
+
+
+def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray,
+                         eta: np.ndarray) -> np.ndarray:
+    """The reciprocal of the product kernel: the product of the factor
+    denominators, with no division."""
+    den = None
+    for (kj, _), sl in zip(spec.blocks, spec.slices):
+        factor = _ball_denominator(kj, w[..., sl], eta[..., sl])
+        den = factor if den is None else factor * den
+    for j in range(spec.k, spec.n):
+        den = _disk_denominator(w[..., j], eta[..., j]) * den
+    return den
+
+
 @_pair_as_row(0)
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
-    base = 1.0 - np.conj(eta) * w
-    return 1.0 / (base * base)
+    return 1.0 / _disk_denominator(w, eta)
 
 
 @_pair_as_row(1)
 def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
     _check_points(k, w, eta)
-    # a row sum over k columns; np.sum's reduction costs several times more
-    # per row there, and einsum adds the products in the same order
-    ip = np.einsum("...j->...", np.conj(eta) * w)
-    return 1.0 / int_power(1.0 - ip, k + 1)
+    return 1.0 / _ball_denominator(k, w, eta)
 
 
 @_pair_as_row(1)
 def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
     _check_points(spec.n, w, eta)
-    val = np.ones(np.broadcast_shapes(w.shape[:-1], eta.shape[:-1]), dtype=complex)
-    for (kj, _), sl in zip(spec.blocks, spec.slices):
-        val = kernel_ball(kj, w[..., sl], eta[..., sl]) * val
-    for j in range(spec.k, spec.n):
-        val = kernel_punctured_disk(w[..., j], eta[..., j]) * val
-    return val
+    return 1.0 / _product_denominator(spec, w, eta)
 
 
 @_pair_as_row(1)
@@ -142,8 +168,8 @@ def _kernel_hartogs_block(spec: HartogsDomainSpec, z: np.ndarray,
     fz = to_product_model(n, k, w)
     fzeta = to_product_model(n, k, weta)
     det_z = jacobian_det_from_product(n, k, fz)
-    det_zeta = jacobian_det_from_product(n, k, fzeta)
-    return kernel_product(spec, fz, fzeta) * factor / (np.conj(det_zeta) * det_z)
+    den = _product_denominator(spec, fz, fzeta)
+    return factor / ((np.conj(jacobian_det_from_product(n, k, fzeta)) * det_z) * den)
 
 
 def _standard_image(spec: HartogsDomainSpec, std: HartogsDomainSpec, z) -> np.ndarray:
@@ -254,7 +280,8 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
 
     `f` is called on `workers` threads at once (`mc.mc_mean`), one batch of
     points per call, so it must be safe to call concurrently; the result
-    does not depend on `workers`.
+    does not depend on `workers`. Each batch is a column-major (count, n)
+    array, as the sampler makes it (see `domains`).
     """
     if not spec.is_standard:
         raise ValueError("projection quadrature is implemented on the standard model")
@@ -267,9 +294,9 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         w = product_points(spec, rng, count)
-        kern = kernel_product(spec, fz, w)
         det_w = jacobian_det_from_product(n, k, w)
-        return kern * det_w * f(from_product_model(n, k, w))
+        fw = f(from_product_model(n, k, w))
+        return (det_w * fw) / _product_denominator(spec, fz, w)
 
     est, stderr = mc.mc_mean(values, samples, seed, workers=workers)
     return complex(est) / complex(det_z), stderr / abs(complex(det_z))

@@ -178,6 +178,21 @@ class TestEstimatesCommand:
         assert captured.out == ""
         assert "grid point r = 0" in captured.err
 
+    def test_refined_envelope_overflow_exits_2(self, capsys):
+        # r^beta = 1e380 at r = 1e-200: no RuntimeWarning (an error under
+        # pytest), and the message names the envelope and the radius
+        assert run(["estimates", "--which", "disk", "--alpha=-0.5", "--beta=-1.9",
+                    "--r-min", "1e-200", "--r-max", "0.5", "--grid-points", "2",
+                    "--refined"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the refined envelope (1-r^2)^alpha r^beta overflows "
+                                "at r = 1e-200 (beta = -1.9)\n")
+        # the plain table does not need r^beta
+        assert run(["estimates", "--which", "disk", "--alpha=-0.5", "--beta=-1.9",
+                    "--r-min", "1e-200", "--r-max", "0.5", "--grid-points", "2"]) == 0
+        assert capsys.readouterr().out.startswith("r,value,envelope,ratio\n1e-200,")
+
     def test_nonconvergence_exit_code(self, capsys):
         # named for what it once checked: with c = alpha + beta/2 + 2 = 5001.5 a
         # series took these radii, and its term cap ended it at r = 0.99999
@@ -507,6 +522,16 @@ class TestProjectCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"z^e is not in A^2: {message}" in captured.err
+
+    @pytest.mark.parametrize("function", ["--monomial=0,-1", "--blowup-m=1"])
+    def test_point_outside_the_domain_exits_2(self, function, capsys):
+        # the closed forms divide by z_2 = 0 here: membership is decided first,
+        # so no RuntimeWarning (an error under pytest) comes before the message
+        assert run(["project", "--n", "2", "--k", "1", "--point", "0.1,0", function,
+                    "--samples", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: projection point lies outside the domain\n"
 
     def test_single_sample_has_no_error_bar(self, capsys):
         assert run(["project", "--n", "2", "--k", "1", "--point", "0.1,0.4",

@@ -9,6 +9,7 @@ from hartogs.counterexample import (RadialStepFunction,
                                     blowup_demo, blowup_eval, blowup_norm,
                                     projected_blowup, projection_constant,
                                     radial_norm_power_integral)
+from hartogs.special import int_power
 from helpers import harmonic_number
 
 
@@ -82,6 +83,37 @@ class TestBlowupFunction:
                         phase = (mp.conj(mp.mpc(zn.real, zn.imag)) / rn) ** (n - 1)
                         ref = complex(rn ** (mp.mpf(1) / j - (n + 1)) * phase)
                         assert abs(g - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_phase_has_the_bits_of_the_division_by_the_modulus(self, n):
+        # numpy divides a complex by a real r as by r + 0i, which is the
+        # product with 1/r; the phase is taken that way, bit for bit
+        rng = np.random.default_rng(n)
+        # moduli across the support of g (down to a_7 = 7^-7) and below it, as
+        # far as r^-n, which `RadialStepFunction.value` takes there too, is finite
+        exponent = np.concatenate([rng.uniform(-6.0, 0.0, 3000), rng.uniform(-60.0, -6.0, 1000)])
+        zn = 10.0 ** exponent * np.exp(2j * np.pi * rng.random(4000))
+        z = np.zeros((4000, n), dtype=complex)
+        z[:, -1] = zn
+        r = np.abs(zn)
+        want = RadialStepFunction(n, 6).value(r) * int_power(np.conj(zn) / r, n - 1)
+        assert np.array_equal(blowup_eval(n, 6, z).view(np.int64), want.view(np.int64))
+        assert np.count_nonzero(want) > 2000
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_phase_on_an_axis_differs_from_the_division_in_a_zero_sign_only(self, n):
+        # with a zero part of zn the division's rat = +0 terms can give a
+        # zero of the other sign, e.g. conj(-0.5 + 0j) / 0.5 = -1 + 0j against
+        # the product's -1 - 0j; the values are equal
+        zn = np.array([0.5, -0.5, 0.5j, -0.5j, complex(-0.0, 0.5), complex(0.5, -0.0)])
+        z = np.zeros((zn.size, n), dtype=complex)
+        z[:, -1] = zn
+        r = np.abs(zn)
+        want = RadialStepFunction(n, 6).value(r) * int_power(np.conj(zn) / r, n - 1)
+        assert np.all(want != 0)
+        assert np.array_equal(blowup_eval(n, 6, z), want)
+        if n == 2:  # the phase itself, so the sign difference does show
+            assert not np.array_equal(blowup_eval(n, 6, z).view(np.int64), want.view(np.int64))
 
     def test_vanishing_last_coordinate_raises(self):
         with pytest.raises(ZeroDivisionError):

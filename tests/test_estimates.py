@@ -322,6 +322,16 @@ class TestRatioReports:
         assert report.refined is None
         assert np.all(np.isfinite(report.ratio))
 
+    def test_refined_envelope_overflow_is_inf(self):
+        # r^beta overflows below r = 10^(-308/1.9), about 1e-162, and nowhere
+        # above; no RuntimeWarning (an error under pytest) comes of it
+        grid = np.array([0.5, 1e-100, 1e-170, 1e-200])
+        report = asymptotic_ratio_check("disk", {"alpha": -0.5, "beta": -1.9}, grid)
+        assert np.array_equal(np.isfinite(report.refined.envelope),
+                              [True, True, False, False])
+        # the plain report does not take r^beta
+        assert np.all(np.isfinite(report.ratio))
+
     def test_envelope_comparison_needs_negative_alpha(self):
         with pytest.raises(ValueError):
             asymptotic_ratio_check("ball", {"k": 1, "alpha": 0.5}, [0.0, 0.5])

@@ -572,3 +572,119 @@ class TestLonePair:
         alone = [fn(N, a, b) for a, b in zip(z, zeta)]
         assert all(isinstance(value, complex) for value in alone)
         assert np.array_equal(np.array(alone), fn(N, z, zeta))
+
+
+# --- 30-digit references -------------------------------------------------
+
+EDGE = 1.0 - 1e-8
+
+
+def _edge_product_points(spec, seed, count=40):
+    """Product-model points of `spec` with every ball block and chain
+    coordinate at modulus 1 - 1e-8, at random phases."""
+    w = domains.sample_product_model(spec, count, seed=seed, r_max=0.9)
+    for sl in spec.slices:
+        w[:, sl] *= (EDGE / np.linalg.norm(w[:, sl], axis=1))[:, None]
+    w[:, spec.k:] *= EDGE / np.abs(w[:, spec.k:])
+    return w
+
+
+def _turned(spec, w, seed):
+    """w with each ball block and chain coordinate turned by a phase in
+    [pi/2, 3 pi/2], so that |1 - <w, eta>| >= 1 on every factor."""
+    turns = np.exp(1j * np.random.default_rng(seed).uniform(
+        np.pi / 2, 3 * np.pi / 2, (len(w), len(spec.blocks) + spec.n - spec.k)))
+    eta = w.copy()
+    for i, sl in enumerate(spec.slices):
+        eta[:, sl] *= turns[:, i, None]
+    eta[:, spec.k:] *= turns[:, len(spec.blocks):]
+    return eta
+
+
+def _point_pairs(spec, seed):
+    """Pairs of product-model points: interior with interior, edge with
+    interior and back, and edge with edge. Two edge points at nearby phases
+    are left out: there 1 - <w, eta> cancels, and the rounding of the
+    inputs alone moves the kernel by more than 1e-14."""
+    inner = domains.sample_product_model(spec, 40, seed=seed, r_max=0.9)
+    edge = _edge_product_points(spec, seed + 1)
+    return [(inner, np.roll(inner, 1, axis=0)), (edge, inner), (inner, edge),
+            (edge, _turned(spec, edge, seed + 2))]
+
+
+def _mp_product_kernel(mp, spec, w, eta):
+    """The product kernel at one pair of points, from its factors."""
+    val = mp.mpc(1)
+    for (kj, _), sl in zip(spec.blocks, spec.slices):
+        ip = mp.fsum(mp.conj(b) * a for a, b in zip(w[sl], eta[sl]))
+        val /= (1 - ip) ** (kj + 1)
+    for j in range(spec.k, spec.n):
+        val /= (1 - mp.conj(eta[j]) * w[j]) ** 2
+    return val
+
+
+def _mp_standard_map(mp, fam, x):
+    """(image, Jacobian determinant) of one block map."""
+    if fam.is_identity:
+        return x, mp.mpc(1)
+    if fam == domains.MapFamily.rational_example():
+        den = x[1] - 10
+        return [x[0] / den, 3 * x[1] + 1], 3 / den
+    a = mp.matrix([[mp.mpc(v) for v in row] for row in fam.matrix])
+    y = a * mp.matrix(x) + mp.matrix([mp.mpc(v) for v in fam.shift])
+    return list(y), mp.det(a)
+
+
+def _mp_hartogs_kernel(mp, spec, z, zeta):
+    """The kernel of the spec's domain at one pair of points: the product
+    kernel at the chart images, times the Jacobians of the block maps over
+    those of the inverse chart."""
+    def chart(x):
+        det = mp.mpc(1)
+        y = []
+        for (_, fam), sl in zip(spec.blocks, spec.slices):
+            block, block_det = _mp_standard_map(mp, fam, x[sl])
+            y += block
+            det *= block_det
+        y += x[spec.k:]
+        k, n = spec.k, spec.n
+        w = [y[i] / y[k] for i in range(k)] + [y[j] / y[j + 1] for j in range(k, n - 1)]
+        w.append(y[n - 1])
+        for j in range(k, n):
+            det /= w[j] ** j  # over prod w_j^(j-1), 1-based
+        return w, det
+
+    w, det_z = chart(z)
+    eta, det_zeta = chart(zeta)
+    return det_z * mp.conj(det_zeta) * _mp_product_kernel(mp, spec, w, eta)
+
+
+def _assert_close_to_mpmath(mp, got, reference, *rows):
+    with mp.workdps(30):
+        for value, *pair in zip(got, *rows):
+            want = reference(*[[mp.mpc(complex(v)) for v in point] for point in pair])
+            assert abs(value - complex(want)) <= 1e-14 * abs(complex(want)), (value, pair)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("name", ["standard31", "affine4", "rational3"])
+    def test_product_kernel(self, name):
+        mp = pytest.importorskip("mpmath")
+        spec = (HartogsDomainSpec.standard(3, 1) if name == "standard31"
+                else builtin_example(name).standardized())
+        for w, eta in _point_pairs(spec, 30):
+            _assert_close_to_mpmath(
+                mp, kernels.kernel_product(spec, w, eta),
+                lambda a, b: _mp_product_kernel(mp, spec, a, b), w, eta)
+
+    @pytest.mark.parametrize("name", ["standard31", "affine4", "rational3"])
+    def test_hartogs_kernel(self, name):
+        mp = pytest.importorskip("mpmath")
+        spec = HartogsDomainSpec.standard(3, 1) if name == "standard31" else builtin_example(name)
+        std = spec.standardized()
+        for w, eta in _point_pairs(std, 40):
+            z, zeta = (domains.from_standard_model(spec, domains.from_product_model(
+                spec.n, spec.k, x)) for x in (w, eta))
+            _assert_close_to_mpmath(
+                mp, kernels.kernel_hartogs(spec, z, zeta),
+                lambda a, b: _mp_hartogs_kernel(mp, spec, a, b), z, zeta)
