@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .domains import standard_volume
-from .special import int_power, log_factorial
+from .special import int_power, log_factorial, lone_point_as_row
 
 # Size cap of the demo table, not a numerical limit: the piece sums match 20-digit
 # mpmath at m = 20000 (test_counterexample.py); an underflowing piece adds nothing.
@@ -63,16 +63,16 @@ class RadialStepFunction:
         return np.where(idx <= self.m, idx, 0)
 
     def value(self, r) -> np.ndarray:
-        """g(r) on the support, 0 for r <= a_(m+1)."""
+        """g(r) on the support, 0 for r <= a_(m+1) (no power is taken there: it may overflow)."""
         r = np.asarray(r, dtype=float)
         idx = self.piece_index(r)
-        if self.m == 0:
-            return np.zeros_like(r)
+        out = np.zeros_like(r)
         inside = idx > 0
-        exps = self.exponents[np.where(inside, idx, 1) - 1]
-        return np.where(inside, np.exp(exps * np.log(r)), 0.0)
+        out[inside] = np.exp(self.exponents[idx[inside] - 1] * np.log(r[inside]))
+        return out
 
 
+@lone_point_as_row(z=1)
 def blowup_eval(n: int, m: int, z) -> complex | np.ndarray:
     """Value of the m-th blow-up function at points of the domain."""
     z = np.asarray(z, dtype=complex)
@@ -81,14 +81,13 @@ def blowup_eval(n: int, m: int, z) -> complex | np.ndarray:
     if np.any(r == 0.0):
         raise ZeroDivisionError("last coordinate vanishes (outside the domain)")
     profile = RadialStepFunction(n, m)
-    g = profile.value(np.atleast_1d(r)).reshape(r.shape)
+    g = profile.value(r)
     # times the reciprocal, at a tenth of the cost: numpy divides a complex by
     # a real r as by r + 0i, which gives this product's bits wherever both
     # parts of zn are nonzero; where a part is zero, the sign of that zero
     # in the phase may differ, and the value does not
     phase = int_power(np.conj(zn) * (1.0 / r), n - 1)
-    val = np.asarray(g * phase)
-    return complex(val) if val.ndim == 0 else val
+    return g * phase
 
 
 def moment_constant(n: int, k: int) -> float:
@@ -144,6 +143,7 @@ def projection_constant(m: int) -> float:
     return float(_stages(2, 1.0, m)[1][m])  # C_m's pieces depend on neither n nor p
 
 
+@lone_point_as_row(z=1)
 def projected_blowup(n: int, m: int, z) -> complex | np.ndarray:
     """Closed form of the Bergman projection of the m-th blow-up function.
 
@@ -154,8 +154,7 @@ def projected_blowup(n: int, m: int, z) -> complex | np.ndarray:
     zn = z[..., -1]
     if np.any(zn == 0.0):
         raise ZeroDivisionError("last coordinate vanishes (outside the domain)")
-    val = np.asarray(2.0 * projection_constant(m) / int_power(zn, n - 1))
-    return complex(val) if val.ndim == 0 else val
+    return 2.0 * projection_constant(m) / int_power(zn, n - 1)
 
 
 @dataclass

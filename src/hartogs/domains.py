@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, sampling
-from .special import monomial
+from .special import lone_point_as_row, monomial
 
 _IDENTITY = "identity"
 _AFFINE = "affine"
@@ -342,6 +342,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...j,...j->...", v, v))
 
 
+@lone_point_as_row(z=1)
 def contains(spec: HartogsDomainSpec, z) -> bool | np.ndarray:
     """Strict membership test for the domain of `spec`."""
     z = _check_point(spec.n, z)
@@ -354,7 +355,7 @@ def contains(spec: HartogsDomainSpec, z) -> bool | np.ndarray:
     for i in range(chain.shape[-1] - 1):
         ok &= chain[..., i] < chain[..., i + 1]
     ok &= chain[..., -1] < 1.0
-    return bool(ok) if ok.ndim == 0 else ok
+    return ok
 
 
 def _new_batch(shape: tuple[int, ...]) -> np.ndarray:
@@ -389,11 +390,11 @@ def from_product_model(n: int, k: int, w) -> np.ndarray:
     return z
 
 
+@lone_point_as_row(w=1)
 def jacobian_det_from_product(n: int, k: int, w) -> np.ndarray | complex:
     """prod_{j=k+1}^{n} w_j^(j-1) (1-based j), the holomorphic Jacobian det."""
     w = _check_point(n, w)
-    det = monomial(w[..., k:], range(k, n))  # 0-based column j carries exponent j
-    return complex(det) if det.ndim == 0 else det
+    return monomial(w[..., k:], range(k, n))  # 0-based column j carries exponent j
 
 
 def to_standard_model(spec: HartogsDomainSpec, z) -> np.ndarray:
@@ -405,15 +406,14 @@ def to_standard_model(spec: HartogsDomainSpec, z) -> np.ndarray:
     return out
 
 
+@lone_point_as_row(z=1)
 def jacobian_det_to_standard(spec: HartogsDomainSpec, z) -> complex | np.ndarray:
     """Product of the per-block Jacobian determinants at z."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != spec.n:
-        raise ValueError(f"expected points in C^{spec.n}")
+    z = _check_point(spec.n, z)
     det = np.ones(z.shape[:-1], dtype=complex)
     for (_, fam), sl in zip(spec.blocks, spec.slices):
         det = fam.jacobian_det(z[..., sl]) * det  # operand order: see `kernels`
-    return complex(det) if det.ndim == 0 else det
+    return det
 
 
 def from_standard_model(spec: HartogsDomainSpec, w) -> np.ndarray:
@@ -474,6 +474,7 @@ def sample_product_model(spec: HartogsDomainSpec, count: int, seed: int,
     return np.concatenate(parts, axis=0)
 
 
+@lone_point_as_row(w=1)
 def product_model_contains(spec: HartogsDomainSpec, w) -> bool | np.ndarray:
     """Membership in ball(k_1) x ... x ball(k_l) x punctured-disk^(n-k)."""
     w = _check_point(spec.n, w)
@@ -482,4 +483,4 @@ def product_model_contains(spec: HartogsDomainSpec, w) -> bool | np.ndarray:
         ok &= _row_norms(w[..., sl]) < 1.0
     tail = np.abs(w[..., spec.k:])
     ok &= np.all((tail > 0.0) & (tail < 1.0), axis=-1)
-    return bool(ok) if ok.ndim == 0 else ok
+    return ok

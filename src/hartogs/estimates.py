@@ -61,7 +61,8 @@ import numpy as np
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import gauss_jacobi, hyp2f1, int_power, log_beta, log_factorial
+from .special import (gauss_jacobi, hyp2f1, int_power, log_beta, log_factorial,
+                      lone_point_as_row)
 
 MultiIndex = Sequence[int]
 
@@ -159,11 +160,6 @@ def _radii(r) -> np.ndarray:
     return radii
 
 
-def _like(r, values: np.ndarray):
-    """A float for scalar r, the array of values otherwise."""
-    return float(values) if np.ndim(r) == 0 else values
-
-
 def _finite(values: np.ndarray, radii: np.ndarray, family: str, **params) -> np.ndarray:
     """values, checked to be finite: a closed form that lost every digit
     raises here instead of being printed."""
@@ -175,6 +171,7 @@ def _finite(values: np.ndarray, radii: np.ndarray, family: str, **params) -> np.
                      f"is not finite (got {values[bad].flat[0]})")
 
 
+@lone_point_as_row(r=0)
 def weighted_ball_integral(k: int, alpha: float, r):
     """Weighted ball integral at radii r in [0, 1), in closed form:
     k! G(alpha+1)/G(k+alpha+1) 2F1((k+1)/2, (k+1)/2; k+alpha+1; r^2).
@@ -184,29 +181,24 @@ def weighted_ball_integral(k: int, alpha: float, r):
     for k in the thousands the 2F1 passes float64's largest value before
     r = 1 (at alpha = -0.5, from r = 0.967, 0.733 and 0.204 at k = 1500,
     4000 and 65000, where the integral nears 1e302 to 1e305).
-    Scalar r gives a float, an array of radii an array of the same shape
-    whose entries equal the scalar calls bit for bit.
     """
     half, scale = _ball_params(k, alpha)
     radii = _radii(r)
-    values = _finite(scale * hyp2f1(half, half, k + alpha + 1.0, radii * radii),
-                     radii, "ball", k=k, alpha=alpha)
-    return _like(r, values)
+    return _finite(scale * hyp2f1(half, half, k + alpha + 1.0, radii * radii),
+                   radii, "ball", k=k, alpha=alpha)
 
 
+@lone_point_as_row(r=0)
 def weighted_disk_integral(alpha: float, beta: float, r):
     """Weighted disk integral at radii r in [0, 1), in closed form:
     B(alpha+1, beta/2+1) 2F1(1, beta/2+1; alpha+beta/2+2; r^2).
 
     One `hyp2f1` call serves every alpha and beta up to its cap on c.
-    Scalar r gives a float, an array of radii an array of the same shape
-    whose entries equal the scalar calls bit for bit.
     """
     b, scale = _disk_params(alpha, beta)
     radii = _radii(r)
-    values = _finite(scale * hyp2f1(1.0, b, alpha + b + 1.0, radii * radii),
-                     radii, "disk", alpha=alpha, beta=beta)
-    return _like(r, values)
+    return _finite(scale * hyp2f1(1.0, b, alpha + b + 1.0, radii * radii),
+                   radii, "disk", alpha=alpha, beta=beta)
 
 
 class NonConvergenceError(ArithmeticError):
@@ -431,6 +423,7 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
 _QUAD_NODES = 64
 
 
+@lone_point_as_row(r=0)
 def weighted_disk_integral_quad(alpha: float, beta: float, r,
                                 inner_cutoff: float = 0.0):
     """Radial quadrature route for the weighted disk integral at radii r.
@@ -459,9 +452,7 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
         raise ValueError("inner cutoff must lie in [0, 1)")
     if beta <= -2.0 and inner_cutoff <= 0.0:
         raise ValueError("beta <= -2 diverges; supply a positive inner cutoff")
-    # 1-d even for scalar r: numpy's scalar power rounds differently from its
-    # array loop, and array results must equal the scalar calls bit for bit
-    x = np.ravel(radii * radii)
+    x = radii * radii
     h = beta / 2.0
     low = inner_cutoff ** 2
     a = max(low, 0.5)
@@ -471,8 +462,8 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
     y, wy = gauss_jacobi(_QUAD_NODES, alpha, 0.0)
     s = 1.0 - 0.5 * span * (1.0 - y)
     g_pole = np.where(x >= 0.5, np.maximum(x, 0.5) ** -h, 0.0)
-    xs = x[:, None]
-    smooth = (wy * (s ** h - g_pole[:, None]) / (1.0 - xs * s)).sum(axis=-1)
+    xs = x[..., None]
+    smooth = (wy * (s ** h - g_pole[..., None]) / (1.0 - xs * s)).sum(axis=-1)
     # int_a^1 (1-s)^alpha / (1 - x s) ds, a 2F1 after v = 1-s and Pfaff's transformation
     pole = (span ** (alpha + 1.0) / ((alpha + 1.0) * (1.0 - a * x))
             * hyp2f1(1.0, 1.0, alpha + 2.0, span * x / (1.0 - a * x)))
@@ -491,7 +482,7 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
             s = 0.5 * a * (1.0 + y)
             f = (1.0 - s) ** alpha / (1.0 - xs * s)
             total = total + (0.5 * a) ** (h + 1.0) * (wy * f).sum(axis=-1)
-    return _like(r, total.reshape(radii.shape))
+    return total
 
 
 # --- asymptotic envelope reports ----------------------------------------

@@ -35,7 +35,6 @@ by it once per sample.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Sequence, Tuple
 
@@ -45,35 +44,17 @@ from . import mc
 from .domains import (HartogsDomainSpec, contains, from_product_model,
                       jacobian_det_from_product, jacobian_det_to_standard,
                       product_points, to_product_model, to_standard_model)
-from .special import int_power, log_factorial
+from .special import int_power, log_factorial, lone_point_as_row
 
 Model = str | Tuple[str, object]
 
 
-def _pair_as_row(point_ndim: int):
-    """Evaluate a lone pair of points as a one-row batch.
-
-    numpy's 0-d scalar arithmetic rounds differently from its array loops,
-    so a pair given alone gets the bits of the same pair as a batch row. A
-    point has `point_ndim` axes; the decorated evaluator takes its leading
-    arguments, then the two point arrays.
-    """
-    def decorate(evaluate):
-        @functools.wraps(evaluate)
-        def evaluate_rows(*args):
-            *head, w, eta = args
-            w = np.asarray(w, dtype=complex)
-            eta = np.asarray(eta, dtype=complex)
-            if w.ndim != point_ndim or eta.ndim != point_ndim:
-                return evaluate(*head, w, eta)
-            return complex(evaluate(*head, w[None], eta[None])[0])
-        return evaluate_rows
-    return decorate
-
-
-def _check_points(dim: int, w, eta) -> None:
-    if np.shape(w)[-1:] != (dim,) or np.shape(eta)[-1:] != (dim,):
+def _points(w, eta, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """w and eta as complex arrays, checked to be points in C^dim (unless dim is None)."""
+    w, eta = np.asarray(w, dtype=complex), np.asarray(eta, dtype=complex)
+    if dim is not None and (w.shape[-1:] != (dim,) or eta.shape[-1:] != (dim,)):
         raise ValueError(f"expected points in C^{dim}")
+    return w, eta
 
 
 def _disk_denominator(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -103,24 +84,22 @@ def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray,
     return den
 
 
-@_pair_as_row(0)
+@lone_point_as_row(w=0, eta=0)
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
-    return 1.0 / _disk_denominator(w, eta)
+    return 1.0 / _disk_denominator(*_points(w, eta))
 
 
-@_pair_as_row(1)
+@lone_point_as_row(w=1, eta=1)
 def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
-    _check_points(k, w, eta)
-    return 1.0 / _ball_denominator(k, w, eta)
+    return 1.0 / _ball_denominator(k, *_points(w, eta, k))
 
 
-@_pair_as_row(1)
+@lone_point_as_row(w=1, eta=1)
 def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
-    _check_points(spec.n, w, eta)
-    return 1.0 / _product_denominator(spec, w, eta)
+    return 1.0 / _product_denominator(spec, *_points(w, eta, spec.n))
 
 
-@_pair_as_row(1)
+@lone_point_as_row(z=1, zeta=1)
 def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
     """Bergman kernel of the spec's domain via the product-model transfer.
 
@@ -140,6 +119,7 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
     block it lies; with bad points in several blocks, the first such block's
     error is raised.
     """
+    z, zeta = _points(z, zeta)
     batch = np.broadcast_shapes(z.shape[:-1], zeta.shape[:-1])
     rows = batch[0]
     out = np.empty(batch, dtype=complex)
@@ -209,14 +189,15 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
     if not 0 <= N <= TRUNCATED_MAX_N:
         raise ValueError(f"truncation degree must lie in [0, {TRUNCATED_MAX_N}], got {N}")
     if model == "disk":
-        blocks, w, eta = [(1, slice(None))], np.asarray(w)[..., None], np.asarray(eta)[..., None]
+        w, eta = (x[..., None] for x in _points(w, eta))
+        blocks = [(1, slice(None))]
     elif isinstance(model, tuple) and model[0] == "ball":
         k = int(model[1])
-        _check_points(k, w, eta)
+        w, eta = _points(w, eta, k)
         blocks = [(k, slice(None))]
     elif isinstance(model, tuple) and model[0] == "product":
         spec: HartogsDomainSpec = model[1]
-        _check_points(spec.n, w, eta)
+        w, eta = _points(w, eta, spec.n)
         blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
         blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
     else:
@@ -224,7 +205,7 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
     return _generating_coefficient(blocks, N, w, eta)
 
 
-@_pair_as_row(1)
+@lone_point_as_row(w=1, eta=1)
 def _generating_coefficient(blocks, N: int, w, eta) -> np.ndarray:
     """[t^N] of (1 - t)^-1 prod_j (1 - x_j t)^-(k_j+1), x_j = <w, eta> on the
     columns of block (k_j, columns). Each factor 1/(1 - x t) is a scan of the

@@ -15,12 +15,14 @@ branch ambiguity and no transcendental call per element.
 
 `hyp2f1`, the one route of the closed forms of the weighted integrals, and
 the one place that caps their c, and `gauss_jacobi`, the rules of their
-radial quadrature route, use numpy alone.
+radial quadrature route, use numpy alone. `lone_point_as_row` is the one
+rule of the package for a lone point or radius.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import sys
 
@@ -102,7 +104,33 @@ def int_power(x, e: int) -> np.ndarray:
     return result.copy() if result is x else result
 
 
-def monomial(z, exps) -> np.ndarray:
+def lone_point_as_row(**point_ndim: int):
+    """Evaluate lone points as a one-row batch, so that they get the bits of
+    a batch row: numpy's 0-d scalar arithmetic rounds unlike its array loops.
+
+    The decorator names each point argument with the axes of one point: 1
+    for a point in C^n, 0 for a disk point or a radius. When every point
+    argument has just those axes, each goes in as one row, and the row's
+    entry comes back as a Python complex, float or bool. Any other call, a
+    lone point broadcast against a batch included, goes in as it is.
+    """
+    def decorate(evaluate):
+        names = list(inspect.signature(evaluate).parameters)
+
+        @functools.wraps(evaluate)
+        def evaluate_rows(*args, **kwargs):
+            given = dict(zip(names, args), **kwargs)
+            points = {name: np.asarray(given[name]) for name in point_ndim if name in given}
+            if {name: point.ndim for name, point in points.items()} != point_ndim:
+                return evaluate(*args, **kwargs)
+            given.update((name, point[None]) for name, point in points.items())
+            return evaluate(**given)[0].item()
+        return evaluate_rows
+    return decorate
+
+
+@lone_point_as_row(z=1)
+def monomial(z, exps) -> complex | float | np.ndarray:
     """prod_j z_j^e_j over the last axis of z for integer e_j, by `int_power`
     (a negative e_j divides by z_j^-e_j)."""
     z = np.asarray(z)

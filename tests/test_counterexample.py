@@ -89,11 +89,12 @@ class TestBlowupFunction:
         # numpy divides a complex by a real r as by r + 0i, which is the
         # product with 1/r; the phase is taken that way, bit for bit
         rng = np.random.default_rng(n)
-        # moduli across the support of g (down to a_7 = 7^-7) and below it, as
-        # far as r^-n, which `RadialStepFunction.value` takes there too, is finite
-        exponent = np.concatenate([rng.uniform(-6.0, 0.0, 3000), rng.uniform(-60.0, -6.0, 1000)])
-        zn = 10.0 ** exponent * np.exp(2j * np.pi * rng.random(4000))
-        z = np.zeros((4000, n), dtype=complex)
+        # moduli across the support of g (down to a_7 = 7^-7) and below it, down
+        # to 1e-200, where the first piece's power r^-n would overflow
+        exponent = np.concatenate([rng.uniform(-6.0, 0.0, 3000), rng.uniform(-60.0, -6.0, 1000),
+                                   [-200.0]])
+        zn = 10.0 ** exponent * np.exp(2j * np.pi * rng.random(4001))
+        z = np.zeros((4001, n), dtype=complex)
         z[:, -1] = zn
         r = np.abs(zn)
         want = RadialStepFunction(n, 6).value(r) * int_power(np.conj(zn) / r, n - 1)

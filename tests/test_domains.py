@@ -238,7 +238,7 @@ class TestStandardization:
                         (domains.jacobian_det_to_standard, z)]:
             whole = fn(spec, pts)
             for length in (100, 16383, 16384):
-                assert np.array_equal(fn(spec, pts[:length]), whole[:length]), (fn, length)
+                assert fn(spec, pts[:length]).tobytes() == whole[:length].tobytes(), (fn, length)
 
 
 class TestSampling:

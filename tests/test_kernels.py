@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hartogs import domains, kernels, mc
+from hartogs import counterexample, domains, estimates, kernels, mc, special
 from hartogs.cli import builtin_example
 from hartogs.domains import HartogsDomainSpec
 from helpers import multi_indices
@@ -450,7 +450,7 @@ def _assert_prefix_stable(fn, *arrays):
     whole = fn(*arrays)
     for length in PREFIXES:
         part = fn(*[a[:length] if a.shape[:1] == (ROWS,) else a for a in arrays])
-        assert np.array_equal(part, whole[:length]), length
+        assert part.tobytes() == whole[:length].tobytes(), length
 
 
 class TestPrefixStability:
@@ -495,7 +495,7 @@ class TestBlockedHartogsKernel:
         monkeypatch.setattr(mc, "WORKERS", workers)
         for a, b in [(z, zeta), (z[:, None], zeta[:2])]:
             one_block = kernels._kernel_hartogs_block(spec, a, b)
-            assert np.array_equal(kernels.kernel_hartogs(spec, a, b), one_block)
+            assert kernels.kernel_hartogs(spec, a, b).tobytes() == one_block.tobytes()
 
     def test_many_threads_on_small_blocks(self, monkeypatch):
         # more threads than cores, each block written into the shared output
@@ -538,40 +538,79 @@ class TestBlockedHartogsKernel:
 
 
 
-def _pair_case(name):
-    """An evaluator and two arrays of points of its domain, paired by row."""
-    if name == "disk":
-        return kernels.kernel_punctured_disk, _ball_points(1, 21)[:, 0], _ball_points(1, 22)[:, 0]
-    if name == "ball":
-        return functools.partial(kernels.kernel_ball, 3), _ball_points(3, 23), _ball_points(3, 24)
-    if name == "product":
-        spec = HartogsDomainSpec.standard(3, 1)
-        w = domains.sample_product_model(spec, ROWS, seed=25, r_max=0.9)
-        return functools.partial(kernels.kernel_product, spec), w, np.roll(w, 1, axis=0)
-    spec = _spec(name)
-    return (functools.partial(kernels.kernel_hartogs, spec),
-            _domain_points(spec, 26), _domain_points(spec, 27))
+# --- lone points ---------------------------------------------------------
+
+LONE_ROWS = 2000
+LONE_STRIDE = 20  # every twentieth row is also evaluated alone
+STANDARD = {"standard21": (2, 1), "standard31": (3, 1), "standard42": (4, 2),
+            "standard51": (5, 1)}
+LONE_EVALUATORS = ["disk", "ball", "product", "hartogs", "truncated", "truncated_disk",
+                   "truncated_ball", "ball_integral", "disk_integral", "disk_quad", "contains",
+                   "product_model_contains", "jacobian_from_product", "jacobian_to_standard",
+                   "blowup_eval", "projected_blowup", "monomial"]
+SPEC_MAP_EVALUATORS = ["hartogs", "contains", "jacobian_to_standard"]
+LONE_CASES = ([(name, model) for name in LONE_EVALUATORS for model in STANDARD]
+              + [(name, model) for name in SPEC_MAP_EVALUATORS
+                 for model in ("affine4", "rational3")])
 
 
-class TestLonePair:
+def _lone_case(name, model):
+    """A public evaluator of lone points, with its leading arguments bound, and
+    its point arrays of LONE_ROWS rows each, paired by row."""
+    spec = (HartogsDomainSpec.standard(*STANDARD[model]) if model in STANDARD
+            else builtin_example(model))
+    std = spec.standardized()
+    n, k, k1 = spec.n, spec.k, spec.block_dims[0]
+    w, eta = (domains.sample_product_model(std, LONE_ROWS, seed=seed, r_max=0.9)
+              for seed in (40, 41))
+    z, zeta = (domains.from_standard_model(spec, domains.from_product_model(n, k, x))
+               for x in (w, eta))
+    # every other point moved out by a fifth, so that membership goes both ways
+    spread = np.where(np.arange(LONE_ROWS)[:, None] % 2, 1.0, 1.2)
+    radius, block_radius = np.abs(w[:, k]), np.linalg.norm(w[:, :k1], axis=1)
+    cases = {
+        "disk": (kernels.kernel_punctured_disk, w[:, k], eta[:, k]),
+        "ball": (functools.partial(kernels.kernel_ball, k1), w[:, :k1], eta[:, :k1]),
+        "product": (functools.partial(kernels.kernel_product, std), w, eta),
+        "hartogs": (functools.partial(kernels.kernel_hartogs, spec), z, zeta),
+        "truncated": (functools.partial(kernels.kernel_truncated, ("product", std), 20),
+                      w, eta),
+        "truncated_disk": (functools.partial(kernels.kernel_truncated, "disk", 20),
+                           w[:, k], eta[:, k]),
+        "truncated_ball": (functools.partial(kernels.kernel_truncated, ("ball", k1), 20),
+                           w[:, :k1], eta[:, :k1]),
+        "ball_integral": (functools.partial(estimates.weighted_ball_integral, k1, -0.5),
+                          block_radius),
+        "disk_integral": (functools.partial(estimates.weighted_disk_integral, -0.5, -1.2),
+                          radius),
+        "disk_quad": (functools.partial(estimates.weighted_disk_integral_quad, -0.5, -1.2),
+                      radius),
+        "contains": (functools.partial(domains.contains, spec), z * spread),
+        "product_model_contains": (functools.partial(domains.product_model_contains, std),
+                                   w * spread),
+        "jacobian_from_product": (functools.partial(domains.jacobian_det_from_product, n, k),
+                                  w),
+        "jacobian_to_standard": (functools.partial(domains.jacobian_det_to_standard, spec), z),
+        "blowup_eval": (functools.partial(counterexample.blowup_eval, n, 6), z),
+        "projected_blowup": (functools.partial(counterexample.projected_blowup, n, 6), z),
+        "monomial": (lambda x: special.monomial(x, [3, -2, 1, 2, -1][:n]), z),
+    }
+    return cases[name]
+
+
+class TestLonePoint:
     # numpy's 0-d scalar arithmetic rounds differently from its array loops;
-    # a pair of points given alone must get the bits of its batch row
-    @pytest.mark.parametrize("name", ["disk", "ball", "product", "standard", "affine4",
-                                      "rational3"])
-    def test_pair_equals_batch_row(self, name):
-        fn, z, zeta = _pair_case(name)
-        z, zeta = z[:200], zeta[:200]
-        alone = [fn(a, b) for a, b in zip(z, zeta)]
-        assert all(isinstance(value, complex) for value in alone)
-        assert np.array_equal(np.array(alone), fn(z, zeta))
-
-    @pytest.mark.parametrize("model", ["disk", "ball3", "product31"])
-    @pytest.mark.parametrize("N", [0, 20])
-    def test_truncated_pair_equals_batch_row(self, model, N):
-        fn, _, z, zeta = _truncated_case(model, np.random.default_rng(28), 200, 0.9)
-        alone = [fn(N, a, b) for a, b in zip(z, zeta)]
-        assert all(isinstance(value, complex) for value in alone)
-        assert np.array_equal(np.array(alone), fn(N, z, zeta))
+    # a lone point must get the bits of its row in a batch, as a Python scalar
+    @pytest.mark.parametrize("name, model", LONE_CASES)
+    def test_pair_equals_batch_row(self, name, model):
+        fn, *points = _lone_case(name, model)
+        batch = fn(*points)
+        rows = range(0, LONE_ROWS, LONE_STRIDE)
+        alone = [fn(*(x[row] for x in points)) for row in rows]
+        assert {type(value) for value in alone} == {type(batch[0].item())}
+        mismatches = [row for row, value in zip(rows, alone)
+                      if np.array(value).tobytes() != batch[row].tobytes()]
+        assert mismatches == []
 
 
 # --- 30-digit references -------------------------------------------------

@@ -8,7 +8,9 @@ the CPU affinity. The weighted integrals have one route: only `special`
 names the cap on the 2F1 parameter c, no module names the reference series,
 and only the two series wrappers call `_series_sum`. Stdout has one owner:
 no module imports `csv`, only `cli` writes a `.12g` format, and no class
-outside `domains` (whose spec files are read back) serializes itself.
+outside `domains` (whose spec files are read back) serializes itself. A
+lone point has one rule: outside `special` no module tests whether an array
+is 0-d, and none defines its own lone-point helper.
 """
 
 import ast
@@ -199,3 +201,34 @@ def test_only_domains_classes_serialize_themselves():
     found = {name: _serializers(name) for name in MODULES}
     assert found["domains"] == {"MapFamily.to_json_dict", "HartogsDomainSpec.to_json_dict"}
     assert {name for name, methods in found.items() if methods} == {"domains"}
+
+
+def _is_ndim(node: ast.AST) -> bool:
+    """Whether a node is `x.ndim` or a call `ndim(x)` / `np.ndim(x)`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        return getattr(node, "id", None) == "ndim" or getattr(node, "attr", None) == "ndim"
+    return isinstance(node, ast.Attribute) and node.attr == "ndim"
+
+
+def _tests_zero_ndim(name: str) -> bool:
+    """Whether one module compares an ndim with 0, as a 0-d conversion
+    `float(x) if x.ndim == 0 else x` does."""
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_ndim, operands)) and any(
+                    isinstance(op, ast.Constant) and op.value == 0 for op in operands):
+                return True
+    return False
+
+
+LONE_HELPERS = {"_pair_as_row", "_like"}
+
+
+def test_only_special_decides_a_lone_point():
+    assert {name for name in MODULES if _tests_zero_ndim(name)} <= {"special"}
+    defined = {(name, node.name) for name in MODULES for node in ast.walk(_tree(name))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in LONE_HELPERS}
+    assert defined == set()

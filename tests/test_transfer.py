@@ -34,6 +34,15 @@ class TestBlockJacobians:
         det = jacobian_det_to_standard(spec, z)
         assert det == pytest.approx(3.0 / (z[1] - 10.0))
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.1, 0.5], [0.1, np.nan, 0.5]])
+    def test_rejects_non_finite_points(self, bad):
+        # a NaN outside the rational map's pole coordinate gave a number, and
+        # one inside it a RuntimeWarning from the pole test
+        spec = builtin_example("rational3")
+        for z in (bad, [[0.01, 0.1, 0.5], bad]):
+            with pytest.raises(ValueError, match="point has non-finite coordinates"):
+                jacobian_det_to_standard(spec, z)
+
     def test_against_numerical_jacobian(self):
         fam = MapFamily.rational_example()
         z = np.array([0.02, -0.3 + 0.04j], dtype=complex)
