@@ -440,15 +440,23 @@ def product_draws_per_point(spec: HartogsDomainSpec) -> int:
 def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
                          r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
     """Transform one uniform row per point into a product-model point."""
-    u = np.asfortranarray(u)  # each uniform column contiguous, as each output column is
-    out = _new_batch((u.shape[0], spec.n))
+    # each uniform column contiguous, as each output column is
+    return _fill_product_batch(spec, np.asfortranarray(u), _new_batch((u.shape[0], spec.n)),
+                               mc.Workspace(), r_max, disk_r_min)
+
+
+def _fill_product_batch(spec: HartogsDomainSpec, u: np.ndarray, out: np.ndarray,
+                        scratch: mc.Workspace, r_max: float = 1.0,
+                        disk_r_min: float = 0.0) -> np.ndarray:
+    """Write the product-model points of the column-major uniform rows u
+    into the batch `out`, working in `scratch`, and return the batch."""
     col = 0
     for (kj, _), sl in zip(spec.blocks, spec.slices):
         d = sampling.ball_draws_per_point(kj)
-        out[:, sl] = sampling.ball_from_uniform(u[:, col:col + d], kj, r_max)
+        sampling._ball_into(u[:, col:col + d], kj, r_max, out[:, sl], scratch)
         col += d
     for j in range(spec.k, spec.n):
-        out[:, j] = sampling.disk_from_uniform(u[:, col:col + 2], disk_r_min, r_max)
+        sampling._disk_into(u[:, col:col + 2], disk_r_min, r_max, out[:, j], scratch)
         col += 2
     return out
 
@@ -457,6 +465,31 @@ def product_points(spec: HartogsDomainSpec, rng: np.random.Generator, count: int
                    r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
     u = rng.random((count, product_draws_per_point(spec)))
     return product_from_uniform(spec, u, r_max, disk_r_min)
+
+
+# Rows per draw in `_product_points_in`: a few hundred KB, which stay in cache
+# until they are copied into the columns.
+_DRAW_ROWS = 4096
+
+
+def _product_points_in(spec: HartogsDomainSpec, rng: np.random.Generator, count: int,
+                       scratch: mc.Workspace) -> np.ndarray:
+    """`product_points(spec, rng, count)` built in the workspace `scratch`:
+    the draws, their column-major copy and the batch are its arrays, so the
+    next call on the same thread overwrites the batch. For Monte-Carlo chunk
+    functions, which are done with one batch before they draw the next.
+
+    The rows are drawn _DRAW_ROWS at a time into one small row-major array
+    and copied into the columns: the generator fills its output in memory
+    order, so the draws are those of one `rng.random((count, d))`."""
+    d = product_draws_per_point(spec)
+    u = scratch.empty("draw_columns", (count, d), order="F")
+    rows = scratch.empty("draws", (min(count, _DRAW_ROWS), d))
+    for start in range(0, count, _DRAW_ROWS):
+        part = rows[:count - start]
+        u[start:start + part.shape[0]] = rng.random(out=part)
+    return _fill_product_batch(spec, u, scratch.empty("batch", (count, spec.n), complex, "F"),
+                               scratch)
 
 
 def sample_product_model(spec: HartogsDomainSpec, count: int, seed: int,

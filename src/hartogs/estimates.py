@@ -61,8 +61,8 @@ import numpy as np
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import (gauss_jacobi, hyp2f1, int_power, log_beta, log_factorial,
-                      lone_point_as_row)
+from .special import (_int_power_in, gauss_jacobi, hyp2f1, int_power, log_beta,
+                      log_factorial, lone_point_as_row)
 
 MultiIndex = Sequence[int]
 
@@ -105,10 +105,11 @@ def sphere_moment_mc(k: int, nu: MultiIndex, cfg: NumericConfig = DEFAULT_CONFIG
     computed.
     """
     nu = _check_multi_index(k, nu)
+    scratch = mc.Workspace()
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        t = sampling.sphere_moduli_sq_from_uniform(
-            rng.random((count, sampling.sphere_draws_per_point(k))), k)
+        u = scratch.empty("draws", (count, sampling.sphere_draws_per_point(k)))
+        t = sampling.sphere_moduli_sq_from_uniform(rng.random(out=u), k)
         out = np.ones(count)
         for j, e in enumerate(nu):
             if e:
@@ -313,8 +314,10 @@ def _kumaraswamy_radius(a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, 
     return np.exp(log_rho), q
 
 
-def _kernel_factor(c: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
-    """|1 - c exp(2 pi i u)|^power for moduli c >= 0 and uniforms u.
+def _kernel_factor(c: np.ndarray, u: np.ndarray, power: int,
+                   scratch: mc.Workspace) -> np.ndarray:
+    """|1 - c exp(2 pi i u)|^power for moduli c >= 0 and uniforms u, in the
+    workspace arrays of `scratch`.
 
     The squared modulus is written (1-c)^2 + 4c sin^2(pi u), with no
     cancellation as c -> 1 and u -> 0, and sin^2(pi u) = t^2/(1+t^2) from
@@ -322,17 +325,17 @@ def _kernel_factor(c: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
     stays far from overflow. An odd power is an integer power of it times
     one square root; no abs or float power.
     """
-    t = np.multiply(np.pi, u)
+    t = np.multiply(np.pi, u, out=scratch.empty("factor_t", u.shape))
     np.tan(t, out=t)
     t *= t
-    s = np.add(t, 1.0)
+    s = np.add(t, 1.0, out=scratch.empty("factor_s", u.shape))
     np.divide(t, s, out=s)                 # sin^2(pi u)
-    s *= 4.0 * c
-    d = 1.0 - c
-    s += d * d
-    out = int_power(s, power // 2)
+    s *= np.multiply(4.0, c, out=t)
+    d = np.subtract(1.0, c, out=t)
+    s += np.multiply(d, d, out=d)
+    out = _int_power_in(s, power // 2, scratch)
     if power % 2:
-        out *= np.sqrt(s)
+        out *= np.sqrt(s, out=t)
     return out
 
 
@@ -363,20 +366,27 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
         raise ValueError("w must lie in the open unit ball")
     _check_alpha(alpha)
 
+    scratch = mc.Workspace()
+
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        return _ball_mc_samples(k, alpha, w, rng.random((count, 2 * k + 1)))
+        u = rng.random(out=scratch.empty("draws", (count, sampling.ball_draws_per_point(k))))
+        return _ball_mc_samples(k, alpha, w, u, scratch)
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 
 
-def _ball_mc_samples(k: int, alpha: float, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _ball_mc_samples(k: int, alpha: float, w: np.ndarray, u: np.ndarray,
+                     scratch: mc.Workspace) -> np.ndarray:
     """The samples `weighted_ball_integral_mc` averages, one per row of u:
     q^alpha / (alpha+1) / |1 - c exp(2 pi i u_1)|^(k+1) with
     c = |w| sqrt(rho) |xi_1|."""
     xi1_sq = sampling.sphere_moduli_sq_from_uniform(u[:, :2 * k], k)[:, 0]
     rho, q = _kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
-    c = np.linalg.norm(w) * np.sqrt(rho * xi1_sq)
-    return q ** alpha / (alpha + 1.0) / _kernel_factor(c, u[:, 1], k + 1)
+    c = np.sqrt(np.multiply(rho, xi1_sq, out=rho), out=rho)
+    c *= np.linalg.norm(w)
+    q **= alpha
+    q /= alpha + 1.0
+    return np.divide(q, _kernel_factor(c, u[:, 1], k + 1, scratch), out=q)
 
 
 def weighted_disk_integral_mc(alpha: float, beta: float, w,
@@ -406,16 +416,21 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
     a = beta / 2.0 + 1.0
     reflect = a < 1.0 < alpha + 1.0
 
+    scratch = mc.Workspace()
+
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        u = rng.random((count, 2))
+        u = rng.random(out=scratch.empty("draws", (count, sampling.disk_draws_per_point())))
         if reflect:
-            t, q = _kumaraswamy_radius(alpha + 1.0, a, u[:, 0])
-            rho, weight = 1.0 - t, q ** (a - 1.0)
+            t, weight = _kumaraswamy_radius(alpha + 1.0, a, u[:, 0])
+            rho = np.subtract(1.0, t, out=t)
+            weight **= a - 1.0
         else:
-            rho, q = _kumaraswamy_radius(a, alpha + 1.0, u[:, 0])
-            weight = q ** alpha
-        c = abs(w) * np.sqrt(rho)
-        return weight / (a * (alpha + 1.0)) / _kernel_factor(c, u[:, 1], 2)
+            rho, weight = _kumaraswamy_radius(a, alpha + 1.0, u[:, 0])
+            weight **= alpha
+        c = np.sqrt(rho, out=rho)
+        c *= abs(w)
+        weight /= a * (alpha + 1.0)
+        return np.divide(weight, _kernel_factor(c, u[:, 1], 2, scratch), out=weight)
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 

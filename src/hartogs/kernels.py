@@ -41,10 +41,10 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import mc
-from .domains import (HartogsDomainSpec, contains, from_product_model,
+from .domains import (HartogsDomainSpec, _product_points_in, contains, from_product_model,
                       jacobian_det_from_product, jacobian_det_to_standard,
-                      product_points, to_product_model, to_standard_model)
-from .special import int_power, log_factorial, lone_point_as_row
+                      to_product_model, to_standard_model)
+from .special import _int_power_in, _monomial_in, int_power, log_factorial, lone_point_as_row
 
 Model = str | Tuple[str, object]
 
@@ -81,6 +81,35 @@ def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray,
         den = factor if den is None else factor * den
     for j in range(spec.k, spec.n):
         den = _disk_denominator(w[..., j], eta[..., j]) * den
+    return den
+
+
+def _product_denominator_in(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray,
+                            scratch: mc.Workspace) -> np.ndarray:
+    """`_product_denominator(spec, w, eta)` by the same operations, for the
+    Monte-Carlo projection: each writes into a workspace array of `scratch`
+    that holds none of its operands (numpy may round a complex product
+    written over an operand unlike its array loop), so a chunk allocates
+    none of them. A chain disk is the ball with k = 1: the one-column row
+    sum changes at most the sign of a zero, which 1 - x does not see."""
+    blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
+    blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
+    den = None
+    for i, (kj, sl) in enumerate(blocks):
+        w_b, eta_b = w[..., sl], eta[..., sl]
+        order = "F" if eta_b.ndim > 1 and eta_b.flags.f_contiguous else "C"  # as eta's columns
+        conj = np.conjugate(eta_b, out=scratch.empty("conj", eta_b.shape, complex, order))
+        shape = np.broadcast_shapes(eta_b.shape, w_b.shape)
+        prod = np.multiply(conj, w_b, out=scratch.empty("prod", shape, complex, order))
+        base = np.einsum("...j->...", prod, out=scratch.empty("base", shape[:-1], complex))
+        np.subtract(1.0, base, out=base)
+        factor = _int_power_in(base, kj + 1, scratch)
+        out = scratch.empty(f"den_{i % 2}", factor.shape, complex)
+        if den is None:
+            np.copyto(out, factor)
+        else:
+            np.multiply(factor, den, out=out)
+        den = out
     return den
 
 
@@ -273,11 +302,14 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
     fz = to_product_model(n, k, z)
     det_z = jacobian_det_from_product(n, k, fz)
 
+    scratch = mc.Workspace()
+
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        w = product_points(spec, rng, count)
-        det_w = jacobian_det_from_product(n, k, w)
+        w = _product_points_in(spec, rng, count, scratch)
+        det_w = _monomial_in(w[:, k:], range(k, n), scratch)  # `jacobian_det_from_product`
         fw = f(from_product_model(n, k, w))
-        return (det_w * fw) / _product_denominator(spec, fz, w)
+        quotient = np.multiply(det_w, fw, out=scratch.empty("quotient", (count,), complex))
+        return np.divide(quotient, _product_denominator_in(spec, fz, w, scratch), out=quotient)
 
     est, stderr = mc.mc_mean(values, samples, seed, workers=workers)
     return complex(est) / complex(det_z), stderr / abs(complex(det_z))

@@ -12,21 +12,35 @@ the error bar neither underflows to zero nor overflows. Scaling by a power of
 two is exact: wherever the unscaled squares are normal numbers, the result
 has the same bits.
 
+`values` may also return m values per sample, as the rows of an
+(m, count) array: each row is reduced on its own, by the steps a one-row run
+takes, so one pass serves several observables that read the same draws.
+
 `map_chunks` owns the package's thread pool: `mc_mean` runs its chunks
 through it and `kernels.kernel_hartogs` its row blocks. Both default to
 `WORKERS` threads, and neither result depends on the thread count.
+`numpy.random` and `concurrent.futures` are imported where a generator is
+made or a pool is started, so a caller that does neither does not load them.
+
+A `Workspace` keeps chunk-sized scratch arrays per thread, so a worker's
+later chunks reuse the memory of its first one: freed chunk-sized blocks
+would go back to the kernel and be faulted in again by the next chunk. Each
+`mc_mean` call, and each estimator, makes its own, so nothing outlives the
+call. A worker reduces the `values` result of a chunk before it starts its
+next chunk, so `values` may build its result in that worker's workspace;
+it never hands a workspace array to a caller's function.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
-SampleFn = Callable[[np.random.Generator, int], np.ndarray]
+SampleFn = Callable[["np.random.Generator", int], np.ndarray]
 
 # Samples per chunk unless a caller sets another size.
 CHUNK_SIZE = 1 << 15
@@ -56,8 +70,33 @@ def map_chunks(fn: Callable, items: Iterable, workers: int = WORKERS) -> list:
     threads = min(workers, len(items))
     if threads <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+class Workspace(threading.local):
+    """Chunk-sized scratch arrays, one set per thread.
+
+    `empty(name, shape)` returns an uninitialised array. On one thread, a
+    name always hands out the same memory, grown when a larger shape asks
+    for it, so the next request of that name overwrites the array: a caller
+    is done with it before asking again, and never returns it from a public
+    function. Make one workspace per call and let it go when the call
+    returns.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def empty(self, name: str, shape: tuple[int, ...], dtype=float,
+              order: str = "C") -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape, order=order)
+
 
 
 def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -76,41 +115,71 @@ def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+    from numpy.random import default_rng
+    return default_rng([seed, index])
 
 
-def mc_mean(values: SampleFn, total: int, seed: int,
-            chunk_size: int = CHUNK_SIZE, workers: int = WORKERS) -> Tuple[complex, float]:
+def mc_mean(values: SampleFn, total: int, seed: int, chunk_size: int = CHUNK_SIZE,
+            workers: int = WORKERS) -> Tuple[complex, float] | list[Tuple[complex, float]]:
     """Mean and standard error of `values(rng, count)` over `total` samples.
 
-    `values` must return one finite value per sample (complex or real). The
-    standard error is sqrt(Var/N) with Var the usual unbiased sample variance
-    (E|x - mean|^2 for complex values). Raises ValueError for fewer than two
-    samples, which leave the variance undefined, and for a chunk with a
-    non-finite value, naming the chunk index. The chunks run on `workers`
-    threads (`map_chunks`), so `values` must be safe to call from several
-    threads at once.
+    `values` must return one finite value per sample (complex or real),
+    shape (count,), and then the result is (mean, stderr); or m values per
+    sample as an (m, count) array, and then the result is a list of m
+    (mean, stderr) pairs, each with the bits of a run whose `values` returns
+    that row alone. The standard error is sqrt(Var/N) with Var the usual
+    unbiased sample variance (E|x - mean|^2 for complex values). Raises
+    ValueError for fewer than two samples, which leave the variance
+    undefined, for a result of another shape, and for a chunk with a
+    non-finite value, naming the chunk index (and the row of an (m, count)
+    result). The chunks run on `workers` threads (`map_chunks`), so `values`
+    must be safe to call from several threads at once.
     """
     if total < 2:
         raise ValueError(f"mc_mean needs at least two samples, got {total}")
-    layout = chunk_layout(total, chunk_size)
+    scratch = Workspace()
 
     def partial(item):
         idx, count = item
         vals = np.asarray(values(chunk_rng(seed, idx), count))
-        s = complex(vals.sum())
-        if not np.isfinite(s):
-            raise ValueError(f"mc_mean: chunk {idx} has a non-finite sample value")
-        mean = s / count
-        dev = vals - (mean if np.iscomplexobj(vals) else mean.real)
-        if np.iscomplexobj(dev):
-            dev = dev.view(dev.real.dtype)  # |d|^2 is the sum of its squared parts
-        exp = math.frexp(float(np.abs(dev).max()))[1]
-        np.ldexp(dev, -exp, out=dev)
-        dev *= dev
-        return s, float(dev.sum()), exp, count
+        if vals.ndim == 1 and vals.shape == (count,):
+            return vals.shape[:-1], [_chunk_moments(vals, scratch, f"chunk {idx}")]
+        if vals.ndim == 2 and vals.shape[1] == count:
+            return vals.shape[:-1], [_chunk_moments(row, scratch, f"chunk {idx} in row {r}")
+                                     for r, row in enumerate(vals)]
+        raise ValueError(f"mc_mean: chunk {idx} of {count} samples returned values "
+                         f"of shape {vals.shape}")
 
-    partials = map_chunks(partial, layout, workers)
+    partials = map_chunks(partial, chunk_layout(total, chunk_size), workers)
+    if len({rows for rows, _ in partials}) > 1:
+        raise ValueError("mc_mean: the chunks returned different numbers of rows")
+    merged = [_merge(moments) for moments in zip(*(moments for _, moments in partials))]
+    return merged if partials[0][0] else merged[0]
+
+
+def _chunk_moments(vals: np.ndarray, scratch: Workspace, where: str
+                   ) -> tuple[complex, float, int, int]:
+    """(sum, scaled sum of squared deviations, scale exponent, count) of one
+    chunk's samples; the deviations go to `scratch`, never into `vals`."""
+    count = vals.shape[0]
+    s = complex(vals.sum())
+    if not np.isfinite(s):
+        raise ValueError(f"mc_mean: {where} has a non-finite sample value")
+    mean = s / count
+    if not np.iscomplexobj(vals):
+        mean = mean.real
+    dev = np.subtract(vals, mean, out=scratch.empty("dev", vals.shape,
+                                                    np.result_type(vals, mean)))
+    if np.iscomplexobj(dev):
+        dev = dev.view(dev.real.dtype)  # |d|^2 is the sum of its squared parts
+    exp = math.frexp(float(max(dev.max(), -dev.min())))[1]  # of max |d|
+    np.ldexp(dev, -exp, out=dev)
+    dev *= dev
+    return s, float(dev.sum()), exp, count
+
+
+def _merge(partials: list) -> Tuple[complex, float]:
+    """Mean and standard error from the chunk moments, merged in chunk order."""
     s = sum(p[0] for p in partials)
     n = sum(p[3] for p in partials)
     mean = s / n

@@ -72,13 +72,20 @@ def polar_from_uniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     the imaginary part of one complex array. Each part is within a few ulps
     of r times the exact cosine or sine; u = 0 gives (r, 0) exactly, and
     near u = 1/2, where t is about 1e16, t^2 stays far from overflow."""
-    out = np.empty(np.shape(u), dtype=complex)
+    shape = np.shape(u)
+    return _polar_into(r, u, np.empty(shape, dtype=complex), np.empty(shape), np.empty(shape))
+
+
+def _polar_into(r, u: np.ndarray, out: np.ndarray, t: np.ndarray,
+                scale: np.ndarray) -> np.ndarray:
+    """`polar_from_uniform(r, u)` written into the complex array `out`, with
+    t and scale float arrays of u's shape to work in."""
     re = out.real
     im = out.imag
-    t = np.multiply(np.pi, u)
+    np.multiply(np.pi, u, out=t)
     np.tan(t, out=t)
     np.multiply(t, t, out=re)              # t^2
-    scale = np.add(re, 1.0)
+    np.add(re, 1.0, out=scale)
     np.divide(r, scale, out=scale)         # r / (1 + t^2)
     np.subtract(1.0, re, out=re)
     re *= scale
@@ -93,6 +100,20 @@ def disk_from_uniform(u: np.ndarray, r_min: float = 0.0, r_max: float = 1.0) -> 
                               u[:, 1])
 
 
+def _disk_into(u: np.ndarray, r_min: float, r_max: float, out: np.ndarray,
+               scratch) -> np.ndarray:
+    """`disk_from_uniform(u, r_min, r_max)` written into the complex array
+    `out`; its float arrays are the workspace arrays of `scratch` (an
+    `mc.Workspace`) named "disk_*"."""
+    shape = (u.shape[0],)
+    rad = np.multiply(u[:, 0], r_max * r_max - r_min * r_min,
+                      out=scratch.empty("disk_radius", shape))
+    np.add(r_min * r_min, rad, out=rad)    # `disk_modulus_sq_from_uniform`
+    np.sqrt(rad, out=rad)
+    return _polar_into(rad, u[:, 1], out, scratch.empty("disk_t", shape),
+                       scratch.empty("disk_scale", shape))
+
+
 def ball_draws_per_point(k: int) -> int:
     return 2 * k + 1
 
@@ -103,6 +124,16 @@ def ball_from_uniform(u: np.ndarray, k: int, r_max: float = 1.0) -> np.ndarray:
         return disk_from_uniform(u[:, :2], 0.0, r_max)[:, None]
     radius = r_max * u[:, 2 * k] ** (1.0 / (2 * k))
     return _scale_rows(normals_from_uniform(u[:, : 2 * k]), radius)
+
+
+def _ball_into(u: np.ndarray, k: int, r_max: float, out: np.ndarray, scratch) -> np.ndarray:
+    """`ball_from_uniform(u, k, r_max)` written into the (count, k) array
+    `out`; a disk (k = 1) works in the arrays of `scratch` (`_disk_into`)."""
+    if k == 1:
+        _disk_into(u, 0.0, r_max, out[:, 0], scratch)
+    else:
+        out[...] = ball_from_uniform(u, k, r_max)
+    return out
 
 
 def sphere_draws_per_point(k: int) -> int:

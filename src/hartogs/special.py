@@ -104,6 +104,52 @@ def int_power(x, e: int) -> np.ndarray:
     return result.copy() if result is x else result
 
 
+def _monomial_in(z: np.ndarray, exps, scratch) -> np.ndarray:
+    """`monomial(z, exps)` for exponents >= 0 by the same products, each
+    written into a workspace array of `scratch` (an `mc.Workspace`) named
+    "monomial_*" that holds none of its operands; z is not written."""
+    shape, dtype = z.shape[:-1], np.result_type(z, float)
+    turn = 0  # the products alternate between two arrays
+    out = scratch.empty("monomial_0", shape, dtype)
+    out.fill(1.0)
+    for j, e in enumerate(exps):
+        if e:
+            power = _int_power_in(z[..., j], e, scratch)
+            turn ^= 1
+            out = np.multiply(power, out, out=scratch.empty(f"monomial_{turn}", shape, dtype))
+    return out
+
+
+def _int_power_in(x: np.ndarray, e: int, scratch) -> np.ndarray:
+    """`int_power(x, e)` by the same products, each written into a workspace
+    array of `scratch` (an `mc.Workspace`) named "power_*" that holds
+    neither of its operands: numpy may round a complex product into one of
+    its operands unlike its array loop. x is not written, but for e = 1 it
+    is the result."""
+    spares: list[np.ndarray] = []
+    if e == 0:
+        ones = scratch.empty("power_0", x.shape, x.dtype)
+        ones.fill(1)
+        return ones
+
+    def free(*live) -> np.ndarray:
+        for spare in spares:
+            if all(spare is not array for array in live):
+                return spare
+        spares.append(scratch.empty(f"power_{len(spares)}", x.shape, x.dtype))
+        return spares[-1]
+
+    base, result = x, None
+    while True:
+        if e & 1:
+            result = base if result is None else np.multiply(result, base,
+                                                             out=free(result, base))
+        e >>= 1
+        if not e:
+            return result
+        base = np.multiply(base, base, out=free(base, result))
+
+
 def lone_point_as_row(**point_ndim: int):
     """Evaluate lone points as a one-row batch, so that they get the bits of
     a batch row: numpy's 0-d scalar arithmetic rounds unlike its array loops.

@@ -142,51 +142,64 @@ def _box_candidates(spec: HartogsDomainSpec, u: np.ndarray,
     return np.flatnonzero(keep)
 
 
-def _box_rejection_integral(spec: HartogsDomainSpec,
-                            integrand: Callable[[np.ndarray], np.ndarray],
-                            samples: int, seed: int,
-                            cfg: NumericConfig) -> tuple[float, float]:
-    """Mean of integrand over the domain w.r.t. the normalized block measure.
+def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
+                                              Callable[[np.ndarray], np.ndarray]]],
+                             samples: int, seed: int,
+                             cfg: NumericConfig) -> list[tuple[float, float]]:
+    """Mean of each side's integrand over its domain w.r.t. the normalized
+    block measure, every side from one Monte-Carlo pass.
 
-    Proposals fill a bounding polydisk, 2n uniforms per proposal (one disk
-    point per coordinate); rejected points contribute zero, so the estimate
-    is unbiased for integral(domain) = V(box) * mean. An angle-free
-    pre-test on the squared moduli (`_box_candidates`) drops most proposals
-    before any of their angles is computed, and `contains` alone decides on
-    the rest. The accepted set, and so the estimate, is the one a full
-    `contains` over every proposal gives. With no proposal accepted the
-    estimate would be 0 with a zero error bar, so that raises a ValueError
-    instead.
+    A side is (name, spec, integrand); all specs have one n. Each chunk
+    draws its proposals once, 2n uniforms per proposal (one disk point per
+    coordinate), and each side scales them to its own bounding polydisk;
+    rejected points contribute zero, so each estimate is unbiased for
+    integral(domain) = V(box) * mean. The sides are the rows of one
+    `mc.mc_mean` result, so each has the bits of a pass of its own. An
+    angle-free pre-test on the squared moduli (`_box_candidates`) drops most
+    proposals before any of their angles is computed, and `contains` alone
+    decides on the rest. The accepted set, and so the estimate, is the one a
+    full `contains` over every proposal gives. With no proposal of a side
+    accepted its estimate would be 0 with a zero error bar, so that raises a
+    ValueError naming the side instead.
     """
-    radii = _coordinate_radii(spec)
-    # box volume in normalized units: prod radii^2 times the ball-vs-polydisk
-    # normalization k_j! of each block measure
-    box_volume = float(np.prod(radii ** 2))
-    for kj, _ in spec.blocks:
-        box_volume *= math.factorial(kj)
-
-    accepted = []  # per chunk; list.append is safe across mc_mean's threads
+    n = sides[0][1].n
+    boxes = []
+    for _, spec, _ in sides:
+        radii = _coordinate_radii(spec)
+        # box volume in normalized units: prod radii^2 times the
+        # ball-vs-polydisk normalization k_j! of each block measure
+        box_volume = float(np.prod(radii ** 2))
+        for kj, _ in spec.blocks:
+            box_volume *= math.factorial(kj)
+        boxes.append((radii, box_volume))
+    accepted = []  # per chunk and side; list.append is safe across mc_mean's threads
+    scratch = mc.Workspace()
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        u = rng.random((count, 2 * spec.n))
-        rows = _box_candidates(spec, u, radii)
-        pts = np.empty((rows.size, spec.n), dtype=complex)
-        for j in range(spec.n):
-            pts[:, j] = sampling.disk_from_uniform(u[rows, 2 * j:2 * j + 2], 0.0, radii[j])
-        inside = contains(spec, pts)
-        hits = int(np.count_nonzero(inside))
+        u = rng.random(out=scratch.empty("draws", (count, 2 * n)))
+        out = scratch.empty("sides", (len(sides), count), complex)
+        out.fill(0.0)
+        hits = []
+        for row, (_, spec, integrand), (radii, box_volume) in zip(out, sides, boxes):
+            rows = _box_candidates(spec, u, radii)
+            pts = np.empty((rows.size, n), dtype=complex)
+            for j in range(n):
+                pts[:, j] = sampling.disk_from_uniform(u[rows, 2 * j:2 * j + 2], 0.0, radii[j])
+            inside = contains(spec, pts)
+            hits.append(int(np.count_nonzero(inside)))
+            if hits[-1]:
+                row[rows[inside]] = integrand(pts[inside])
+            row *= box_volume
         accepted.append(hits)
-        out = np.zeros(count, dtype=complex)
-        if hits:
-            out[rows[inside]] = integrand(pts[inside])
-        return out * box_volume
+        return out
 
-    est, err = mc.mc_mean(values, samples, seed, cfg.chunk_size, cfg.workers)
-    if sum(accepted) == 0:
-        raise ValueError(f"the box-rejection estimate accepted none of its {samples} "
-                         f"proposals, so it has no error bar; raise the sample count "
-                         f"(--samples)")
-    return float(np.real(est)), err
+    results = mc.mc_mean(values, samples, seed, cfg.chunk_size, cfg.workers)
+    for (name, _, _), side_hits in zip(sides, zip(*accepted)):
+        if sum(side_hits) == 0:
+            raise ValueError(f"the box-rejection estimate of the {name} side accepted none "
+                             f"of its {samples} proposals, so it has no error bar; raise "
+                             f"the sample count (--samples)")
+    return [(float(np.real(est)), err) for est, err in results]
 
 
 def pullback_isometry_check(spec: HartogsDomainSpec,
@@ -195,7 +208,8 @@ def pullback_isometry_check(spec: HartogsDomainSpec,
     """Check int_source |f o Phi * det J_Phi|^2 = int_target |f|^2 by MC.
 
     Both sides use the same box-rejection estimator and the same seed, so the
-    identity spec reproduces the target estimate bit for bit.
+    identity spec reproduces the target estimate bit for bit. They run in
+    one pass, which draws each chunk's proposals once for both.
 
     `f` is called on `cfg.workers` threads at once (`mc.mc_mean`), one batch
     of points per call, so it must be safe to call concurrently; the result
@@ -211,8 +225,7 @@ def pullback_isometry_check(spec: HartogsDomainSpec,
     def target_integrand(w: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(f(w))) ** 2
 
-    src, src_err = _box_rejection_integral(spec, source_integrand,
-                                           cfg.mc_samples, cfg.seed, cfg)
-    tgt, tgt_err = _box_rejection_integral(target, target_integrand,
-                                           cfg.mc_samples, cfg.seed, cfg)
+    (src, src_err), (tgt, tgt_err) = _box_rejection_integrals(
+        [("source", spec, source_integrand), ("target", target, target_integrand)],
+        cfg.mc_samples, cfg.seed, cfg)
     return PullbackReport(src, src_err, tgt, tgt_err)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 
@@ -83,19 +84,19 @@ class TestPool:
     def test_one_chunk_or_one_worker_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         est, err = mc.mc_mean(offset_values(0.0, 1.0), 1000, seed=2, chunk_size=1000, workers=4)
         assert math.isfinite(est) and err > 0
         assert mc.map_chunks(lambda i: i, range(5), workers=1) == list(range(5))
 
     def test_results_in_item_order_on_at_most_one_thread_per_item(self, monkeypatch):
         sizes = []
-        pool = mc.ThreadPoolExecutor
+        pool = concurrent.futures.ThreadPoolExecutor
 
         def recorded(max_workers):
             sizes.append(max_workers)
             return pool(max_workers=max_workers)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
         assert mc.map_chunks(lambda i: i * i, range(7), workers=3) == [i * i for i in range(7)]
         assert mc.map_chunks(lambda i: -i, range(2), workers=8) == [0, -1]
         assert sizes == [3, 2]
