@@ -92,10 +92,15 @@ class MapFamily:
     def _shift(self) -> np.ndarray:
         return np.asarray(self.shift, dtype=complex)
 
-    def value(self, z) -> np.ndarray:
+    def _block_points(self, z) -> np.ndarray:
+        """z as complex points of this block (last axis), checked by shape alone."""
         z = np.asarray(z, dtype=complex)
-        if z.shape[-1] != self.dim:
-            raise ValueError(f"expected block dimension {self.dim}, got {z.shape[-1]}")
+        if z.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected block dimension {self.dim}, got points of shape {z.shape}")
+        return z
+
+    def value(self, z) -> np.ndarray:
+        z = self._block_points(z)
         if self.kind == _IDENTITY:
             return z.copy()
         if self.kind == _AFFINE:
@@ -108,9 +113,7 @@ class MapFamily:
         return np.stack([z[..., 0] / den, 3.0 * z[..., 1] + 1.0], axis=-1)
 
     def inverse(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
-        if w.shape[-1] != self.dim:
-            raise ValueError(f"expected block dimension {self.dim}, got {w.shape[-1]}")
+        w = self._block_points(w)
         if self.kind == _IDENTITY:
             return w.copy()
         if self.kind == _AFFINE:
@@ -121,7 +124,7 @@ class MapFamily:
         return np.stack([z1, z2], axis=-1)
 
     def jacobian_det(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+        z = self._block_points(z)
         if self.kind == _IDENTITY:
             return np.ones(z.shape[:-1], dtype=complex)
         if self.kind == _AFFINE:
@@ -382,7 +385,11 @@ def from_product_model(n: int, k: int, w) -> np.ndarray:
     one column at a time: the chain is 1 to a few columns wide, where a
     numpy reduction along it costs more per row than the products."""
     w = _check_point(n, w)
-    z = np.empty_like(w)
+    return _suffix_products(n, k, w, np.empty_like(w))
+
+
+def _suffix_products(n: int, k: int, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`from_product_model` of the checked batch w, written into z (w's shape)."""
     z[..., n - 1] = w[..., n - 1]
     for j in range(n - 2, k - 1, -1):
         z[..., j] = z[..., j + 1] * w[..., j]

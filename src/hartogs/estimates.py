@@ -105,7 +105,7 @@ def sphere_moment_mc(k: int, nu: MultiIndex, cfg: NumericConfig = DEFAULT_CONFIG
     computed.
     """
     nu = _check_multi_index(k, nu)
-    scratch = mc.Workspace()
+    scratch = mc.Workspace(cfg.mc_samples, cfg.chunk_size, cfg.workers)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         u = scratch.empty("draws", (count, sampling.sphere_draws_per_point(k)))
@@ -366,7 +366,7 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
         raise ValueError("w must lie in the open unit ball")
     _check_alpha(alpha)
 
-    scratch = mc.Workspace()
+    scratch = mc.Workspace(cfg.mc_samples, cfg.chunk_size, cfg.workers)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random(out=scratch.empty("draws", (count, sampling.ball_draws_per_point(k))))
@@ -416,7 +416,7 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
     a = beta / 2.0 + 1.0
     reflect = a < 1.0 < alpha + 1.0
 
-    scratch = mc.Workspace()
+    scratch = mc.Workspace(cfg.mc_samples, cfg.chunk_size, cfg.workers)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random(out=scratch.empty("draws", (count, sampling.disk_draws_per_point())))

@@ -41,7 +41,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import mc
-from .domains import (HartogsDomainSpec, _product_points_in, contains, from_product_model,
+from .domains import (HartogsDomainSpec, _product_points_in, _suffix_products, contains,
                       jacobian_det_from_product, jacobian_det_to_standard,
                       to_product_model, to_standard_model)
 from .special import _int_power_in, _monomial_in, int_power, log_factorial, lone_point_as_row
@@ -90,8 +90,9 @@ def _product_denominator_in(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndar
     Monte-Carlo projection: each writes into a workspace array of `scratch`
     that holds none of its operands (numpy may round a complex product
     written over an operand unlike its array loop), so a chunk allocates
-    none of them. A chain disk is the ball with k = 1: the one-column row
-    sum changes at most the sign of a zero, which 1 - x does not see."""
+    none of them. A chain disk is the ball with k = 1, and a one-column
+    block takes its column for the row sum: the two differ at most in the
+    sign of a zero, which 1 - x does not see."""
     blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
     blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
     den = None
@@ -101,7 +102,10 @@ def _product_denominator_in(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndar
         conj = np.conjugate(eta_b, out=scratch.empty("conj", eta_b.shape, complex, order))
         shape = np.broadcast_shapes(eta_b.shape, w_b.shape)
         prod = np.multiply(conj, w_b, out=scratch.empty("prod", shape, complex, order))
-        base = np.einsum("...j->...", prod, out=scratch.empty("base", shape[:-1], complex))
+        if kj == 1:
+            base = prod[..., 0]
+        else:
+            base = np.einsum("...j->...", prod, out=scratch.empty("base", shape[:-1], complex))
         np.subtract(1.0, base, out=base)
         factor = _int_power_in(base, kj + 1, scratch)
         out = scratch.empty(f"den_{i % 2}", factor.shape, complex)
@@ -302,12 +306,13 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
     fz = to_product_model(n, k, z)
     det_z = jacobian_det_from_product(n, k, fz)
 
-    scratch = mc.Workspace()
+    scratch = mc.Workspace(samples, mc.CHUNK_SIZE, workers)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         w = _product_points_in(spec, rng, count, scratch)
         det_w = _monomial_in(w[:, k:], range(k, n), scratch)  # `jacobian_det_from_product`
-        fw = f(from_product_model(n, k, w))
+        # the points f gets, in memory lent to it (`mc.Workspace.lend`)
+        fw = f(_suffix_products(n, k, w, scratch.lend("points", (count, n), complex, "F")))
         quotient = np.multiply(det_w, fw, out=scratch.empty("quotient", (count,), complex))
         return np.divide(quotient, _product_denominator_in(spec, fz, w, scratch), out=quotient)
 

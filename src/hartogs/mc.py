@@ -19,28 +19,35 @@ takes, so one pass serves several observables that read the same draws.
 `map_chunks` owns the package's thread pool: `mc_mean` runs its chunks
 through it and `kernels.kernel_hartogs` its row blocks. Both default to
 `WORKERS` threads, and neither result depends on the thread count.
-`numpy.random` and `concurrent.futures` are imported where a generator is
-made or a pool is started, so a caller that does neither does not load them.
+`concurrent.futures` is imported where a pool is started, so a caller that
+starts none does not load it. `numpy.random` still loads with the module:
+deferred, its import (about 15 ms) would only move into the first draw.
 
 A `Workspace` keeps chunk-sized scratch arrays per thread, so a worker's
-later chunks reuse the memory of its first one: freed chunk-sized blocks
-would go back to the kernel and be faulted in again by the next chunk. Each
-`mc_mean` call, and each estimator, makes its own, so nothing outlives the
-call. A worker reduces the `values` result of a chunk before it starts its
-next chunk, so `values` may build its result in that worker's workspace;
-it never hands a workspace array to a caller's function.
+later chunks reuse the memory of its first one: the allocator hands freed
+blocks of that size back to the kernel, and the next chunk would fault them
+in again. Each `mc_mean` call, and each estimator, makes its own, so nothing
+outlives the call, and a call in which no worker runs a second chunk keeps
+nothing. A worker reduces the `values` result of a chunk before it
+starts its next one, so `values` may build its result in that worker's
+workspace. The functions that write into one are private (named `_..._in`
+or `_..._into`), and no public function returns a workspace array. An array
+handed to a caller's function, as the points the projection hands `f`, is
+lent (`Workspace.lend`): its memory is used again only once nothing refers
+to it, so an array the caller keeps is never written.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
-SampleFn = Callable[["np.random.Generator", int], np.ndarray]
+SampleFn = Callable[[np.random.Generator, int], np.ndarray]
 
 # Samples per chunk unless a caller sets another size.
 CHUNK_SIZE = 1 << 15
@@ -84,19 +91,50 @@ class Workspace(threading.local):
     is done with it before asking again, and never returns it from a public
     function. Make one workspace per call and let it go when the call
     returns.
+
+    Made for the `mc_mean` call of `total` samples in chunks of
+    `chunk_size` on `workers` threads, it keeps its arrays only when some
+    worker runs more than one chunk. Otherwise no memory is reused, and
+    every request gets a new array that is freed with its last reference,
+    as in code with no workspace: a call of one chunk per worker then holds
+    no more memory at once than that code.
     """
 
-    def __init__(self):
+    def __init__(self, total: int | None = None, chunk_size: int = CHUNK_SIZE,
+                 workers: int = WORKERS):
         self._buffers: dict[str, np.ndarray] = {}
+        self._keep = total is None or len(chunk_layout(total, chunk_size)) > workers
 
     def empty(self, name: str, shape: tuple[int, ...], dtype=float,
               order: str = "C") -> np.ndarray:
+        if not self._keep:
+            return np.empty(shape, dtype, order=order)
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape, order=order)
 
+    def lend(self, name: str, shape: tuple[int, ...], dtype=float,
+             order: str = "C") -> np.ndarray:
+        """`empty` for an array handed to a caller's function, which may keep
+        it. The memory is lent again only when nothing outside the workspace
+        refers to it any more (a numpy view refers to the array that owns its
+        memory); while something does, the workspace lets that array go and
+        makes a new one. So an array lent out is never written while it, or
+        a view of it, can still be read."""
+        if name in self._buffers and _references(self._buffers, name) > _ALONE:
+            del self._buffers[name]
+        return self.empty(name, shape, dtype, order)
+
+
+def _references(buffers: dict, name: str) -> int:
+    return sys.getrefcount(buffers[name])
+
+
+# What `_references` reads for a buffer that only its dict holds, measured by
+# the same call: the interpreter's own share of the count varies by version.
+_ALONE = _references({"": np.empty(0)}, "")
 
 
 def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -115,8 +153,7 @@ def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
-    from numpy.random import default_rng
-    return default_rng([seed, index])
+    return np.random.default_rng([seed, index])
 
 
 def mc_mean(values: SampleFn, total: int, seed: int, chunk_size: int = CHUNK_SIZE,
@@ -137,16 +174,17 @@ def mc_mean(values: SampleFn, total: int, seed: int, chunk_size: int = CHUNK_SIZ
     """
     if total < 2:
         raise ValueError(f"mc_mean needs at least two samples, got {total}")
-    scratch = Workspace()
+    scratch = Workspace(total, chunk_size, workers)
 
     def partial(item):
+        """(rows, chunk moments per row); rows is None for a (count,) result."""
         idx, count = item
         vals = np.asarray(values(chunk_rng(seed, idx), count))
-        if vals.ndim == 1 and vals.shape == (count,):
-            return vals.shape[:-1], [_chunk_moments(vals, scratch, f"chunk {idx}")]
+        if vals.shape == (count,):
+            return None, [_chunk_moments(vals, scratch, f"chunk {idx}")]
         if vals.ndim == 2 and vals.shape[1] == count:
-            return vals.shape[:-1], [_chunk_moments(row, scratch, f"chunk {idx} in row {r}")
-                                     for r, row in enumerate(vals)]
+            return len(vals), [_chunk_moments(row, scratch, f"chunk {idx} in row {r}")
+                               for r, row in enumerate(vals)]
         raise ValueError(f"mc_mean: chunk {idx} of {count} samples returned values "
                          f"of shape {vals.shape}")
 
@@ -154,7 +192,7 @@ def mc_mean(values: SampleFn, total: int, seed: int, chunk_size: int = CHUNK_SIZ
     if len({rows for rows, _ in partials}) > 1:
         raise ValueError("mc_mean: the chunks returned different numbers of rows")
     merged = [_merge(moments) for moments in zip(*(moments for _, moments in partials))]
-    return merged if partials[0][0] else merged[0]
+    return merged[0] if partials[0][0] is None else merged
 
 
 def _chunk_moments(vals: np.ndarray, scratch: Workspace, where: str

@@ -173,7 +173,7 @@ def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
             box_volume *= math.factorial(kj)
         boxes.append((radii, box_volume))
     accepted = []  # per chunk and side; list.append is safe across mc_mean's threads
-    scratch = mc.Workspace()
+    scratch = mc.Workspace(samples, cfg.chunk_size, cfg.workers)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         u = rng.random(out=scratch.empty("draws", (count, 2 * n)))

@@ -839,6 +839,12 @@ class TestImportBudget:
         code = f"import json, sys, hartogs.cli; print(json.dumps({_SCIPY_MODULES}))"
         assert _fresh_interpreter(code) == []
 
+    def test_cli_import_loads_no_thread_pool(self):
+        # `mc` imports it where a pool is started
+        code = ("import json, sys, hartogs.cli; print(json.dumps(sorted(m for m in sys.modules "
+                "if m.startswith('concurrent.futures'))))")
+        assert _fresh_interpreter(code) == []
+
     def test_all_subcommands_leave_scipy_out(self):
         commands = [
             ["--help"],

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from hartogs import domains
+from hartogs import domains, mc
 from hartogs.domains import HartogsDomainSpec, MapFamily
 
 
@@ -123,6 +124,30 @@ class TestMapFamilies:
         z = np.array([0.25 + 0.1j, -0.3 + 0.05j])
         w = fam.value(z)
         assert np.allclose(fam.inverse(w), z, atol=1e-14)
+
+    @pytest.mark.parametrize("fam", [MapFamily.identity(2), MapFamily.affine([[2.0]], [-1.0]),
+                                     MapFamily.affine([[1.0, 0.5], [0.0, 1.0]]),
+                                     MapFamily.rational_example()],
+                             ids=["identity2", "affine1", "affine2", "rational"])
+    def test_every_map_checks_the_block_dimension(self, fam):
+        # jacobian_det took any length: the rational block gave -0.306 from a
+        # 3-vector and an IndexError from a 1-vector, the affine block a value
+        shapes = [(), (fam.dim + 1,), (4, fam.dim + 1)]
+        if fam.dim > 1:
+            shapes.append((fam.dim - 1,))
+        for shape in shapes:
+            z = np.full(shape, 0.1 + 0.05j)
+            message = f"expected block dimension {fam.dim}, got points of shape {shape}"
+            for method in (fam.value, fam.inverse, fam.jacobian_det):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    method(z)
+
+    @pytest.mark.parametrize("fam", [MapFamily.identity(2), MapFamily.affine([[2.0]], [-1.0]),
+                                     MapFamily.rational_example()])
+    def test_jacobian_det_keeps_the_batch_shape(self, fam):
+        z = np.full((4, 3, fam.dim), 0.1 + 0.05j)
+        assert fam.jacobian_det(z).shape == (4, 3)
+        assert fam.jacobian_det(z[0, 0]).shape == ()
 
 
 class TestQuotientChart:
@@ -264,6 +289,24 @@ class TestSampling:
         w = domains.sample_product_model(spec, 1000, seed=6)
         z = domains.from_product_model(3, 1, w)
         assert np.all(domains.contains(spec, z))
+
+    @pytest.mark.parametrize("spec", [HartogsDomainSpec.standard(3, 1),
+                                      HartogsDomainSpec.standard(4, [1, 2])], ids=["31", "412"])
+    def test_product_points_are_fresh_arrays(self, spec):
+        # a later call on the same thread leaves an earlier batch as it was
+        first = domains.product_points(spec, np.random.default_rng(1), 500)
+        kept = first.copy()
+        second = domains.product_points(spec, np.random.default_rng(2), 500)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10_000])
+    def test_chunk_batches_draw_the_rows_of_product_points(self, count):
+        # the chunk path draws its rows in blocks: the stream is the same
+        spec = HartogsDomainSpec.standard(4, [1, 2])
+        want = domains.product_points(spec, np.random.default_rng(3), count)
+        got = domains._product_points_in(spec, np.random.default_rng(3), count, mc.Workspace())
+        assert got.tobytes() == want.tobytes()
 
     def test_seed_determinism_and_prefix_stability(self):
         spec = HartogsDomainSpec.standard(3, 2)

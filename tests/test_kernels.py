@@ -422,6 +422,55 @@ class TestMcProjection:
         with pytest.raises(ValueError, match="^f rejects the short chunk$"):
             kernels.mc_bergman_projection(spec, f, z, 3 * mc.CHUNK_SIZE + 7, seed=13)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_handed_to_f_are_not_changed_later(self, workers):
+        spec = HartogsDomainSpec.standard(3, 1)
+        handed = []
+
+        def f(pts):
+            handed.append((pts, pts.copy()))
+            return pts[..., 1] * pts[..., 2]
+
+        kernels.mc_bergman_projection(spec, f, np.array([0.1, 0.3, 0.5]), 2 * mc.CHUNK_SIZE + 9,
+                                      seed=3, workers=workers)
+        assert len(handed) == 3
+        assert all(got.tobytes() == want.tobytes() for got, want in handed)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (5, 3)])
+    def test_chunk_values_have_the_bits_of_the_public_evaluators(self, n, k):
+        # the reference builds each chunk's samples from fresh arrays, as
+        # product_points, jacobian_det_from_product and kernel_product do
+        spec = HartogsDomainSpec.standard(n, k)
+        z = domains.from_product_model(n, k, np.linspace(0.2, 0.7, n) * np.exp(1j * np.arange(n)))
+        fz = domains.to_product_model(n, k, z)
+
+        def f(pts):
+            return special.monomial(pts, range(n))
+
+        def values(rng, count):
+            w = domains.product_points(spec, rng, count)
+            det_w = domains.jacobian_det_from_product(n, k, w)
+            fw = f(domains.from_product_model(n, k, w))
+            return (det_w * fw) / kernels._product_denominator(spec, fz, w)
+
+        total = mc.CHUNK_SIZE + 1
+        est, err = mc.mc_mean(values, total, 21)
+        det_z = complex(domains.jacobian_det_from_product(n, k, fz))
+        assert kernels.mc_bergman_projection(spec, f, z, total, 21) == (est / det_z,
+                                                                          err / abs(det_z))
+
+    @pytest.mark.parametrize("rows", [1, 2, 1000])
+    @pytest.mark.parametrize("name", ["standard", "affine4", "rational3"])
+    def test_workspace_denominator_has_the_bits_of_the_allocating_one(self, name, rows):
+        spec = _spec(name).standardized()
+        w = domains.sample_product_model(spec, rows, 1, r_max=0.9, disk_r_min=0.1)
+        eta = domains.sample_product_model(spec, rows, 2, r_max=0.9, disk_r_min=0.1)
+        scratch = mc.Workspace()
+        for a, b in [(w, eta), (w[0], eta), (np.ascontiguousarray(w), np.ascontiguousarray(eta)),
+                     (w[0], np.ascontiguousarray(eta))]:
+            want = kernels._product_denominator(spec, a, b)
+            assert kernels._product_denominator_in(spec, a, b, scratch).tobytes() == want.tobytes()
+
 
 # --- batch independence --------------------------------------------------
 

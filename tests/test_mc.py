@@ -109,3 +109,101 @@ class TestPool:
             return rng.random(count)
         with pytest.raises(ValueError, match="^bad sample in the short chunk$"):
             mc.mc_mean(values, 3007, seed=1, chunk_size=1000, workers=workers)
+
+
+def _rows(rng, count):
+    """Three observables of the same draws: real, complex, and real scaled far down."""
+    u = rng.random((count, 2))
+    return np.stack([u[:, 0] + 0.5, u[:, 0] - 1j * u[:, 1], 1e-170 * u[:, 1]])
+
+
+class TestRowsOfValues:
+    """`values` may return (m, count): each row is reduced as a run of its own."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("total", [5_000, 2 * mc.CHUNK_SIZE + 1])
+    def test_each_row_has_the_bits_of_its_one_row_run(self, total, workers):
+        chunk = 1000 if total < mc.CHUNK_SIZE else mc.CHUNK_SIZE
+        rows = mc.mc_mean(_rows, total, 7, chunk, workers)
+        assert isinstance(rows, list) and len(rows) == 3
+        for r, got in enumerate(rows):
+            want = mc.mc_mean(lambda rng, count: _rows(rng, count)[r].copy(), total, 7, chunk,
+                              workers)
+            assert type(got[0]) is type(want[0])
+            assert [complex(v).real.hex() for v in got] == [complex(v).real.hex() for v in want]
+            assert [complex(v).imag.hex() for v in got] == [complex(v).imag.hex() for v in want]
+
+    def test_one_row_gives_a_list_of_one(self):
+        def values(rng, count):
+            return rng.random(count)
+        assert mc.mc_mean(lambda rng, c: values(rng, c)[None], 3000, 2, 1000) == [
+            mc.mc_mean(values, 3000, 2, 1000)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_non_finite_row_names_its_chunk_and_row(self, workers):
+        def values(rng, count):
+            out = _rows(rng, count)
+            if count == 7:  # the short last chunk, index 2
+                out[1, 3] = math.nan
+            return out
+        with pytest.raises(ValueError, match="chunk 2 in row 1 has a non-finite"):
+            mc.mc_mean(values, 2007, seed=1, chunk_size=1000, workers=workers)
+
+    @pytest.mark.parametrize("shape", [(999,), (1001,), (2, 3, 1000), ()])
+    def test_rejects_values_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=r"chunk 0 of 1000 samples returned values of shape"):
+            mc.mc_mean(lambda rng, count: np.zeros(shape), 2000, 1, 1000)
+
+    def test_rejects_chunks_with_different_numbers_of_rows(self):
+        def values(rng, count):
+            return np.zeros((2 if count == 1000 else 3, count))
+        with pytest.raises(ValueError, match="different numbers of rows"):
+            mc.mc_mean(values, 2500, 1, 1000)
+
+
+class TestWorkspace:
+    def test_a_name_hands_out_the_same_memory_grown_on_demand(self):
+        scratch = mc.Workspace()
+        a = scratch.empty("x", (100, 3))
+        assert np.shares_memory(a, scratch.empty("x", (50, 3)))
+        assert not np.shares_memory(a, scratch.empty("y", (100, 3)))
+        assert scratch.empty("x", (200, 3)).shape == (200, 3)  # grown
+        f = scratch.empty("z", (100, 3), complex, "F")
+        assert f.dtype == complex and f.flags.f_contiguous and f.shape == (100, 3)
+
+    @pytest.mark.parametrize("total,workers,keeps", [(1000, 1, False), (1001, 1, True),
+                                                     (2000, 2, False), (2001, 2, True)])
+    def test_keeps_arrays_only_when_a_worker_runs_a_second_chunk(self, total, workers, keeps):
+        scratch = mc.Workspace(total, 1000, workers)
+        first = scratch.empty("x", (10,))
+        assert np.shares_memory(first, scratch.empty("x", (10,))) == keeps
+
+    def test_lent_memory_is_lent_again_only_when_nothing_refers_to_it(self):
+        scratch = mc.Workspace()
+        first = scratch.lend("x", (100, 3), complex, "F")
+        address = first.__array_interface__["data"][0]
+        del first
+        again = scratch.lend("x", (100, 3), complex, "F")
+        assert again.__array_interface__["data"][0] == address
+        kept = again[:, 1]  # a view refers to the memory it reads
+        del again
+        fresh = scratch.lend("x", (100, 3), complex, "F")
+        assert fresh.flags.f_contiguous and not np.shares_memory(fresh, kept)
+
+    def test_each_thread_has_its_own_arrays(self):
+        scratch = mc.Workspace()
+        seen = mc.map_chunks(lambda _: scratch.empty("x", (10,)), range(2), workers=2)
+        main = scratch.empty("x", (10,))
+        assert not np.shares_memory(seen[0], main) and not np.shares_memory(seen[1], main)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_mean_does_not_write_the_values_it_reduces(self, workers):
+        handed = []
+
+        def values(rng, count):
+            out = rng.normal(size=count) + 1j * rng.normal(size=count)
+            handed.append((out, out.copy()))
+            return out
+        mc.mc_mean(values, 5 * 1000 + 3, 4, 1000, workers)
+        assert len(handed) == 6
+        assert all(got.tobytes() == want.tobytes() for got, want in handed)

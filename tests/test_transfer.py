@@ -175,6 +175,33 @@ class TestPullbackIsometry:
         with pytest.raises(ValueError, match=r"accepted none of its 3 proposals.*--samples"):
             pullback_isometry_check(spec, lambda pts: pts[..., 3], replace(CFG, mc_samples=3))
 
+    @pytest.mark.parametrize("seed,side", [(2, "source"), (52, "target"), (4, "source")])
+    def test_no_accepted_proposal_is_decided_per_side(self, seed, side):
+        # both sides run in one pass, but each keeps its own error: of 10
+        # proposals, at seed 2 only the source side accepts none (the target
+        # side alone passes), at seed 52 only the target side, at seed 4 both,
+        # and then the source side is named
+        spec = builtin_example("affine4")
+        cfg = replace(CFG, seed=seed, mc_samples=10)
+        with pytest.raises(ValueError, match=f"estimate of the {side} side accepted none of its "
+                                             f"10 proposals"):
+            pullback_isometry_check(spec, lambda pts: pts[..., 3], cfg)
+        if seed == 2:
+            pullback_isometry_check(spec.standardized(), lambda pts: pts[..., 3], cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_handed_to_f_are_not_changed_later(self, workers):
+        handed = []
+
+        def f(pts):
+            handed.append((pts, pts.copy()))
+            return pts[..., 0] + 1
+
+        cfg = replace(CFG, seed=3, mc_samples=3 * 4096 + 5, chunk_size=4096, workers=workers)
+        pullback_isometry_check(builtin_example("rational3"), f, cfg)
+        assert len(handed) == 2 * 4
+        assert all(got.tobytes() == want.tobytes() for got, want in handed)
+
 
 def _unfiltered_pullback(spec, f, cfg):
     """Reference for pullback_isometry_check: map every box proposal to a full
