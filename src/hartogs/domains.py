@@ -449,7 +449,7 @@ def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
     """Transform one uniform row per point into a product-model point."""
     # each uniform column contiguous, as each output column is
     return _fill_product_batch(spec, np.asfortranarray(u), _new_batch((u.shape[0], spec.n)),
-                               mc.Workspace(), r_max, disk_r_min)
+                               mc.FRESH, r_max, disk_r_min)
 
 
 def _fill_product_batch(spec: HartogsDomainSpec, u: np.ndarray, out: np.ndarray,
@@ -474,27 +474,15 @@ def product_points(spec: HartogsDomainSpec, rng: np.random.Generator, count: int
     return product_from_uniform(spec, u, r_max, disk_r_min)
 
 
-# Rows per draw in `_product_points_in`: a few hundred KB, which stay in cache
-# until they are copied into the columns.
-_DRAW_ROWS = 4096
-
-
 def _product_points_in(spec: HartogsDomainSpec, rng: np.random.Generator, count: int,
                        scratch: mc.Workspace) -> np.ndarray:
     """`product_points(spec, rng, count)` built in the workspace `scratch`:
     the draws, their column-major copy and the batch are its arrays, so the
     next call on the same thread overwrites the batch. For Monte-Carlo chunk
-    functions, which are done with one batch before they draw the next.
-
-    The rows are drawn _DRAW_ROWS at a time into one small row-major array
-    and copied into the columns: the generator fills its output in memory
-    order, so the draws are those of one `rng.random((count, d))`."""
-    d = product_draws_per_point(spec)
-    u = scratch.empty("draw_columns", (count, d), order="F")
-    rows = scratch.empty("draws", (min(count, _DRAW_ROWS), d))
-    for start in range(0, count, _DRAW_ROWS):
-        part = rows[:count - start]
-        u[start:start + part.shape[0]] = rng.random(out=part)
+    functions, which are done with one batch before they draw the next."""
+    shape = (count, product_draws_per_point(spec))
+    u = scratch.empty("draw_columns", shape, order="F")
+    np.copyto(u, rng.random(out=scratch.empty("draws", shape)))
     return _fill_product_batch(spec, u, scratch.empty("batch", (count, spec.n), complex, "F"),
                                scratch)
 

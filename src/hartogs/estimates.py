@@ -105,9 +105,9 @@ def sphere_moment_mc(k: int, nu: MultiIndex, cfg: NumericConfig = DEFAULT_CONFIG
     computed.
     """
     nu = _check_multi_index(k, nu)
-    scratch = mc.Workspace(cfg.mc_samples, cfg.chunk_size, cfg.workers)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
+        scratch = mc.scratch()
         u = scratch.empty("draws", (count, sampling.sphere_draws_per_point(k)))
         t = sampling.sphere_moduli_sq_from_uniform(rng.random(out=u), k)
         out = np.ones(count)
@@ -366,9 +366,8 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
         raise ValueError("w must lie in the open unit ball")
     _check_alpha(alpha)
 
-    scratch = mc.Workspace(cfg.mc_samples, cfg.chunk_size, cfg.workers)
-
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
+        scratch = mc.scratch()
         u = rng.random(out=scratch.empty("draws", (count, sampling.ball_draws_per_point(k))))
         return _ball_mc_samples(k, alpha, w, u, scratch)
 
@@ -416,9 +415,8 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
     a = beta / 2.0 + 1.0
     reflect = a < 1.0 < alpha + 1.0
 
-    scratch = mc.Workspace(cfg.mc_samples, cfg.chunk_size, cfg.workers)
-
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
+        scratch = mc.scratch()
         u = rng.random(out=scratch.empty("draws", (count, sampling.disk_draws_per_point())))
         if reflect:
             t, weight = _kumaraswamy_radius(alpha + 1.0, a, u[:, 0])

@@ -44,7 +44,7 @@ from . import mc
 from .domains import (HartogsDomainSpec, _product_points_in, _suffix_products, contains,
                       jacobian_det_from_product, jacobian_det_to_standard,
                       to_product_model, to_standard_model)
-from .special import _int_power_in, _monomial_in, int_power, log_factorial, lone_point_as_row
+from .special import _int_power_in, _monomial_in, log_factorial, lone_point_as_row
 
 Model = str | Tuple[str, object]
 
@@ -59,61 +59,60 @@ def _points(w, eta, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
 
 def _disk_denominator(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """(1 - conj(eta) w)^2, the reciprocal of the punctured-disk kernel."""
-    base = 1.0 - np.conj(eta) * w
-    return base * base
+    return _ball_denominator_in(1, w[..., None], eta[..., None], mc.FRESH)
 
 
 def _ball_denominator(k: int, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """(1 - <w, eta>)^(k+1), the reciprocal of the ball kernel."""
-    # a row sum over k columns; np.sum's reduction costs several times more
-    # per row there, and einsum adds the products in the same order
-    ip = np.einsum("...j->...", np.conj(eta) * w)
-    return int_power(1.0 - ip, k + 1)
+    return _ball_denominator_in(k, w, eta, mc.FRESH)
 
 
 def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray,
                          eta: np.ndarray) -> np.ndarray:
     """The reciprocal of the product kernel: the product of the factor
     denominators, with no division."""
-    den = None
-    for (kj, _), sl in zip(spec.blocks, spec.slices):
-        factor = _ball_denominator(kj, w[..., sl], eta[..., sl])
-        den = factor if den is None else factor * den
-    for j in range(spec.k, spec.n):
-        den = _disk_denominator(w[..., j], eta[..., j]) * den
-    return den
+    return _product_denominator_in(spec, w, eta, mc.FRESH)
+
+
+def _ball_denominator_in(k: int, w: np.ndarray, eta: np.ndarray,
+                         scratch: mc.Workspace) -> np.ndarray:
+    """`_ball_denominator(k, w, eta)` with each step written into a
+    workspace array of `scratch` that holds none of its operands: numpy may
+    round a complex product written over an operand unlike its array loop.
+    One column (k = 1) is its own row sum; einsum's would differ at most in
+    the sign of a zero, which 1 - x does not see."""
+    order = "F" if eta.ndim > 1 and eta.flags.f_contiguous else "C"  # as eta's columns
+    conj = np.conjugate(eta, out=scratch.empty("conj", eta.shape, complex, order))
+    shape = np.broadcast_shapes(eta.shape, w.shape)
+    prod = np.multiply(conj, w, out=scratch.empty("prod", shape, complex, order))
+    del conj  # a workspace that keeps nothing frees each array after its last use
+    if k == 1:
+        base = prod[..., 0]
+    else:
+        # a row sum over k columns; np.sum's reduction costs several times
+        # more per row there, and einsum adds the products in the same order
+        base = np.einsum("...j->...", prod, out=scratch.empty("base", shape[:-1], complex))
+        del prod
+    np.subtract(1.0, base, out=base)
+    return _int_power_in(base, k + 1, scratch)
 
 
 def _product_denominator_in(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray,
                             scratch: mc.Workspace) -> np.ndarray:
-    """`_product_denominator(spec, w, eta)` by the same operations, for the
-    Monte-Carlo projection: each writes into a workspace array of `scratch`
-    that holds none of its operands (numpy may round a complex product
-    written over an operand unlike its array loop), so a chunk allocates
-    none of them. A chain disk is the ball with k = 1, and a one-column
-    block takes its column for the row sum: the two differ at most in the
-    sign of a zero, which 1 - x does not see."""
+    """`_product_denominator(spec, w, eta)` with each product written into a
+    workspace array of `scratch`; a chain disk is the ball with k = 1."""
     blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
     blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
     den = None
     for i, (kj, sl) in enumerate(blocks):
-        w_b, eta_b = w[..., sl], eta[..., sl]
-        order = "F" if eta_b.ndim > 1 and eta_b.flags.f_contiguous else "C"  # as eta's columns
-        conj = np.conjugate(eta_b, out=scratch.empty("conj", eta_b.shape, complex, order))
-        shape = np.broadcast_shapes(eta_b.shape, w_b.shape)
-        prod = np.multiply(conj, w_b, out=scratch.empty("prod", shape, complex, order))
-        if kj == 1:
-            base = prod[..., 0]
+        factor = _ball_denominator_in(kj, w[..., sl], eta[..., sl], scratch)
+        if den is not None:
+            den = np.multiply(factor, den, out=scratch.empty(f"den_{i % 2}", factor.shape, complex))
+        elif scratch.keep:  # the next factor's powers would overwrite a kept factor
+            den = scratch.empty("den_0", factor.shape, complex)
+            np.copyto(den, factor)
         else:
-            base = np.einsum("...j->...", prod, out=scratch.empty("base", shape[:-1], complex))
-        np.subtract(1.0, base, out=base)
-        factor = _int_power_in(base, kj + 1, scratch)
-        out = scratch.empty(f"den_{i % 2}", factor.shape, complex)
-        if den is None:
-            np.copyto(out, factor)
-        else:
-            np.multiply(factor, den, out=out)
-        den = out
+            den = factor
     return den
 
 
@@ -306,9 +305,8 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
     fz = to_product_model(n, k, z)
     det_z = jacobian_det_from_product(n, k, fz)
 
-    scratch = mc.Workspace(samples, mc.CHUNK_SIZE, workers)
-
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
+        scratch = mc.scratch()
         w = _product_points_in(spec, rng, count, scratch)
         det_w = _monomial_in(w[:, k:], range(k, n), scratch)  # `jacobian_det_from_product`
         # the points f gets, in memory lent to it (`mc.Workspace.lend`)

@@ -26,23 +26,25 @@ deferred, its import (about 15 ms) would only move into the first draw.
 A `Workspace` keeps chunk-sized scratch arrays per thread, so a worker's
 later chunks reuse the memory of its first one: the allocator hands freed
 blocks of that size back to the kernel, and the next chunk would fault them
-in again. Each `mc_mean` call, and each estimator, makes its own, so nothing
-outlives the call, and a call in which no worker runs a second chunk keeps
-nothing. A worker reduces the `values` result of a chunk before it
-starts its next one, so `values` may build its result in that worker's
-workspace. The functions that write into one are private (named `_..._in`
-or `_..._into`), and no public function returns a workspace array. An array
+in again. `mc_mean` makes one per call, so nothing outlives the call, and
+it keeps nothing when no worker runs a second chunk. While a worker runs a
+chunk, `scratch()` returns that call's workspace, so `values` fetches it
+there. A worker reduces the `values` result of a chunk before it starts its
+next one, so `values` may build its result in that worker's workspace. The
+functions that write into one are private (named `_..._in` or `_..._into`),
+and no public function returns a workspace array: the public ones run the
+same private code in `FRESH`, the workspace that keeps nothing. An array
 handed to a caller's function, as the points the projection hands `f`, is
-lent (`Workspace.lend`): its memory is used again only once nothing refers
-to it, so an array the caller keeps is never written.
+lent (`Workspace.lend`): its memory is used again only once the array and
+every view of it are gone, so an array the caller keeps is never written.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
+import weakref
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
@@ -89,25 +91,19 @@ class Workspace(threading.local):
     name always hands out the same memory, grown when a larger shape asks
     for it, so the next request of that name overwrites the array: a caller
     is done with it before asking again, and never returns it from a public
-    function. Make one workspace per call and let it go when the call
-    returns.
-
-    Made for the `mc_mean` call of `total` samples in chunks of
-    `chunk_size` on `workers` threads, it keeps its arrays only when some
-    worker runs more than one chunk. Otherwise no memory is reused, and
-    every request gets a new array that is freed with its last reference,
-    as in code with no workspace: a call of one chunk per worker then holds
-    no more memory at once than that code.
+    function. A workspace made with keep=False keeps nothing: every request
+    gets a new array that is freed with its last reference, as in code with
+    no workspace.
     """
 
-    def __init__(self, total: int | None = None, chunk_size: int = CHUNK_SIZE,
-                 workers: int = WORKERS):
+    def __init__(self, keep: bool = True):
         self._buffers: dict[str, np.ndarray] = {}
-        self._keep = total is None or len(chunk_layout(total, chunk_size)) > workers
+        self._lent: dict[str, tuple[bytearray, weakref.ref]] = {}
+        self.keep = keep
 
     def empty(self, name: str, shape: tuple[int, ...], dtype=float,
               order: str = "C") -> np.ndarray:
-        if not self._keep:
+        if not self.keep:
             return np.empty(shape, dtype, order=order)
         size = math.prod(shape)
         buf = self._buffers.get(name)
@@ -118,23 +114,34 @@ class Workspace(threading.local):
     def lend(self, name: str, shape: tuple[int, ...], dtype=float,
              order: str = "C") -> np.ndarray:
         """`empty` for an array handed to a caller's function, which may keep
-        it. The memory is lent again only when nothing outside the workspace
-        refers to it any more (a numpy view refers to the array that owns its
-        memory); while something does, the workspace lets that array go and
-        makes a new one. So an array lent out is never written while it, or
-        a view of it, can still be read."""
-        if name in self._buffers and _references(self._buffers, name) > _ALONE:
-            del self._buffers[name]
-        return self.empty(name, shape, dtype, order)
+        it. The array is made over memory it does not own, so every numpy
+        view of it refers to it; the next request of the name lends that
+        memory again only when the array is gone, and otherwise takes new
+        memory. So an array lent out is never written while it, or a view
+        of it, can still be read."""
+        if not self.keep:
+            return np.empty(shape, dtype, order=order)
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        memory, lent = self._lent.get(name, (bytearray(), lambda: None))
+        if lent() is not None or len(memory) < nbytes:
+            memory = bytearray(nbytes)
+        array = np.ndarray(shape, dtype, buffer=memory, order=order)
+        self._lent[name] = (memory, weakref.ref(array))
+        return array
 
 
-def _references(buffers: dict, name: str) -> int:
-    return sys.getrefcount(buffers[name])
+# The workspace that keeps nothing, for the public functions that share
+# their code with the chunk functions.
+FRESH = Workspace(keep=False)
+
+# This thread's `mc_mean` workspace, while it runs one of that call's chunks.
+_running = threading.local()
 
 
-# What `_references` reads for a buffer that only its dict holds, measured by
-# the same call: the interpreter's own share of the count varies by version.
-_ALONE = _references({"": np.empty(0)}, "")
+def scratch() -> Workspace:
+    """The workspace of the `mc_mean` call whose chunk this thread runs, or
+    `FRESH` outside a chunk."""
+    return getattr(_running, "workspace", FRESH)
 
 
 def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -170,25 +177,34 @@ def mc_mean(values: SampleFn, total: int, seed: int, chunk_size: int = CHUNK_SIZ
     undefined, for a result of another shape, and for a chunk with a
     non-finite value, naming the chunk index (and the row of an (m, count)
     result). The chunks run on `workers` threads (`map_chunks`), so `values`
-    must be safe to call from several threads at once.
+    must be safe to call from several threads at once. While it runs,
+    `scratch()` returns this call's workspace, which keeps its arrays only
+    when some worker runs more than one chunk: a call of one chunk per
+    worker then holds no more memory at once than code with no workspace.
     """
     if total < 2:
         raise ValueError(f"mc_mean needs at least two samples, got {total}")
-    scratch = Workspace(total, chunk_size, workers)
+    layout = chunk_layout(total, chunk_size)
+    workspace = Workspace(keep=len(layout) > workers)
 
     def partial(item):
         """(rows, chunk moments per row); rows is None for a (count,) result."""
         idx, count = item
-        vals = np.asarray(values(chunk_rng(seed, idx), count))
-        if vals.shape == (count,):
-            return None, [_chunk_moments(vals, scratch, f"chunk {idx}")]
-        if vals.ndim == 2 and vals.shape[1] == count:
-            return len(vals), [_chunk_moments(row, scratch, f"chunk {idx} in row {r}")
-                               for r, row in enumerate(vals)]
+        outer = scratch()  # a `values` may itself call mc_mean
+        _running.workspace = workspace
+        try:
+            vals = np.asarray(values(chunk_rng(seed, idx), count))
+            if vals.shape == (count,):
+                return None, [_chunk_moments(vals, workspace, f"chunk {idx}")]
+            if vals.ndim == 2 and vals.shape[1] == count:
+                return len(vals), [_chunk_moments(row, workspace, f"chunk {idx} in row {r}")
+                                   for r, row in enumerate(vals)]
+        finally:
+            _running.workspace = outer
         raise ValueError(f"mc_mean: chunk {idx} of {count} samples returned values "
                          f"of shape {vals.shape}")
 
-    partials = map_chunks(partial, chunk_layout(total, chunk_size), workers)
+    partials = map_chunks(partial, layout, workers)
     if len({rows for rows, _ in partials}) > 1:
         raise ValueError("mc_mean: the chunks returned different numbers of rows")
     merged = [_merge(moments) for moments in zip(*(moments for _, moments in partials))]

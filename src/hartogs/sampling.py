@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import mc
+
 
 def normals_from_uniform(u: np.ndarray) -> np.ndarray:
     """Box-Muller transform; u has even last-axis length, entries in [0, 1)."""
@@ -63,7 +65,16 @@ def disk_modulus_sq_from_uniform(u1: np.ndarray, r_min: float = 0.0,
     """|w|^2 of the annulus points `disk_from_uniform` makes, bit for bit, from
     u1, the first uniform of each draw pair; no angle is computed. r_max may
     be an array that broadcasts against u1 (one radius per column)."""
-    return r_min * r_min + u1 * (r_max * r_max - r_min * r_min)
+    return _disk_modulus_sq_into(u1, r_min, r_max, None)
+
+
+def _disk_modulus_sq_into(u1: np.ndarray, r_min: float, r_max: float | np.ndarray,
+                          out: np.ndarray | None) -> np.ndarray:
+    """`disk_modulus_sq_from_uniform(u1, r_min, r_max)` written into `out`
+    (a new array for None)."""
+    out = np.multiply(u1, r_max * r_max - r_min * r_min, out=out)
+    out += r_min * r_min  # in place, or a new scalar for scalar arguments
+    return out
 
 
 def polar_from_uniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -96,19 +107,16 @@ def _polar_into(r, u: np.ndarray, out: np.ndarray, t: np.ndarray,
 
 def disk_from_uniform(u: np.ndarray, r_min: float = 0.0, r_max: float = 1.0) -> np.ndarray:
     """Uniform points of the annulus r_min <= |w| <= r_max; u shape (count, 2)."""
-    return polar_from_uniform(np.sqrt(disk_modulus_sq_from_uniform(u[:, 0], r_min, r_max)),
-                              u[:, 1])
+    return _disk_into(u, r_min, r_max, np.empty(u.shape[0], dtype=complex), mc.FRESH)
 
 
 def _disk_into(u: np.ndarray, r_min: float, r_max: float, out: np.ndarray,
-               scratch) -> np.ndarray:
+               scratch: mc.Workspace) -> np.ndarray:
     """`disk_from_uniform(u, r_min, r_max)` written into the complex array
-    `out`; its float arrays are the workspace arrays of `scratch` (an
-    `mc.Workspace`) named "disk_*"."""
+    `out`; its float arrays are the workspace arrays of `scratch` named
+    "disk_*"."""
     shape = (u.shape[0],)
-    rad = np.multiply(u[:, 0], r_max * r_max - r_min * r_min,
-                      out=scratch.empty("disk_radius", shape))
-    np.add(r_min * r_min, rad, out=rad)    # `disk_modulus_sq_from_uniform`
+    rad = _disk_modulus_sq_into(u[:, 0], r_min, r_max, scratch.empty("disk_radius", shape))
     np.sqrt(rad, out=rad)
     return _polar_into(rad, u[:, 1], out, scratch.empty("disk_t", shape),
                        scratch.empty("disk_scale", shape))
@@ -126,7 +134,8 @@ def ball_from_uniform(u: np.ndarray, k: int, r_max: float = 1.0) -> np.ndarray:
     return _scale_rows(normals_from_uniform(u[:, : 2 * k]), radius)
 
 
-def _ball_into(u: np.ndarray, k: int, r_max: float, out: np.ndarray, scratch) -> np.ndarray:
+def _ball_into(u: np.ndarray, k: int, r_max: float, out: np.ndarray,
+               scratch: mc.Workspace) -> np.ndarray:
     """`ball_from_uniform(u, k, r_max)` written into the (count, k) array
     `out`; a disk (k = 1) works in the arrays of `scratch` (`_disk_into`)."""
     if k == 1:

@@ -28,6 +28,8 @@ import sys
 
 import numpy as np
 
+from . import mc
+
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for finite x > 0; a value that overflows raises ValueError
@@ -88,44 +90,18 @@ def int_power(x, e: int) -> np.ndarray:
     Elementwise on arrays of any dtype. The result is never x itself, so
     callers may update it in place.
     """
-    if e < 0:
-        raise ValueError("negative exponent")
-    base = np.asarray(x)
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if not e:
-            break
-        base = base * base
-    if result is None:
-        return np.ones_like(base)
+    x = np.asarray(x)
+    result = _int_power_in(x, e, mc.FRESH)
     return result.copy() if result is x else result
 
 
-def _monomial_in(z: np.ndarray, exps, scratch) -> np.ndarray:
-    """`monomial(z, exps)` for exponents >= 0 by the same products, each
-    written into a workspace array of `scratch` (an `mc.Workspace`) named
-    "monomial_*" that holds none of its operands; z is not written."""
-    shape, dtype = z.shape[:-1], np.result_type(z, float)
-    turn = 0  # the products alternate between two arrays
-    out = scratch.empty("monomial_0", shape, dtype)
-    out.fill(1.0)
-    for j, e in enumerate(exps):
-        if e:
-            power = _int_power_in(z[..., j], e, scratch)
-            turn ^= 1
-            out = np.multiply(power, out, out=scratch.empty(f"monomial_{turn}", shape, dtype))
-    return out
-
-
-def _int_power_in(x: np.ndarray, e: int, scratch) -> np.ndarray:
-    """`int_power(x, e)` by the same products, each written into a workspace
-    array of `scratch` (an `mc.Workspace`) named "power_*" that holds
-    neither of its operands: numpy may round a complex product into one of
-    its operands unlike its array loop. x is not written, but for e = 1 it
-    is the result."""
+def _int_power_in(x: np.ndarray, e: int, scratch: mc.Workspace) -> np.ndarray:
+    """`int_power(x, e)` with each product written into a workspace array
+    of `scratch` named "power_*" that holds neither of its operands: numpy
+    may round a complex product into one of its operands unlike its array
+    loop. x is not written, but for e = 1 it is the result."""
+    if e < 0:
+        raise ValueError("negative exponent")
     spares: list[np.ndarray] = []
     if e == 0:
         ones = scratch.empty("power_0", x.shape, x.dtype)
@@ -179,14 +155,27 @@ def lone_point_as_row(**point_ndim: int):
 def monomial(z, exps) -> complex | float | np.ndarray:
     """prod_j z_j^e_j over the last axis of z for integer e_j, by `int_power`
     (a negative e_j divides by z_j^-e_j)."""
-    z = np.asarray(z)
-    out = np.ones(z.shape[:-1], dtype=np.result_type(z, float))
+    return _monomial_in(np.asarray(z), exps, mc.FRESH)
+
+
+def _monomial_in(z: np.ndarray, exps, scratch: mc.Workspace) -> np.ndarray:
+    """`monomial(z, exps)` with each product and quotient written into a
+    workspace array of `scratch` named "monomial_*" that holds none of its
+    operands; z is not written."""
+    shape, dtype = z.shape[:-1], np.result_type(z, float)
+    turn = 0  # the products alternate between two arrays
+    out = scratch.empty("monomial_0", shape, dtype)
+    out.fill(1.0)
     for j, e in enumerate(exps):
         e = int(e)
-        if e > 0:
-            out = int_power(z[..., j], e) * out  # operand order: see `kernels`
-        elif e < 0:
-            out = out / int_power(z[..., j], -e)
+        if e:
+            power = _int_power_in(z[..., j], abs(e), scratch)
+            turn ^= 1
+            new = scratch.empty(f"monomial_{turn}", shape, dtype)
+            if e > 0:
+                out = np.multiply(power, out, out=new)  # operand order: see `kernels`
+            else:
+                out = np.divide(out, power, out=new)
     return out
 
 

@@ -173,9 +173,9 @@ def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
             box_volume *= math.factorial(kj)
         boxes.append((radii, box_volume))
     accepted = []  # per chunk and side; list.append is safe across mc_mean's threads
-    scratch = mc.Workspace(samples, cfg.chunk_size, cfg.workers)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
+        scratch = mc.scratch()
         u = rng.random(out=scratch.empty("draws", (count, 2 * n)))
         out = scratch.empty("sides", (len(sides), count), complex)
         out.fill(0.0)

@@ -300,9 +300,10 @@ class TestSampling:
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept.tobytes()
 
-    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("count", [1, 2, 10_000])
     def test_chunk_batches_draw_the_rows_of_product_points(self, count):
-        # the chunk path draws its rows in blocks: the stream is the same
+        # the chunk path draws into a workspace array and copies it into
+        # columns: the stream and the points are the same
         spec = HartogsDomainSpec.standard(4, [1, 2])
         want = domains.product_points(spec, np.random.default_rng(3), count)
         got = domains._product_points_in(spec, np.random.default_rng(3), count, mc.Workspace())

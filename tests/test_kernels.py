@@ -422,6 +422,12 @@ class TestMcProjection:
         with pytest.raises(ValueError, match="^f rejects the short chunk$"):
             kernels.mc_bergman_projection(spec, f, z, 3 * mc.CHUNK_SIZE + 7, seed=13)
 
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_a_bad_sample_count_gets_the_mc_mean_error(self, samples):
+        spec = HartogsDomainSpec.standard(2, 1)
+        with pytest.raises(ValueError, match=f"at least two samples, got {samples}"):
+            kernels.mc_bergman_projection(spec, lambda pts: pts[..., 0], [0.1, 0.2], samples, 1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_points_handed_to_f_are_not_changed_later(self, workers):
         spec = HartogsDomainSpec.standard(3, 1)
@@ -459,17 +465,49 @@ class TestMcProjection:
         assert kernels.mc_bergman_projection(spec, f, z, total, 21) == (est / det_z,
                                                                           err / abs(det_z))
 
-    @pytest.mark.parametrize("rows", [1, 2, 1000])
+    @pytest.mark.parametrize("rows", [1, 2, 1000, 20_000])
     @pytest.mark.parametrize("name", ["standard", "affine4", "rational3"])
-    def test_workspace_denominator_has_the_bits_of_the_allocating_one(self, name, rows):
+    def test_denominator_has_the_bits_of_products_into_new_arrays(self, name, rows):
+        # the reference forms every product with numpy's operators, as the
+        # code before the workspaces did; the workspace versions write into
+        # arrays that hold none of the operands, fresh ones or a keeping
+        # workspace's
+        def power(x, e):
+            base, result = x, None
+            while True:
+                if e & 1:
+                    result = base if result is None else result * base
+                e >>= 1
+                if not e:
+                    return result
+                base = base * base
+
+        def reference(spec, w, eta):
+            den = None
+            for (kj, _), sl in zip(spec.blocks, spec.slices):
+                factor = power(1.0 - np.einsum("...j->...", np.conj(eta[..., sl]) * w[..., sl]),
+                               kj + 1)
+                den = factor if den is None else factor * den
+            for j in range(spec.k, spec.n):
+                base = 1.0 - np.conj(eta[..., j]) * w[..., j]
+                den = base * base * den
+            return den
+
         spec = _spec(name).standardized()
         w = domains.sample_product_model(spec, rows, 1, r_max=0.9, disk_r_min=0.1)
         eta = domains.sample_product_model(spec, rows, 2, r_max=0.9, disk_r_min=0.1)
         scratch = mc.Workspace()
         for a, b in [(w, eta), (w[0], eta), (np.ascontiguousarray(w), np.ascontiguousarray(eta)),
                      (w[0], np.ascontiguousarray(eta))]:
-            want = kernels._product_denominator(spec, a, b)
-            assert kernels._product_denominator_in(spec, a, b, scratch).tobytes() == want.tobytes()
+            want = reference(spec, a, b).tobytes()
+            assert kernels._product_denominator(spec, a, b).tobytes() == want
+            assert kernels._product_denominator_in(spec, a, b, scratch).tobytes() == want
+        k = spec.blocks[0][0]
+        assert (kernels._ball_denominator(k, w[:, :k], eta[:, :k]).tobytes()
+                == power(1.0 - np.einsum("...j->...", np.conj(eta[:, :k]) * w[:, :k]),
+                         k + 1).tobytes())
+        base = 1.0 - np.conj(eta[:, -1]) * w[:, -1]
+        assert kernels._disk_denominator(w[:, -1], eta[:, -1]).tobytes() == (base * base).tobytes()
 
 
 # --- batch independence --------------------------------------------------

@@ -173,22 +173,63 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("total,workers,keeps", [(1000, 1, False), (1001, 1, True),
                                                      (2000, 2, False), (2001, 2, True)])
-    def test_keeps_arrays_only_when_a_worker_runs_a_second_chunk(self, total, workers, keeps):
-        scratch = mc.Workspace(total, 1000, workers)
-        first = scratch.empty("x", (10,))
-        assert np.shares_memory(first, scratch.empty("x", (10,))) == keeps
+    def test_mc_mean_keeps_arrays_only_when_a_worker_runs_a_second_chunk(self, total, workers,
+                                                                         keeps):
+        seen = []
 
-    def test_lent_memory_is_lent_again_only_when_nothing_refers_to_it(self):
+        def values(rng, count):
+            first = mc.scratch().empty("x", (10,))
+            seen.append(np.shares_memory(first, mc.scratch().empty("x", (10,))))
+            return rng.random(count)
+        mc.mc_mean(values, total, 1, 1000, workers)
+        assert set(seen) == {keeps}
+
+    def test_scratch_is_the_running_call_and_fresh_outside_one(self):
+        assert mc.scratch() is mc.FRESH and not mc.FRESH.keep
+        outer, inner = [], []
+
+        def inner_values(rng, count):
+            inner.append(mc.scratch())
+            return rng.random(count)
+
+        def values(rng, count):
+            outer.append(mc.scratch())
+            mc.mc_mean(inner_values, 3000, 2, 1000, workers=1)
+            outer.append(mc.scratch())  # restored after the nested call
+            return rng.random(count)
+        mc.mc_mean(values, 2001, 1, 1000, workers=1)
+        assert mc.scratch() is mc.FRESH
+        assert len(set(map(id, outer))) == 1 and outer[0].keep
+        assert len(set(map(id, inner))) == 3 and outer[0] not in inner
+
+    def test_scratch_is_restored_when_values_raises(self):
+        def values(rng, count):
+            raise RuntimeError("stop")
+        with pytest.raises(RuntimeError):
+            mc.mc_mean(values, 3000, 1, 1000, workers=1)
+        assert mc.scratch() is mc.FRESH
+
+    @pytest.mark.parametrize("total", [-1, 0, 1])
+    def test_a_bad_count_is_rejected_by_mc_mean_alone(self, total):
+        with pytest.raises(ValueError, match=f"mc_mean needs at least two samples, got {total}"):
+            mc.mc_mean(lambda rng, count: rng.random(count), total, 1)
+
+    def test_lent_memory_is_lent_again_only_when_the_array_and_its_views_are_gone(self):
         scratch = mc.Workspace()
         first = scratch.lend("x", (100, 3), complex, "F")
         address = first.__array_interface__["data"][0]
         del first
         again = scratch.lend("x", (100, 3), complex, "F")
         assert again.__array_interface__["data"][0] == address
-        kept = again[:, 1]  # a view refers to the memory it reads
+        kept = again[:, 1].real  # a view refers to the array it reads
         del again
         fresh = scratch.lend("x", (100, 3), complex, "F")
-        assert fresh.flags.f_contiguous and not np.shares_memory(fresh, kept)
+        assert fresh.flags.f_contiguous and fresh.flags.writeable
+        assert fresh.shape == (100, 3) and not np.shares_memory(fresh, kept)
+
+    def test_a_workspace_that_keeps_nothing_lends_new_arrays(self):
+        first = mc.FRESH.lend("x", (10,))
+        assert first.flags.owndata and not np.shares_memory(first, mc.FRESH.lend("x", (10,)))
 
     def test_each_thread_has_its_own_arrays(self):
         scratch = mc.Workspace()

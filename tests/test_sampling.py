@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hartogs import sampling
+from hartogs import mc, sampling, special
 from hartogs.special import int_power, monomial
 
 
@@ -43,6 +43,8 @@ class TestDiskPoints:
         rho2 = sampling.disk_modulus_sq_from_uniform(u[:, 0], 0.1, 0.7)
         pts = sampling.disk_from_uniform(u, 0.1, 0.7)
         np.testing.assert_allclose(pts.real ** 2 + pts.imag ** 2, rho2, rtol=2e-15, atol=0)
+        # a lone uniform gets the value of its batch entry
+        assert sampling.disk_modulus_sq_from_uniform(u[5, 0], 0.1, 0.7) == rho2[5]
 
 
 class TestSphereModuli:
@@ -77,6 +79,35 @@ class TestIntegerPowers:
         assert int_power(x, 0).tolist() == [1.0, 1.0]
         with pytest.raises(ValueError):
             int_power(x, -1)
+        with pytest.raises(ValueError):  # the workspace version shares the check
+            special._int_power_in(x, -1, mc.FRESH)
+
+    def test_powers_have_the_bits_of_products_into_new_arrays(self):
+        # the reference forms every product with numpy's operators, as the
+        # code before the workspaces did; int_power and monomial write into
+        # arrays that hold none of the operands
+        def power(x, e):
+            base, result = x, np.ones_like(x)
+            first = True
+            while e:
+                if e & 1:
+                    result, first = (base if first else result * base), False
+                e >>= 1
+                if e:
+                    base = base * base
+            return result
+
+        # 20000 rows are past the size from which numpy writes a product
+        # into a temporary operand
+        for rows in (200, 20_000):
+            z = np.random.default_rng(4).uniform(-1, 1, (rows, 3, 2)) @ np.array([1, 1j])
+            for e in range(12):
+                assert int_power(z[:, 0], e).tobytes() == power(z[:, 0], e).tobytes()
+            exps = (-2, 3, 1)
+            want = np.ones(rows, dtype=complex)
+            for j, e in enumerate(exps):
+                want = power(z[:, j], e) * want if e > 0 else want / power(z[:, j], -e)
+            assert monomial(z, exps).tobytes() == want.tobytes()
 
     def test_monomial_with_negative_exponent(self):
         z = np.array([[0.5 + 0.5j, 2.0, -0.25j]])
