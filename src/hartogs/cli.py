@@ -100,15 +100,12 @@ def _sigmas(est, expected, err: float) -> float:
     return 0.0
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_list(text: str, option: str, parse=int) -> tuple:
+    """The comma-separated values of `option`, each read by `parse`; errors name the option."""
     try:
-        return np.array([complex(part) for part in text.split(",")], dtype=complex)
+        return tuple(parse(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"cannot parse complex point {text!r}: {exc}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+        raise ValueError(f"{option}: cannot parse {text!r}: {exc}") from None
 
 
 def _load_spec(args) -> HartogsDomainSpec:
@@ -161,8 +158,8 @@ def cmd_kernel(args) -> str:
     elif args.model == "ball":
         if args.k is None:
             raise ValueError("--k is required for the ball kernel")
-        w = _parse_point(args.w)
-        eta = _parse_point(args.eta)
+        w = np.array(_parse_list(args.w, "--w", complex))
+        eta = np.array(_parse_list(args.eta, "--eta", complex))
         _require(np.linalg.norm(w) < 1.0 and np.linalg.norm(eta) < 1.0, "ball")
         value = kernel_ball(args.k, w, eta)
         if args.truncated is not None:
@@ -170,8 +167,8 @@ def cmd_kernel(args) -> str:
                 kernel_truncated(("ball", args.k), args.truncated, w, eta))
     else:
         spec = _load_spec(args)
-        w = _parse_point(args.w)
-        eta = _parse_point(args.eta)
+        w = np.array(_parse_list(args.w, "--w", complex))
+        eta = np.array(_parse_list(args.eta, "--eta", complex))
         if args.model == "product":
             _require(product_model_contains(spec, w) and product_model_contains(spec, eta),
                      "product")
@@ -189,7 +186,7 @@ def cmd_kernel(args) -> str:
 
 
 def cmd_moments(args) -> str:
-    nu = _parse_ints(args.nu)
+    nu = _parse_list(args.nu, "--nu")
     cfg = NumericConfig(seed=args.seed, mc_samples=args.mc_samples, workers=args.workers)
     formula = sphere_moment(args.k, nu)
     est, err = sphere_moment_mc(args.k, nu, cfg)
@@ -242,7 +239,7 @@ def cmd_schur_verify(args) -> str:
     if args.witness_s is not None or args.witness_t is not None:
         if args.witness_s is None or args.witness_t is None:
             raise ValueError("--witness-s and --witness-t must be given together")
-        t_values = [float(x) for x in args.witness_t.split(",")]
+        t_values = _parse_list(args.witness_t, "--witness-t", float)
         if len(t_values) != args.n - args.k:
             raise ValueError(f"--witness-t needs {args.n - args.k} values")
         witness = SchurWitness(args.witness_s,
@@ -250,7 +247,7 @@ def cmd_schur_verify(args) -> str:
     if witness is None:
         return render_json({"p": args.p, "feasible": False, "witness": None}) + "\n"
     cfg = NumericConfig(seed=args.seed)
-    blocks = _parse_ints(args.blocks) if args.blocks else None
+    blocks = _parse_list(args.blocks, "--blocks") if args.blocks is not None else None
     report = schur_verify(args.n, args.k, args.p, witness, cfg, blocks=blocks,
                           samples=args.samples,
                           boundary_margin=args.boundary_margin,
@@ -264,8 +261,8 @@ def cmd_schur_verify(args) -> str:
 
 
 def cmd_blowup(args) -> str:
-    if args.m_list:
-        m_values = list(_parse_ints(args.m_list))
+    if args.m_list is not None:
+        m_values = list(_parse_list(args.m_list, "--m-list"))
     else:
         m_values = list(range(1, args.m_max + 1))
     k = args.k if args.k is not None else args.n - 1
@@ -285,7 +282,7 @@ def cmd_transfer(args) -> str:
         "transfer_factor": transfer_norm_bound(args.constant, bounds, args.p),
     }
     if args.isometry_monomial is not None:
-        exps = _parse_ints(args.isometry_monomial)
+        exps = _parse_list(args.isometry_monomial, "--isometry-monomial")
         check_bergman_monomial(spec.n, spec.k, exps)
 
         def test_fn(pts: np.ndarray) -> np.ndarray:
@@ -301,11 +298,9 @@ def cmd_transfer(args) -> str:
 
 def cmd_project(args) -> str:
     spec = HartogsDomainSpec.standard(args.n, args.k)
-    z = _parse_point(args.point)
+    z = np.array(_parse_list(args.point, "--point", complex))
     if args.monomial is None and args.blowup_m is None:
         raise ValueError("need --monomial or --blowup-m")
-    if z.size != args.n:
-        raise ValueError(f"point has length {z.size}, expected {args.n}")
     if args.blowup_m is not None:
         def f(pts):
             return blowup_eval(args.n, args.blowup_m, pts)
@@ -314,7 +309,7 @@ def cmd_project(args) -> str:
             return projected_blowup(args.n, args.blowup_m, pt)
         label = f"blowup_m={args.blowup_m}"
     else:
-        exps = _parse_ints(args.monomial)
+        exps = _parse_list(args.monomial, "--monomial")
         check_bergman_monomial(args.n, args.k, exps)
 
         def f(pts):
@@ -481,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--point", required=True, help="evaluation point")
     p.add_argument("--monomial", help="project this monomial (exponent list)")
-    p.add_argument("--blowup-m", type=int, help="project the m-th blow-up function")
+    p.add_argument("--blowup-m", type=_positive_int, help="project the m-th blow-up function")
     p.add_argument("--samples", type=_positive_int, default=200_000)
     p.add_argument("--workers", type=_positive_int, default=mc.WORKERS,
                    help="worker threads (default: mc.WORKERS, the CPUs this "

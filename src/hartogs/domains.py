@@ -9,7 +9,9 @@ with k = sum k_j. The domain transfers biholomorphically to the product model
 ball(k_1) x ... x ball(k_l) x punctured-disk^(n-k) via coordinate quotients;
 this module provides the maps in both directions, their Jacobian determinants,
 the blockwise map to the all-identity standard model, and a seeded uniform
-sampler of the product model.
+sampler of the product model. Each public map is `_check_point` plus a private
+body on checked batches, and `contains` is `_standard_contains` of the image
+`to_standard_model` gives; `kernels` and `transfer` call the bodies.
 
 All point arrays are complex with coordinates along the last axis; every map
 broadcasts over leading axes. The sampler's batches and those of
@@ -33,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, sampling
-from .special import lone_point_as_row, monomial
+from .special import _monomial_in, lone_point_as_row
 
 _IDENTITY = "identity"
 _AFFINE = "affine"
@@ -347,13 +349,16 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 @lone_point_as_row(z=1)
 def contains(spec: HartogsDomainSpec, z) -> bool | np.ndarray:
-    """Strict membership test for the domain of `spec`."""
-    z = _check_point(spec.n, z)
-    k = spec.k
-    head = np.zeros(z.shape[:-1])
-    for (_, fam), sl in zip(spec.blocks, spec.slices):
-        head = np.maximum(head, _row_norms(fam.value(z[..., sl])))
-    chain = np.abs(z[..., k:])
+    """Strict membership test for the domain of `spec`, on its standard-model image."""
+    return _standard_contains(spec, _block_images(spec, _check_point(spec.n, z)))
+
+
+def _standard_contains(spec: HartogsDomainSpec, w: np.ndarray) -> np.ndarray:
+    """Membership of the standard-model images w: max block norm < |w_(k+1)| < ... < |w_n| < 1."""
+    head = np.zeros(w.shape[:-1])
+    for sl in spec.slices:
+        head = np.maximum(head, _row_norms(w[..., sl]))
+    chain = np.abs(w[..., spec.k:])
     ok = head < chain[..., 0]
     for i in range(chain.shape[-1] - 1):
         ok &= chain[..., i] < chain[..., i + 1]
@@ -368,7 +373,11 @@ def _new_batch(shape: tuple[int, ...]) -> np.ndarray:
 
 def to_product_model(n: int, k: int, z) -> np.ndarray:
     """Quotient chart: first k coordinates over z_{k+1}, then successive ratios."""
-    z = _check_point(n, z)
+    return _quotients(n, k, _check_point(n, z))
+
+
+def _quotients(n: int, k: int, z: np.ndarray) -> np.ndarray:
+    """`to_product_model` of the checked batch z, as a new batch."""
     if np.any(z[..., k:] == 0):
         raise ZeroDivisionError("chain coordinate is zero; quotient chart undefined")
     w = _new_batch(z.shape)
@@ -400,23 +409,36 @@ def _suffix_products(n: int, k: int, w: np.ndarray, z: np.ndarray) -> np.ndarray
 @lone_point_as_row(w=1)
 def jacobian_det_from_product(n: int, k: int, w) -> np.ndarray | complex:
     """prod_{j=k+1}^{n} w_j^(j-1) (1-based j), the holomorphic Jacobian det."""
-    w = _check_point(n, w)
-    return monomial(w[..., k:], range(k, n))  # 0-based column j carries exponent j
+    return _chain_jacobian_in(n, k, _check_point(n, w), mc.FRESH)
+
+
+def _chain_jacobian_in(n: int, k: int, w: np.ndarray, scratch: mc.Workspace) -> np.ndarray:
+    """`jacobian_det_from_product` of the checked batch w, in the workspace `scratch`."""
+    return _monomial_in(w[..., k:], range(k, n), scratch)  # 0-based column j: exponent j
 
 
 def to_standard_model(spec: HartogsDomainSpec, z) -> np.ndarray:
     """Apply each block map; chain coordinates pass through unchanged."""
-    z = _check_point(spec.n, z)
+    return _block_images(spec, _check_point(spec.n, z))
+
+
+def _block_images(spec: HartogsDomainSpec, z: np.ndarray) -> np.ndarray:
+    """`to_standard_model` of the checked batch z; identity blocks stay as copied."""
     out = z.copy()
     for (_, fam), sl in zip(spec.blocks, spec.slices):
-        out[..., sl] = fam.value(z[..., sl])
+        if not fam.is_identity:
+            out[..., sl] = fam.value(z[..., sl])
     return out
 
 
 @lone_point_as_row(z=1)
 def jacobian_det_to_standard(spec: HartogsDomainSpec, z) -> complex | np.ndarray:
     """Product of the per-block Jacobian determinants at z."""
-    z = _check_point(spec.n, z)
+    return _block_jacobians(spec, _check_point(spec.n, z))
+
+
+def _block_jacobians(spec: HartogsDomainSpec, z: np.ndarray) -> np.ndarray:
+    """`jacobian_det_to_standard` of the checked batch z."""
     det = np.ones(z.shape[:-1], dtype=complex)
     for (_, fam), sl in zip(spec.blocks, spec.slices):
         det = fam.jacobian_det(z[..., sl]) * det  # operand order: see `kernels`

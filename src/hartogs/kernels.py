@@ -27,10 +27,11 @@ in.
 One complex division per kernel value: numpy's complex divide costs about
 ten complex multiplies per element. A product kernel is the reciprocal of
 the product of its factor denominators, (1 - <w, eta>)^(k_j+1) per ball
-block and (1 - conj(eta_j) w_j)^2 per chain disk (`_product_denominator`),
+block and (1 - conj(eta_j) w_j)^2 per chain disk (`_product_denominator_in`),
 taken by one division. `kernel_hartogs` folds the two chart Jacobians into
 that same denominator, and the Monte-Carlo projection divides its integrand
-by it once per sample.
+by it once per sample. Both work on checked batches through the private
+bodies of `domains`, whose membership test is `contains`'s one body.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import mc
-from .domains import (HartogsDomainSpec, _product_points_in, _suffix_products, contains,
-                      jacobian_det_from_product, jacobian_det_to_standard,
-                      to_product_model, to_standard_model)
-from .special import _int_power_in, _monomial_in, log_factorial, lone_point_as_row
+from .domains import (HartogsDomainSpec, _block_images, _block_jacobians, _chain_jacobian_in,
+                      _check_point, _product_points_in, _quotients, _standard_contains,
+                      _suffix_products, contains, jacobian_det_from_product, to_product_model)
+from .special import _int_power_in, log_factorial, lone_point_as_row
 
 Model = str | Tuple[str, object]
 
@@ -57,28 +58,12 @@ def _points(w, eta, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return w, eta
 
 
-def _disk_denominator(w: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """(1 - conj(eta) w)^2, the reciprocal of the punctured-disk kernel."""
-    return _ball_denominator_in(1, w[..., None], eta[..., None], mc.FRESH)
-
-
-def _ball_denominator(k: int, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """(1 - <w, eta>)^(k+1), the reciprocal of the ball kernel."""
-    return _ball_denominator_in(k, w, eta, mc.FRESH)
-
-
-def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray,
-                         eta: np.ndarray) -> np.ndarray:
-    """The reciprocal of the product kernel: the product of the factor
-    denominators, with no division."""
-    return _product_denominator_in(spec, w, eta, mc.FRESH)
-
-
 def _ball_denominator_in(k: int, w: np.ndarray, eta: np.ndarray,
                          scratch: mc.Workspace) -> np.ndarray:
-    """`_ball_denominator(k, w, eta)` with each step written into a
-    workspace array of `scratch` that holds none of its operands: numpy may
-    round a complex product written over an operand unlike its array loop.
+    """(1 - <w, eta>)^(k+1), the reciprocal of the ball kernel, with each
+    step written into a workspace array of `scratch` that holds none of its
+    operands: numpy may round a complex product written over an operand
+    unlike its array loop; `mc.FRESH` makes new arrays.
     One column (k = 1) is its own row sum; einsum's would differ at most in
     the sign of a zero, which 1 - x does not see."""
     order = "F" if eta.ndim > 1 and eta.flags.f_contiguous else "C"  # as eta's columns
@@ -99,8 +84,9 @@ def _ball_denominator_in(k: int, w: np.ndarray, eta: np.ndarray,
 
 def _product_denominator_in(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray,
                             scratch: mc.Workspace) -> np.ndarray:
-    """`_product_denominator(spec, w, eta)` with each product written into a
-    workspace array of `scratch`; a chain disk is the ball with k = 1."""
+    """The reciprocal of the product kernel: the product of the factor
+    denominators, with no division, each product written into a workspace
+    array of `scratch`; a chain disk is the ball with k = 1."""
     blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
     blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
     den = None
@@ -118,17 +104,17 @@ def _product_denominator_in(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndar
 
 @lone_point_as_row(w=0, eta=0)
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
-    return 1.0 / _disk_denominator(*_points(w, eta))
+    return 1.0 / _ball_denominator_in(1, *(x[..., None] for x in _points(w, eta)), mc.FRESH)
 
 
 @lone_point_as_row(w=1, eta=1)
 def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
-    return 1.0 / _ball_denominator(k, *_points(w, eta, k))
+    return 1.0 / _ball_denominator_in(k, *_points(w, eta, k), mc.FRESH)
 
 
 @lone_point_as_row(w=1, eta=1)
 def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
-    return 1.0 / _product_denominator(spec, *_points(w, eta, spec.n))
+    return 1.0 / _product_denominator_in(spec, *_points(w, eta, spec.n), mc.FRESH)
 
 
 @lone_point_as_row(z=1, zeta=1)
@@ -137,10 +123,9 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
 
     For non-identity blocks the evaluation composes with the blockwise map to
     the standard model and multiplies by its Jacobian determinants. Both
-    points must lie in the domain. Each point array is mapped once: the
-    membership test runs on its image in `spec.standardized()`, which
-    decides as `contains(spec, z)` does, bit for bit, and the Jacobians are
-    taken after it.
+    points must lie in the domain. Each point array is checked, mapped and
+    tested once per block of rows, by the bodies of `domains`' public maps
+    and of `contains`; the Jacobians are taken after the test.
 
     A batch is evaluated in blocks of `mc.CHUNK_SIZE` rows along its first
     axis, on `mc.WORKERS` threads (`mc.map_chunks`); a single pair of points
@@ -169,27 +154,22 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
 
 def _kernel_hartogs_block(spec: HartogsDomainSpec, z: np.ndarray,
                           zeta: np.ndarray) -> np.ndarray:
-    std = spec.standardized()
-    w = _standard_image(spec, std, z)
-    weta = _standard_image(spec, std, zeta)
+    n, k = spec.n, spec.k
+    points, charts = [], []
+    for x in (z, zeta):  # each array checked, mapped and tested before the next
+        points.append(_check_point(n, x))
+        w = points[-1] if spec.is_standard else _block_images(spec, points[-1])
+        if not np.all(_standard_contains(spec, w)):
+            raise ValueError("kernel evaluated outside the domain")
+        charts.append(_quotients(n, k, w))
+    (z, zeta), (fz, fzeta) = points, charts
     factor = 1.0
     if not spec.is_standard:
-        conj_zeta = np.conj(jacobian_det_to_standard(spec, zeta))
-        factor = jacobian_det_to_standard(spec, z) * conj_zeta
-    n, k = spec.n, spec.k
-    fz = to_product_model(n, k, w)
-    fzeta = to_product_model(n, k, weta)
-    det_z = jacobian_det_from_product(n, k, fz)
-    den = _product_denominator(spec, fz, fzeta)
-    return factor / ((np.conj(jacobian_det_from_product(n, k, fzeta)) * det_z) * den)
-
-
-def _standard_image(spec: HartogsDomainSpec, std: HartogsDomainSpec, z) -> np.ndarray:
-    """z mapped to the standard model `std`, checked to lie in the domain."""
-    w = z if spec.is_standard else to_standard_model(spec, z)
-    if not np.all(contains(std, w)):
-        raise ValueError("kernel evaluated outside the domain")
-    return w
+        conj_zeta = np.conj(_block_jacobians(spec, zeta))
+        factor = _block_jacobians(spec, z) * conj_zeta
+    det_z = _chain_jacobian_in(n, k, fz, mc.FRESH)
+    den = _product_denominator_in(spec, fz, fzeta, mc.FRESH)
+    return factor / ((np.conj(_chain_jacobian_in(n, k, fzeta, mc.FRESH)) * det_z) * den)
 
 
 # --- orthonormal monomial machinery ------------------------------------
@@ -298,7 +278,6 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
     """
     if not spec.is_standard:
         raise ValueError("projection quadrature is implemented on the standard model")
-    z = np.asarray(z, dtype=complex)
     if not contains(spec, z):
         raise ValueError("projection point lies outside the domain")
     n, k = spec.n, spec.k
@@ -308,7 +287,7 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
         scratch = mc.scratch()
         w = _product_points_in(spec, rng, count, scratch)
-        det_w = _monomial_in(w[:, k:], range(k, n), scratch)  # `jacobian_det_from_product`
+        det_w = _chain_jacobian_in(n, k, w, scratch)
         # the points f gets, in memory lent to it (`mc.Workspace.lend`)
         fw = f(_suffix_products(n, k, w, scratch.lend("points", (count, n), complex, "F")))
         quotient = np.multiply(det_w, fw, out=scratch.empty("quotient", (count,), complex))

@@ -14,9 +14,10 @@ proposals that may be accepted. One angle-free pre-test on the squared
 moduli picks the candidates: the chain order, and for every block a floor on
 its image norm (`MapFamily.image_norm_sq_floor`) against |z_{k+1}|; on the
 source side of the built-in examples it keeps about a quarter of the
-proposals. `contains` alone decides on the candidates. The accepted set and
-the estimate are the ones a full `contains` over every proposal gives, bit
-for bit.
+proposals. Each candidate is mapped to the standard model once, and
+`contains`'s membership body decides on that image. The accepted set and the
+estimate are the ones a full `contains` over every proposal gives, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .domains import (HartogsDomainSpec, contains, jacobian_det_to_standard,
-                      to_standard_model)
+from .domains import (HartogsDomainSpec, _block_images, _standard_contains,
+                      jacobian_det_to_standard)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def _box_candidates(spec: HartogsDomainSpec, u: np.ndarray,
     block's image norm from below (`MapFamily.image_norm_sq_floor`: exact
     for an identity block, a floor for the others), which is tested against
     |z_{k+1}|. Each test has relative slack, so every row `contains` accepts
-    is kept; `contains` alone then decides on the candidates.
+    is kept; the membership test then decides on the candidates.
     """
     k, n = spec.k, spec.n
     sq = sampling.disk_modulus_sq_from_uniform(u[:, 0::2], 0.0, radii)
@@ -143,24 +144,26 @@ def _box_candidates(spec: HartogsDomainSpec, u: np.ndarray,
 
 
 def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
-                                              Callable[[np.ndarray], np.ndarray]]],
+                                              Callable[[np.ndarray, np.ndarray], np.ndarray]]],
                              samples: int, seed: int,
                              cfg: NumericConfig) -> list[tuple[float, float]]:
     """Mean of each side's integrand over its domain w.r.t. the normalized
     block measure, every side from one Monte-Carlo pass.
 
-    A side is (name, spec, integrand); all specs have one n. Each chunk
-    draws its proposals once, 2n uniforms per proposal (one disk point per
-    coordinate), and each side scales them to its own bounding polydisk;
-    rejected points contribute zero, so each estimate is unbiased for
-    integral(domain) = V(box) * mean. The sides are the rows of one
-    `mc.mc_mean` result, so each has the bits of a pass of its own. An
-    angle-free pre-test on the squared moduli (`_box_candidates`) drops most
-    proposals before any of their angles is computed, and `contains` alone
-    decides on the rest. The accepted set, and so the estimate, is the one a
-    full `contains` over every proposal gives. With no proposal of a side
-    accepted its estimate would be 0 with a zero error bar, so that raises a
-    ValueError naming the side instead.
+    A side is (name, spec, integrand); all specs have one n, and the
+    integrand takes the accepted points and their standard-model images,
+    each a row-major (accepted, n) array. Each chunk draws its proposals
+    once, 2n uniforms per proposal (one disk point per coordinate), and each
+    side scales them to its own bounding polydisk; rejected points
+    contribute zero, so each estimate is unbiased for integral(domain) =
+    V(box) * mean. The sides are the rows of one `mc.mc_mean` result, so
+    each has the bits of a pass of its own. An angle-free pre-test on the
+    squared moduli (`_box_candidates`) drops most proposals before any of
+    their angles is computed; the rest are mapped once, and `contains`'s
+    membership body decides on their images. The accepted set, and so the
+    estimate, is the one a full `contains` over every proposal gives. With
+    no proposal of a side accepted its estimate would be 0 with a zero
+    error bar, so that raises a ValueError naming the side instead.
     """
     n = sides[0][1].n
     boxes = []
@@ -185,10 +188,12 @@ def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
             pts = np.empty((rows.size, n), dtype=complex)
             for j in range(n):
                 pts[:, j] = sampling.disk_from_uniform(u[rows, 2 * j:2 * j + 2], 0.0, radii[j])
-            inside = contains(spec, pts)
-            hits.append(int(np.count_nonzero(inside)))
-            if hits[-1]:
-                row[rows[inside]] = integrand(pts[inside])
+            images = _block_images(spec, pts)
+            inside = _standard_contains(spec, images)
+            rows, pts, images = rows[inside], pts[inside], images[inside]  # rejected rows freed first
+            hits.append(rows.size)
+            if rows.size:
+                row[rows] = integrand(pts, images)
             row *= box_volume
         accepted.append(hits)
         return out
@@ -215,17 +220,15 @@ def pullback_isometry_check(spec: HartogsDomainSpec,
     of points per call, so it must be safe to call concurrently; the result
     does not depend on `cfg.workers`.
     """
-    target = spec.standardized()
-
-    def source_integrand(z: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f(to_standard_model(spec, z)))
+    def source_integrand(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        vals = np.asarray(f(w))
         det = jacobian_det_to_standard(spec, z)
         return np.abs(vals * det) ** 2
 
-    def target_integrand(w: np.ndarray) -> np.ndarray:
+    def target_integrand(_: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(f(w))) ** 2
 
     (src, src_err), (tgt, tgt_err) = _box_rejection_integrals(
-        [("source", spec, source_integrand), ("target", target, target_integrand)],
+        [("source", spec, source_integrand), ("target", spec.standardized(), target_integrand)],
         cfg.mc_samples, cfg.seed, cfg)
     return PullbackReport(src, src_err, tgt, tgt_err)

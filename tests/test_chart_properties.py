@@ -1,0 +1,119 @@
+"""Property tests of the domain chart.
+
+The maps between a domain, its standard model and the product model are
+inverse to each other; membership is the standard-model test of the image
+under `to_standard_model`, also within 1e-12 of the boundary; and the
+Bergman kernel is Hermitian, K(z, zeta) = conj K(zeta, z).
+
+Points are built in the product model, where the domain is a product of
+balls and disks: each ball block and chain disk is a direction times a
+modulus, so a row is put at a chosen distance from the boundary by the
+modulus of one of its parts.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hartogs import domains, kernels
+from hartogs.cli import builtin_example
+from hartogs.domains import HartogsDomainSpec, MapFamily
+
+SPECS = {
+    "affine4": builtin_example("affine4"),
+    "rational3": builtin_example("rational3"),
+    # a shift of norm 0.6: the block image is far off-centre
+    "shifted-affine": HartogsDomainSpec(3, (
+        (2, MapFamily.affine([[0.9 + 0.3j, -0.4j], [0.2, 1.2 - 0.1j]], [0.5, -0.3 + 0.1j])),)),
+    "standard": HartogsDomainSpec.standard(4, (1, 2)),
+}
+EDGE = 1e-12  # distance of an edge row from the boundary, relative to the modulus
+
+properties = settings(max_examples=20, deadline=None)
+
+
+def _parts(spec: HartogsDomainSpec) -> list[slice]:
+    """The product model's factors: each ball block, then each chain disk."""
+    return list(spec.slices) + [slice(j, j + 1) for j in range(spec.k, spec.n)]
+
+
+@st.composite
+def product_points(draw, spec: HartogsDomainSpec, edge: bool = False):
+    """(points, inside): 1 to 5 product-model rows whose parts have moduli in
+    [0.05, 0.9]. With `edge`, one part of each row has modulus 1 -+ EDGE
+    instead, so the row lies just inside or just outside the domain, as
+    `inside` says."""
+    count = draw(st.integers(1, 5))
+    parts = _parts(spec)
+    points = np.empty((count, spec.n), dtype=complex)
+    inside = np.ones(count, dtype=bool)
+    for i in range(count):
+        at_edge = draw(st.integers(0, len(parts) - 1)) if edge else None
+        for p, sl in enumerate(parts):
+            direction = np.array([draw(st.floats(0.1, 1.0))
+                                  * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+                                  for _ in range(sl.stop - sl.start)])
+            if p == at_edge:
+                inside[i] = draw(st.booleans())
+                modulus = 1.0 - EDGE if inside[i] else 1.0 + EDGE
+            else:
+                modulus = draw(st.floats(0.05, 0.9))
+            points[i, sl] = direction * (modulus / np.linalg.norm(direction))
+    return points, inside
+
+
+def _domain_points(spec: HartogsDomainSpec, product: np.ndarray) -> np.ndarray:
+    return domains.from_standard_model(
+        spec, domains.from_product_model(spec.n, spec.k, product))
+
+
+@pytest.mark.parametrize("name", SPECS)
+@properties
+@given(data=st.data())
+def test_chart_round_trips(name, data):
+    spec = SPECS[name]
+    n, k = spec.n, spec.k
+    product, _ = data.draw(product_points(spec))
+    standard = domains.from_product_model(n, k, product)
+    np.testing.assert_allclose(domains.to_product_model(n, k, standard), product,
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(domains.from_product_model(
+        n, k, domains.to_product_model(n, k, standard)), standard, rtol=1e-13, atol=0)
+    z = domains.from_standard_model(spec, standard)
+    np.testing.assert_allclose(domains.to_standard_model(spec, z), standard,
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(domains.from_standard_model(
+        spec, domains.to_standard_model(spec, z)), z, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", SPECS)
+@properties
+@given(data=st.data())
+def test_membership_is_the_standard_test_of_the_image(name, data):
+    spec = SPECS[name]
+    product, inside = data.draw(product_points(spec, edge=True))
+    z = _domain_points(spec, product)
+    got = domains.contains(spec, z)
+    image = domains.contains(spec.standardized(), domains.to_standard_model(spec, z))
+    assert got.tobytes() == image.tobytes()
+    assert got.tolist() == inside.tolist()
+    assert [domains.contains(spec, row) for row in z] == inside.tolist()
+
+
+@pytest.mark.parametrize("name", SPECS)
+@properties
+@given(data=st.data())
+def test_kernel_is_hermitian(name, data):
+    spec = SPECS[name]
+    product, _ = data.draw(product_points(spec))
+    z = _domain_points(spec, product)
+    other, _ = data.draw(product_points(spec))
+    zeta = _domain_points(spec, other[:1])  # one row, broadcast against z
+    for a, b in [(z, np.roll(z, 1, axis=0)), (z, zeta), (zeta, z)]:
+        lhs = kernels.kernel_hartogs(spec, a, b)
+        rhs = np.conj(kernels.kernel_hartogs(spec, b, a))
+        assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) <= 1e-13

@@ -618,6 +618,51 @@ class TestInvalidNumbers:
         assert run(["blowup", "--n", "2", "--p", "1.3", "--m-max", "x"]) == 2
         assert "argument --m-max: invalid int value: 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["schur-verify", "--n", "3", "--k", "1", "--p", "2", "--blocks", "1,x"],
+         "--blocks: cannot parse '1,x'"),
+        (["moments", "--k", "2", "--nu", "1,a"], "--nu: cannot parse '1,a'"),
+        (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--monomial", "1,q"],
+         "--monomial: cannot parse '1,q'"),
+        (["transfer", "--example", "affine4", "--isometry-monomial", "0,0,x,1"],
+         "--isometry-monomial: cannot parse '0,0,x,1'"),
+        (["schur-verify", "--n", "3", "--k", "1", "--p", "2", "--witness-s=-0.25",
+          "--witness-t=-3.0,zz"], "--witness-t: cannot parse '-3.0,zz'"),
+        (["project", "--n", "2", "--k", "1", "--point", "0.1,zz", "--monomial", "1,1"],
+         "--point: cannot parse '0.1,zz'"),
+        (["kernel", "--model", "ball", "--k", "2", "--w", "0.1,0.1", "--eta", "0.1,x"],
+         "--eta: cannot parse '0.1,x'"),
+        (["blowup", "--n", "2", "--p", "1.3", "--m-list", "1,,3"],
+         "--m-list: cannot parse '1,,3'"),
+    ])
+    def test_malformed_list_or_point_exits_2_naming_the_option(self, argv, message, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}: ")
+
+    @pytest.mark.parametrize("argv,option", [
+        (["blowup", "--n", "2", "--p", "1.3", "--m-list", ""], "--m-list"),
+        (["schur-verify", "--n", "3", "--k", "1", "--p", "2", "--blocks", ""], "--blocks"),
+        (["moments", "--k", "2", "--nu", ""], "--nu"),
+    ])
+    def test_explicit_empty_list_exits_2(self, argv, option, capsys):
+        # an empty list is given, not absent: it used to print the default table
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option}: cannot parse ''")
+
+    def test_blowup_m_below_one_exits_2_before_sampling(self, monkeypatch, capsys):
+        def sample(*args, **kwargs):
+            raise AssertionError("the projection ran")
+        monkeypatch.setattr("hartogs.cli.mc_bergman_projection", sample)
+        assert run(["project", "--n", "2", "--k", "1", "--point", "0.1,0.4",
+                    "--blowup-m", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --blowup-m: must be a positive integer, got 0" in captured.err
+
 
 # every float option of these subcommands, on small inputs; the witness
 # options must be given together, so each is paired with a valid partner

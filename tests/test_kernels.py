@@ -146,6 +146,30 @@ class TestHartogsKernel:
         assert np.array_equal(got, want)
         assert sorted(map(id, calls)) == sorted(2 * [id(fam) for _, fam in spec.blocks])
 
+    @pytest.mark.parametrize("example", ["affine4", "rational3", "standard"])
+    def test_each_point_array_is_checked_once_per_block(self, example, monkeypatch):
+        from hartogs.cli import builtin_example
+        spec = (HartogsDomainSpec.standard(4, (1, 2)) if example == "standard"
+                else builtin_example(example))
+        std = spec.standardized()
+        z = domains.from_standard_model(spec, domains.from_product_model(
+            spec.n, spec.k, domains.sample_product_model(std, 640, seed=9, r_max=0.9)))
+        zeta = np.roll(z, 1, axis=0)
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 64)  # 10 blocks of rows
+        want = kernels.kernel_hartogs(spec, z, zeta)
+        checked = []
+        check = domains._check_point
+
+        def counted(n, pts):
+            checked.append(pts.shape)
+            return check(n, pts)
+
+        monkeypatch.setattr(domains, "_check_point", counted)
+        monkeypatch.setattr(kernels, "_check_point", counted)
+        got = kernels.kernel_hartogs(spec, z, zeta)
+        assert got.tobytes() == want.tobytes()
+        assert checked == 20 * [(64, spec.n)]
+
     def test_mapped_domain_errors(self):
         from hartogs.cli import builtin_example
         spec = builtin_example("rational3")
@@ -457,7 +481,7 @@ class TestMcProjection:
             w = domains.product_points(spec, rng, count)
             det_w = domains.jacobian_det_from_product(n, k, w)
             fw = f(domains.from_product_model(n, k, w))
-            return (det_w * fw) / kernels._product_denominator(spec, fz, w)
+            return (det_w * fw) / kernels._product_denominator_in(spec, fz, w, mc.FRESH)
 
         total = mc.CHUNK_SIZE + 1
         est, err = mc.mc_mean(values, total, 21)
@@ -500,14 +524,15 @@ class TestMcProjection:
         for a, b in [(w, eta), (w[0], eta), (np.ascontiguousarray(w), np.ascontiguousarray(eta)),
                      (w[0], np.ascontiguousarray(eta))]:
             want = reference(spec, a, b).tobytes()
-            assert kernels._product_denominator(spec, a, b).tobytes() == want
+            assert kernels._product_denominator_in(spec, a, b, mc.FRESH).tobytes() == want
             assert kernels._product_denominator_in(spec, a, b, scratch).tobytes() == want
         k = spec.blocks[0][0]
-        assert (kernels._ball_denominator(k, w[:, :k], eta[:, :k]).tobytes()
+        assert (kernels._ball_denominator_in(k, w[:, :k], eta[:, :k], mc.FRESH).tobytes()
                 == power(1.0 - np.einsum("...j->...", np.conj(eta[:, :k]) * w[:, :k]),
                          k + 1).tobytes())
         base = 1.0 - np.conj(eta[:, -1]) * w[:, -1]
-        assert kernels._disk_denominator(w[:, -1], eta[:, -1]).tobytes() == (base * base).tobytes()
+        assert (kernels._ball_denominator_in(1, w[:, -1:], eta[:, -1:], mc.FRESH).tobytes()
+                == (base * base).tobytes())
 
 
 # --- batch independence --------------------------------------------------
