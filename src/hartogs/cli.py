@@ -148,39 +148,36 @@ def _require(inside: bool, model: str) -> None:
 
 def cmd_kernel(args) -> str:
     out: dict = {"model": args.model}
+    if args.model == "ball" and args.k is None:
+        raise ValueError("--k is required for the ball kernel")
+    spec = _load_spec(args) if args.model in ("product", "hartogs") else None
+    w = np.array(_parse_list(args.w, "--w", complex))
+    eta = np.array(_parse_list(args.eta, "--eta", complex))
     if args.model == "disk":
-        w = complex(args.w)
-        eta = complex(args.eta)
+        for option, point in (("--w", w), ("--eta", eta)):
+            if point.size != 1:
+                raise ValueError(f"{option}: the disk model takes one complex number: "
+                                 f"got {point.size}")
+        w, eta = complex(w[0]), complex(eta[0])
         _require(0.0 < abs(w) < 1.0 and 0.0 < abs(eta) < 1.0, "punctured disk")
         value = kernel_punctured_disk(w, eta)
-        if args.truncated is not None:
-            out["truncated"] = _complex_json(kernel_truncated("disk", args.truncated, w, eta))
+        model = "disk"
     elif args.model == "ball":
-        if args.k is None:
-            raise ValueError("--k is required for the ball kernel")
-        w = np.array(_parse_list(args.w, "--w", complex))
-        eta = np.array(_parse_list(args.eta, "--eta", complex))
         _require(np.linalg.norm(w) < 1.0 and np.linalg.norm(eta) < 1.0, "ball")
         value = kernel_ball(args.k, w, eta)
-        if args.truncated is not None:
-            out["truncated"] = _complex_json(
-                kernel_truncated(("ball", args.k), args.truncated, w, eta))
+        model = ("ball", args.k)
+    elif args.model == "product":
+        _require(product_model_contains(spec, w) and product_model_contains(spec, eta),
+                 "product")
+        value = kernel_product(spec, w, eta)
+        model = ("product", spec)
+    elif args.truncated is not None:
+        raise ValueError("--truncated serves the disk, ball and product models, "
+                         "not the hartogs model")
     else:
-        spec = _load_spec(args)
-        w = np.array(_parse_list(args.w, "--w", complex))
-        eta = np.array(_parse_list(args.eta, "--eta", complex))
-        if args.model == "product":
-            _require(product_model_contains(spec, w) and product_model_contains(spec, eta),
-                     "product")
-            value = kernel_product(spec, w, eta)
-            if args.truncated is not None:
-                out["truncated"] = _complex_json(
-                    kernel_truncated(("product", spec), args.truncated, w, eta))
-        else:
-            if args.truncated is not None:
-                raise ValueError("--truncated serves the disk, ball and product models, "
-                                 "not the hartogs model")
-            value = kernel_hartogs(spec, w, eta)
+        value = kernel_hartogs(spec, w, eta)
+    if args.truncated is not None:
+        out["truncated"] = _complex_json(kernel_truncated(model, args.truncated, w, eta))
     out["value"] = _complex_json(complex(value))
     return render_json(out) + "\n"
 

@@ -14,6 +14,7 @@ import pytest
 from hartogs.cli import build_parser, render_csv, render_json, run
 from hartogs.counterexample import projection_constant
 from hartogs.estimates import weighted_ball_integral
+from hartogs.kernels import monomial_norm_sq_ball
 
 
 def invoke(*args, env=None):
@@ -61,6 +62,23 @@ class TestKernelCommand:
                     "--w", "0.3,0.3", "--eta", "0.3,0.3", "--truncated", "40"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["truncated"]["re"] == pytest.approx(data["value"]["re"], rel=1e-8)
+
+    def test_truncated_product(self, capsys):
+        assert run(["kernel", "--model", "product", "--n", "2", "--k", "1",
+                    "--w", "0.3,0.4", "--eta", "0.2,0.5", "--truncated", "40"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert list(data) == ["model", "truncated", "value"]
+        assert data["truncated"]["re"] == pytest.approx(data["value"]["re"], rel=1e-8)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "hartogs", "--w", "0,0.5", "--eta", "0,0.5"],
+         "need --spec, --example, or both --n and --k"),
+        (["--model", "ball", "--w", "0.1,0.1", "--eta", "0.1,0.1"],
+         "--k is required for the ball kernel"),
+    ])
+    def test_missing_model_options_exit_2(self, argv, message, capsys):
+        assert run(["kernel", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_outside_domain_is_invalid_argument(self, capsys):
         code = run(["kernel", "--model", "hartogs", "--n", "2", "--k", "1",
@@ -112,6 +130,14 @@ class TestMomentsCommand:
         data = json.loads(capsys.readouterr().out)
         assert (data["mc_estimate"], data["std_error"], data["sigmas"]) == (1, 0, 0)
 
+    def test_ball_norm(self, capsys):
+        assert run(["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "1000",
+                    "--ball-norm"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # k! nu! / (|nu| + k)! = 2 / 24, printed at 12 digits
+        assert data["ball_norm_sq"] == float(f"{monomial_norm_sq_ball(2, (1, 1)):.12g}")
+        assert data["ball_norm_sq"] == pytest.approx(1 / 12, rel=1e-12)
+
 
 class TestWorkersOption:
     def test_each_default_is_the_library_default(self, monkeypatch):
@@ -149,6 +175,12 @@ class TestEstimatesCommand:
                     "--refined"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
+
+    def test_refined_ball_exits_2(self, capsys):
+        assert run(["estimates", "--which", "ball", "--alpha=-0.5", "--grid-points", "3",
+                    "--refined"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: refined envelope requires the disk family with beta <= 0\n")
 
     def test_default_disk_call_works(self, capsys):
         # the grid starts at r = 0, where only the refined envelope is undefined
@@ -342,6 +374,16 @@ class TestSchurVerifyCommand:
                     "--samples", "20", "--seed", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["notes"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "2", "--k", "1", "--witness-s=-0.25"],
+         "--witness-s and --witness-t must be given together"),
+        (["--n", "3", "--k", "1", "--witness-s=-0.25", "--witness-t=-0.5"],
+         "--witness-t needs 2 values"),
+    ])
+    def test_incomplete_witness_exits_2(self, argv, message, capsys):
+        assert run(["schur-verify", "--p", "2.0", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestTransferCommand:
@@ -634,6 +676,12 @@ class TestInvalidNumbers:
          "--eta: cannot parse '0.1,x'"),
         (["blowup", "--n", "2", "--p", "1.3", "--m-list", "1,,3"],
          "--m-list: cannot parse '1,,3'"),
+        (["kernel", "--model", "disk", "--w", "x", "--eta", "0.5"],
+         "--w: cannot parse 'x'"),
+        (["kernel", "--model", "disk", "--w", "0.1,0.2", "--eta", "0.5"],
+         "--w: the disk model takes one complex number"),
+        (["kernel", "--model", "disk", "--w", "0.5", "--eta", "0.1,0.2,0.3"],
+         "--eta: the disk model takes one complex number"),
     ])
     def test_malformed_list_or_point_exits_2_naming_the_option(self, argv, message, capsys):
         assert run(argv) == 2

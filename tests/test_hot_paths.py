@@ -15,7 +15,9 @@ of a modulus instead of dividing by it. numpy's loops on a strided column
 cost up to twice those on a contiguous one, so the batches the sampler and
 the quotient chart make store each coordinate contiguously (checked at run
 time); `to_standard_model`, whose output goes to callers' test functions,
-stays row-major.
+stays row-major. The pullback's box rejection builds each side's candidate
+points with one `polar_from_uniform` call over all coordinates, not one
+`disk_from_uniform` per coordinate.
 """
 
 import ast
@@ -128,6 +130,27 @@ def test_one_division_per_kernel_value(path):
 
 def test_counterexample_does_not_divide_by_a_modulus():
     assert not _divisions_by_a_modulus(TREES["counterexample"])
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every name the tree looks up, imports or reads as an attribute."""
+    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+def test_the_parse_finds_referenced_names():
+    tree = ast.parse("from .sampling import disk_from_uniform\nsampling.polar_from_uniform(r)")
+    assert {"disk_from_uniform", "polar_from_uniform", "r"} <= _referenced_names(tree)
+
+
+def test_box_points_come_from_one_polar_call():
+    # the box rejection turns its pre-test's moduli into points with one
+    # polar_from_uniform call per side, not a disk_from_uniform per coordinate
+    names = _referenced_names(TREES["transfer"])
+    assert "polar_from_uniform" in names
+    assert "disk_from_uniform" not in names
 
 
 def _assert_columns_contiguous(batch: np.ndarray) -> None:

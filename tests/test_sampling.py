@@ -46,6 +46,24 @@ class TestDiskPoints:
         # a lone uniform gets the value of its batch entry
         assert sampling.disk_modulus_sq_from_uniform(u[5, 0], 0.1, 0.7) == rho2[5]
 
+    def test_one_polar_call_over_the_moduli_is_each_columns_disk(self):
+        # a (count, n) batch built in one call from the square roots of
+        # the squared moduli has, column by column, the bits of
+        # disk_from_uniform on that column's radius
+        u = np.random.default_rng(12).random((1000, 6))
+        radii = np.array([0.5, 32.0 / 3.0, 1.0])
+        r = np.sqrt(sampling.disk_modulus_sq_from_uniform(u[:, 0::2], 0.0, radii))
+        got = sampling.polar_from_uniform(r, u[:, 1::2])
+        for j, rj in enumerate(radii):
+            assert np.array_equal(got[:, j],
+                                  sampling.disk_from_uniform(u[:, 2 * j:2 * j + 2], 0.0, rj))
+
+    def test_a_ball_of_dimension_one_is_the_disk(self):
+        u = np.random.default_rng(13).random((500, sampling.ball_draws_per_point(1)))
+        got = sampling.ball_from_uniform(u, 1, 0.8)
+        assert got.shape == (500, 1)
+        assert np.array_equal(got[:, 0], sampling.disk_from_uniform(u[:, :2], 0.0, 0.8))
+
 
 class TestSphereModuli:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])

@@ -202,6 +202,11 @@ class TestPullbackIsometry:
         assert len(handed) == 2 * 4
         assert all(got.tobytes() == want.tobytes() for got, want in handed)
 
+    def test_zero_spread_sigma_distance(self):
+        # with both error bars 0 only an exact match is 0 sigmas away
+        assert transfer.PullbackReport(0.5, 0.0, 0.5, 0.0).sigma_distance == 0.0
+        assert transfer.PullbackReport(0.5, 0.0, 0.25, 0.0).sigma_distance == math.inf
+
 
 def _unfiltered_pullback(spec, f, cfg):
     """Reference for pullback_isometry_check: map every box proposal to a full
@@ -235,14 +240,18 @@ def _unfiltered_pullback(spec, f, cfg):
 # the box; no accepted proposal may be dropped there
 _SHIFTED_AFFINE = HartogsDomainSpec(3, (
     (2, MapFamily.affine([[0.9 + 0.3j, -0.4j], [0.2, 1.2 - 0.1j]], [0.5, -0.3 + 0.1j])),))
+# two chain coordinates, so the pre-test also compares |z_3| with |z_4|
+_TWO_CHAIN = HartogsDomainSpec(4, ((2, MapFamily.rational_example()),))
 
 
 class TestStagedBoxRejection:
-    @pytest.mark.parametrize("name", ["affine4", "rational3", "standard", "shifted-affine"])
+    @pytest.mark.parametrize("name", ["affine4", "rational3", "standard", "shifted-affine",
+                                      "two-chain"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bit_identical_to_unfiltered_rejection(self, name, workers):
         spec = {"standard": HartogsDomainSpec.standard(4, (1, 2)),
-                "shifted-affine": _SHIFTED_AFFINE}.get(name) or builtin_example(name)
+                "shifted-affine": _SHIFTED_AFFINE,
+                "two-chain": _TWO_CHAIN}.get(name) or builtin_example(name)
 
         def f(pts):
             return pts[..., 0] * pts[..., -1] + 0.5
@@ -272,6 +281,24 @@ class TestStagedBoxRejection:
         assert sorted(map(id, calls)) == sorted(3 * [id(fam) for _, fam in spec.blocks
                                                      if not fam.is_identity])
 
+    @pytest.mark.parametrize("name", ["affine4", "rational3", "standard"])
+    def test_only_the_source_side_copies_its_candidates(self, name, monkeypatch):
+        # `_block_images` copies its batch; the all-identity target side hands
+        # its candidates on as they are, so per chunk only a source side with
+        # a non-identity block calls it
+        spec = HartogsDomainSpec.standard(4, (1, 2)) if name == "standard" \
+            else builtin_example(name)
+        mapped = []
+        images = transfer._block_images
+
+        def counted(side, z):
+            mapped.append(side)
+            return images(side, z)
+        monkeypatch.setattr(transfer, "_block_images", counted)
+        cfg = NumericConfig(seed=3, mc_samples=3 * 4096, chunk_size=4096, workers=1)
+        pullback_isometry_check(spec, lambda pts: pts[..., 0] + 1, cfg)
+        assert [side is spec for side in mapped] == ([] if spec.is_standard else 3 * [True])
+
     def test_pinned_estimates(self):
         cfg = NumericConfig(seed=7, mc_samples=300_000)
         rep = pullback_isometry_check(builtin_example("rational3"),
@@ -294,7 +321,7 @@ class TestStagedBoxRejection:
         for i, (_, fam) in enumerate(spec.blocks):
             keep &= fam.image_norm_sq_floor(sq[:, offs[i]:offs[i + 1]]) <= sq[:, spec.k]
         assert keep.mean() < 0.35
-        assert transfer._box_candidates(spec, u, radii).size <= keep.sum()
+        assert transfer._box_candidates(spec, u, radii)[0].size <= keep.sum()
 
 
 class TestStructuralRangeIndependence:
