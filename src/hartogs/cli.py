@@ -150,14 +150,18 @@ def cmd_kernel(args) -> str:
     out: dict = {"model": args.model}
     if args.model == "ball" and args.k is None:
         raise ValueError("--k is required for the ball kernel")
+    if args.model == "ball" and args.k < 1:
+        raise ValueError(f"--k: the ball model needs k >= 1: got {args.k}")
     spec = _load_spec(args) if args.model in ("product", "hartogs") else None
     w = np.array(_parse_list(args.w, "--w", complex))
     eta = np.array(_parse_list(args.eta, "--eta", complex))
+    dim = {"disk": 1, "ball": args.k}[args.model] if spec is None else spec.n
+    for option, point in (("--w", w), ("--eta", eta)):
+        if point.size != dim:
+            numbers = "one complex number" if dim == 1 else f"{dim} complex numbers"
+            raise ValueError(f"{option}: the {args.model} model takes {numbers}: "
+                             f"got {point.size}")
     if args.model == "disk":
-        for option, point in (("--w", w), ("--eta", eta)):
-            if point.size != 1:
-                raise ValueError(f"{option}: the disk model takes one complex number: "
-                                 f"got {point.size}")
         w, eta = complex(w[0]), complex(eta[0])
         _require(0.0 < abs(w) < 1.0 and 0.0 < abs(eta) < 1.0, "punctured disk")
         value = kernel_punctured_disk(w, eta)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, sampling
-from .special import _monomial_in, lone_point_as_row
+from .special import lone_point_as_row, monomial
 
 _IDENTITY = "identity"
 _AFFINE = "affine"
@@ -409,12 +409,12 @@ def _suffix_products(n: int, k: int, w: np.ndarray, z: np.ndarray) -> np.ndarray
 @lone_point_as_row(w=1)
 def jacobian_det_from_product(n: int, k: int, w) -> np.ndarray | complex:
     """prod_{j=k+1}^{n} w_j^(j-1) (1-based j), the holomorphic Jacobian det."""
-    return _chain_jacobian_in(n, k, _check_point(n, w), mc.FRESH)
+    return _chain_jacobian(n, k, _check_point(n, w))
 
 
-def _chain_jacobian_in(n: int, k: int, w: np.ndarray, scratch: mc.Workspace) -> np.ndarray:
-    """`jacobian_det_from_product` of the checked batch w, in the workspace `scratch`."""
-    return _monomial_in(w[..., k:], range(k, n), scratch)  # 0-based column j: exponent j
+def _chain_jacobian(n: int, k: int, w: np.ndarray) -> np.ndarray:
+    """`jacobian_det_from_product` of the checked batch w."""
+    return monomial(w[..., k:], range(k, n))  # 0-based column j: exponent j
 
 
 def to_standard_model(spec: HartogsDomainSpec, z) -> np.ndarray:
@@ -471,21 +471,20 @@ def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
     """Transform one uniform row per point into a product-model point."""
     # each uniform column contiguous, as each output column is
     return _fill_product_batch(spec, np.asfortranarray(u), _new_batch((u.shape[0], spec.n)),
-                               mc.FRESH, r_max, disk_r_min)
+                               r_max, disk_r_min)
 
 
 def _fill_product_batch(spec: HartogsDomainSpec, u: np.ndarray, out: np.ndarray,
-                        scratch: mc.Workspace, r_max: float = 1.0,
-                        disk_r_min: float = 0.0) -> np.ndarray:
+                        r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
     """Write the product-model points of the column-major uniform rows u
-    into the batch `out`, working in `scratch`, and return the batch."""
+    into the batch `out`, and return the batch."""
     col = 0
     for (kj, _), sl in zip(spec.blocks, spec.slices):
         d = sampling.ball_draws_per_point(kj)
-        sampling._ball_into(u[:, col:col + d], kj, r_max, out[:, sl], scratch)
+        sampling._ball_into(u[:, col:col + d], kj, r_max, out[:, sl])
         col += d
     for j in range(spec.k, spec.n):
-        sampling._disk_into(u[:, col:col + 2], disk_r_min, r_max, out[:, j], scratch)
+        sampling._disk_into(u[:, col:col + 2], disk_r_min, r_max, out[:, j])
         col += 2
     return out
 
@@ -494,19 +493,6 @@ def product_points(spec: HartogsDomainSpec, rng: np.random.Generator, count: int
                    r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
     u = rng.random((count, product_draws_per_point(spec)))
     return product_from_uniform(spec, u, r_max, disk_r_min)
-
-
-def _product_points_in(spec: HartogsDomainSpec, rng: np.random.Generator, count: int,
-                       scratch: mc.Workspace) -> np.ndarray:
-    """`product_points(spec, rng, count)` built in the workspace `scratch`:
-    the draws, their column-major copy and the batch are its arrays, so the
-    next call on the same thread overwrites the batch. For Monte-Carlo chunk
-    functions, which are done with one batch before they draw the next."""
-    shape = (count, product_draws_per_point(spec))
-    u = scratch.empty("draw_columns", shape, order="F")
-    np.copyto(u, rng.random(out=scratch.empty("draws", shape)))
-    return _fill_product_batch(spec, u, scratch.empty("batch", (count, spec.n), complex, "F"),
-                               scratch)
 
 
 def sample_product_model(spec: HartogsDomainSpec, count: int, seed: int,

@@ -61,8 +61,7 @@ import numpy as np
 
 from . import mc, sampling
 from .config import DEFAULT_CONFIG, NumericConfig
-from .special import (_int_power_in, gauss_jacobi, hyp2f1, int_power, log_beta,
-                      log_factorial, lone_point_as_row)
+from .special import gauss_jacobi, hyp2f1, int_power, log_beta, log_factorial, lone_point_as_row
 
 MultiIndex = Sequence[int]
 
@@ -107,9 +106,8 @@ def sphere_moment_mc(k: int, nu: MultiIndex, cfg: NumericConfig = DEFAULT_CONFIG
     nu = _check_multi_index(k, nu)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        scratch = mc.scratch()
-        u = scratch.empty("draws", (count, sampling.sphere_draws_per_point(k)))
-        t = sampling.sphere_moduli_sq_from_uniform(rng.random(out=u), k)
+        u = rng.random((count, sampling.sphere_draws_per_point(k)))
+        t = sampling.sphere_moduli_sq_from_uniform(u, k)
         out = np.ones(count)
         for j, e in enumerate(nu):
             if e:
@@ -314,10 +312,8 @@ def _kumaraswamy_radius(a: float, b: float, u: np.ndarray) -> tuple[np.ndarray, 
     return np.exp(log_rho), q
 
 
-def _kernel_factor(c: np.ndarray, u: np.ndarray, power: int,
-                   scratch: mc.Workspace) -> np.ndarray:
-    """|1 - c exp(2 pi i u)|^power for moduli c >= 0 and uniforms u, in the
-    workspace arrays of `scratch`.
+def _kernel_factor(c: np.ndarray, u: np.ndarray, power: int) -> np.ndarray:
+    """|1 - c exp(2 pi i u)|^power for moduli c >= 0 and uniforms u.
 
     The squared modulus is written (1-c)^2 + 4c sin^2(pi u), with no
     cancellation as c -> 1 and u -> 0, and sin^2(pi u) = t^2/(1+t^2) from
@@ -325,15 +321,15 @@ def _kernel_factor(c: np.ndarray, u: np.ndarray, power: int,
     stays far from overflow. An odd power is an integer power of it times
     one square root; no abs or float power.
     """
-    t = np.multiply(np.pi, u, out=scratch.empty("factor_t", u.shape))
+    t = np.multiply(np.pi, u)
     np.tan(t, out=t)
     t *= t
-    s = np.add(t, 1.0, out=scratch.empty("factor_s", u.shape))
+    s = np.add(t, 1.0)
     np.divide(t, s, out=s)                 # sin^2(pi u)
     s *= np.multiply(4.0, c, out=t)
     d = np.subtract(1.0, c, out=t)
     s += np.multiply(d, d, out=d)
-    out = _int_power_in(s, power // 2, scratch)
+    out = int_power(s, power // 2)
     if power % 2:
         out *= np.sqrt(s, out=t)
     return out
@@ -367,15 +363,12 @@ def weighted_ball_integral_mc(k: int, alpha: float, w,
     _check_alpha(alpha)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        scratch = mc.scratch()
-        u = rng.random(out=scratch.empty("draws", (count, sampling.ball_draws_per_point(k))))
-        return _ball_mc_samples(k, alpha, w, u, scratch)
+        return _ball_mc_samples(k, alpha, w, rng.random((count, sampling.ball_draws_per_point(k))))
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 
 
-def _ball_mc_samples(k: int, alpha: float, w: np.ndarray, u: np.ndarray,
-                     scratch: mc.Workspace) -> np.ndarray:
+def _ball_mc_samples(k: int, alpha: float, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The samples `weighted_ball_integral_mc` averages, one per row of u:
     q^alpha / (alpha+1) / |1 - c exp(2 pi i u_1)|^(k+1) with
     c = |w| sqrt(rho) |xi_1|."""
@@ -385,7 +378,7 @@ def _ball_mc_samples(k: int, alpha: float, w: np.ndarray, u: np.ndarray,
     c *= np.linalg.norm(w)
     q **= alpha
     q /= alpha + 1.0
-    return np.divide(q, _kernel_factor(c, u[:, 1], k + 1, scratch), out=q)
+    return np.divide(q, _kernel_factor(c, u[:, 1], k + 1), out=q)
 
 
 def weighted_disk_integral_mc(alpha: float, beta: float, w,
@@ -416,8 +409,7 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
     reflect = a < 1.0 < alpha + 1.0
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        scratch = mc.scratch()
-        u = rng.random(out=scratch.empty("draws", (count, sampling.disk_draws_per_point())))
+        u = rng.random((count, sampling.disk_draws_per_point()))
         if reflect:
             t, weight = _kumaraswamy_radius(alpha + 1.0, a, u[:, 0])
             rho = np.subtract(1.0, t, out=t)
@@ -428,7 +420,7 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
         c = np.sqrt(rho, out=rho)
         c *= abs(w)
         weight /= a * (alpha + 1.0)
-        return np.divide(weight, _kernel_factor(c, u[:, 1], 2, scratch), out=weight)
+        return np.divide(weight, _kernel_factor(c, u[:, 1], 2), out=weight)
 
     return mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
 

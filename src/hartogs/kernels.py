@@ -27,7 +27,7 @@ in.
 One complex division per kernel value: numpy's complex divide costs about
 ten complex multiplies per element. A product kernel is the reciprocal of
 the product of its factor denominators, (1 - <w, eta>)^(k_j+1) per ball
-block and (1 - conj(eta_j) w_j)^2 per chain disk (`_product_denominator_in`),
+block and (1 - conj(eta_j) w_j)^2 per chain disk (`_product_denominator`),
 taken by one division. `kernel_hartogs` folds the two chart Jacobians into
 that same denominator, and the Monte-Carlo projection divides its integrand
 by it once per sample. Both work on checked batches through the private
@@ -42,10 +42,11 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import mc
-from .domains import (HartogsDomainSpec, _block_images, _block_jacobians, _chain_jacobian_in,
-                      _check_point, _product_points_in, _quotients, _standard_contains,
-                      _suffix_products, contains, jacobian_det_from_product, to_product_model)
-from .special import _int_power_in, log_factorial, lone_point_as_row
+from .domains import (HartogsDomainSpec, _block_images, _block_jacobians, _chain_jacobian,
+                      _check_point, _fill_product_batch, _new_batch, _quotients,
+                      _standard_contains, _suffix_products, contains, jacobian_det_from_product,
+                      product_draws_per_point, to_product_model)
+from .special import int_power, log_factorial, lone_point_as_row
 
 Model = str | Tuple[str, object]
 
@@ -58,63 +59,54 @@ def _points(w, eta, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return w, eta
 
 
-def _ball_denominator_in(k: int, w: np.ndarray, eta: np.ndarray,
-                         scratch: mc.Workspace) -> np.ndarray:
+def _ball_denominator(k: int, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """(1 - <w, eta>)^(k+1), the reciprocal of the ball kernel, with each
-    step written into a workspace array of `scratch` that holds none of its
-    operands: numpy may round a complex product written over an operand
-    unlike its array loop; `mc.FRESH` makes new arrays.
+    step written into a new array, never over an operand: numpy may round a
+    complex product written over an operand unlike its array loop.
     One column (k = 1) is its own row sum; einsum's would differ at most in
     the sign of a zero, which 1 - x does not see."""
     order = "F" if eta.ndim > 1 and eta.flags.f_contiguous else "C"  # as eta's columns
-    conj = np.conjugate(eta, out=scratch.empty("conj", eta.shape, complex, order))
+    conj = np.conjugate(eta, out=np.empty(eta.shape, complex, order))
     shape = np.broadcast_shapes(eta.shape, w.shape)
-    prod = np.multiply(conj, w, out=scratch.empty("prod", shape, complex, order))
-    del conj  # a workspace that keeps nothing frees each array after its last use
+    prod = np.multiply(conj, w, out=np.empty(shape, complex, order))
+    del conj  # freed at its last use: a lower peak
     if k == 1:
         base = prod[..., 0]
     else:
         # a row sum over k columns; np.sum's reduction costs several times
         # more per row there, and einsum adds the products in the same order
-        base = np.einsum("...j->...", prod, out=scratch.empty("base", shape[:-1], complex))
+        base = np.einsum("...j->...", prod, out=np.empty(shape[:-1], complex))
         del prod
     np.subtract(1.0, base, out=base)
-    return _int_power_in(base, k + 1, scratch)
+    return int_power(base, k + 1)
 
 
-def _product_denominator_in(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray,
-                            scratch: mc.Workspace) -> np.ndarray:
+def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The reciprocal of the product kernel: the product of the factor
-    denominators, with no division, each product written into a workspace
-    array of `scratch`; a chain disk is the ball with k = 1."""
+    denominators, with no division, each product written into a new array;
+    a chain disk is the ball with k = 1."""
     blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
     blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
     den = None
-    for i, (kj, sl) in enumerate(blocks):
-        factor = _ball_denominator_in(kj, w[..., sl], eta[..., sl], scratch)
-        if den is not None:
-            den = np.multiply(factor, den, out=scratch.empty(f"den_{i % 2}", factor.shape, complex))
-        elif scratch.keep:  # the next factor's powers would overwrite a kept factor
-            den = scratch.empty("den_0", factor.shape, complex)
-            np.copyto(den, factor)
-        else:
-            den = factor
+    for kj, sl in blocks:
+        factor = _ball_denominator(kj, w[..., sl], eta[..., sl])
+        den = factor if den is None else np.multiply(factor, den, out=np.empty_like(factor))
     return den
 
 
 @lone_point_as_row(w=0, eta=0)
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
-    return 1.0 / _ball_denominator_in(1, *(x[..., None] for x in _points(w, eta)), mc.FRESH)
+    return 1.0 / _ball_denominator(1, *(x[..., None] for x in _points(w, eta)))
 
 
 @lone_point_as_row(w=1, eta=1)
 def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
-    return 1.0 / _ball_denominator_in(k, *_points(w, eta, k), mc.FRESH)
+    return 1.0 / _ball_denominator(k, *_points(w, eta, k))
 
 
 @lone_point_as_row(w=1, eta=1)
 def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
-    return 1.0 / _product_denominator_in(spec, *_points(w, eta, spec.n), mc.FRESH)
+    return 1.0 / _product_denominator(spec, *_points(w, eta, spec.n))
 
 
 @lone_point_as_row(z=1, zeta=1)
@@ -167,9 +159,9 @@ def _kernel_hartogs_block(spec: HartogsDomainSpec, z: np.ndarray,
     if not spec.is_standard:
         conj_zeta = np.conj(_block_jacobians(spec, zeta))
         factor = _block_jacobians(spec, z) * conj_zeta
-    det_z = _chain_jacobian_in(n, k, fz, mc.FRESH)
-    den = _product_denominator_in(spec, fz, fzeta, mc.FRESH)
-    return factor / ((np.conj(_chain_jacobian_in(n, k, fzeta, mc.FRESH)) * det_z) * den)
+    det_z = _chain_jacobian(n, k, fz)
+    den = _product_denominator(spec, fz, fzeta)
+    return factor / ((np.conj(_chain_jacobian(n, k, fzeta)) * det_z) * den)
 
 
 # --- orthonormal monomial machinery ------------------------------------
@@ -227,7 +219,7 @@ def _generating_coefficient(blocks, N: int, w, eta) -> np.ndarray:
     xs = [x for k, sl in blocks
           for x in [np.einsum("...j->...", np.conj(eta[..., sl]) * w[..., sl])] * (k + 1)]
     states = [np.ones(xs[0].shape, dtype=complex) for _ in xs]
-    # numpy rounds `state *= x` on one element unlike its array loop: use a scratch array
+    # numpy rounds `state *= x` on one element unlike its array loop: use a spare array
     product = np.empty_like(states[0])
     for _ in range(N):
         below = 1.0
@@ -273,8 +265,8 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
 
     `f` is called on `workers` threads at once (`mc.mc_mean`), one batch of
     points per call, so it must be safe to call concurrently; the result
-    does not depend on `workers`. Each batch is a column-major (count, n)
-    array, as the sampler makes it (see `domains`).
+    does not depend on `workers`. Each batch is a new column-major (count, n)
+    array, as the sampler makes it (see `domains`), and `f` may keep it.
     """
     if not spec.is_standard:
         raise ValueError("projection quadrature is implemented on the standard model")
@@ -285,13 +277,12 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
     det_z = jacobian_det_from_product(n, k, fz)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        scratch = mc.scratch()
-        w = _product_points_in(spec, rng, count, scratch)
-        det_w = _chain_jacobian_in(n, k, w, scratch)
-        # the points f gets, in memory lent to it (`mc.Workspace.lend`)
-        fw = f(_suffix_products(n, k, w, scratch.lend("points", (count, n), complex, "F")))
-        quotient = np.multiply(det_w, fw, out=scratch.empty("quotient", (count,), complex))
-        return np.divide(quotient, _product_denominator_in(spec, fz, w, scratch), out=quotient)
+        shape = (count, product_draws_per_point(spec))
+        w = _fill_product_batch(spec, np.asfortranarray(rng.random(shape)), _new_batch((count, n)))
+        det_w = _chain_jacobian(n, k, w)
+        fw = f(_suffix_products(n, k, w, _new_batch((count, n))))
+        quotient = np.multiply(det_w, fw, out=np.empty(count, complex))
+        return np.divide(quotient, _product_denominator(spec, fz, w), out=quotient)
 
     est, stderr = mc.mc_mean(values, samples, seed, workers=workers)
     return complex(est) / complex(det_z), stderr / abs(complex(det_z))

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import mc
-
 
 def normals_from_uniform(u: np.ndarray) -> np.ndarray:
     """Box-Muller transform; u has even last-axis length, entries in [0, 1)."""
@@ -107,19 +105,16 @@ def _polar_into(r, u: np.ndarray, out: np.ndarray, t: np.ndarray,
 
 def disk_from_uniform(u: np.ndarray, r_min: float = 0.0, r_max: float = 1.0) -> np.ndarray:
     """Uniform points of the annulus r_min <= |w| <= r_max; u shape (count, 2)."""
-    return _disk_into(u, r_min, r_max, np.empty(u.shape[0], dtype=complex), mc.FRESH)
+    return _disk_into(u, r_min, r_max, np.empty(u.shape[0], dtype=complex))
 
 
-def _disk_into(u: np.ndarray, r_min: float, r_max: float, out: np.ndarray,
-               scratch: mc.Workspace) -> np.ndarray:
+def _disk_into(u: np.ndarray, r_min: float, r_max: float, out: np.ndarray) -> np.ndarray:
     """`disk_from_uniform(u, r_min, r_max)` written into the complex array
-    `out`; its float arrays are the workspace arrays of `scratch` named
-    "disk_*"."""
+    `out`, such as a column of a batch."""
     shape = (u.shape[0],)
-    rad = _disk_modulus_sq_into(u[:, 0], r_min, r_max, scratch.empty("disk_radius", shape))
+    rad = _disk_modulus_sq_into(u[:, 0], r_min, r_max, np.empty(shape))
     np.sqrt(rad, out=rad)
-    return _polar_into(rad, u[:, 1], out, scratch.empty("disk_t", shape),
-                       scratch.empty("disk_scale", shape))
+    return _polar_into(rad, u[:, 1], out, np.empty(shape), np.empty(shape))
 
 
 def ball_draws_per_point(k: int) -> int:
@@ -134,12 +129,11 @@ def ball_from_uniform(u: np.ndarray, k: int, r_max: float = 1.0) -> np.ndarray:
     return _scale_rows(normals_from_uniform(u[:, : 2 * k]), radius)
 
 
-def _ball_into(u: np.ndarray, k: int, r_max: float, out: np.ndarray,
-               scratch: mc.Workspace) -> np.ndarray:
+def _ball_into(u: np.ndarray, k: int, r_max: float, out: np.ndarray) -> np.ndarray:
     """`ball_from_uniform(u, k, r_max)` written into the (count, k) array
-    `out`; a disk (k = 1) works in the arrays of `scratch` (`_disk_into`)."""
+    `out`, such as the columns of a batch."""
     if k == 1:
-        _disk_into(u, 0.0, r_max, out[:, 0], scratch)
+        _disk_into(u, 0.0, r_max, out[:, 0])
     else:
         out[...] = ball_from_uniform(u, k, r_max)
     return out

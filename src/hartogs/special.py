@@ -28,8 +28,6 @@ import sys
 
 import numpy as np
 
-from . import mc
-
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for finite x > 0; a value that overflows raises ValueError
@@ -88,42 +86,24 @@ def int_power(x, e: int) -> np.ndarray:
     """x**e for an integer e >= 0 by binary repeated multiplication.
 
     Elementwise on arrays of any dtype. The result is never x itself, so
-    callers may update it in place.
+    callers may update it in place. Each product is written into a new
+    array, never over an operand: numpy may round a complex product written
+    into one of its operands unlike its array loop.
     """
-    x = np.asarray(x)
-    result = _int_power_in(x, e, mc.FRESH)
-    return result.copy() if result is x else result
-
-
-def _int_power_in(x: np.ndarray, e: int, scratch: mc.Workspace) -> np.ndarray:
-    """`int_power(x, e)` with each product written into a workspace array
-    of `scratch` named "power_*" that holds neither of its operands: numpy
-    may round a complex product into one of its operands unlike its array
-    loop. x is not written, but for e = 1 it is the result."""
     if e < 0:
         raise ValueError("negative exponent")
-    spares: list[np.ndarray] = []
+    x = np.asarray(x)
     if e == 0:
-        ones = scratch.empty("power_0", x.shape, x.dtype)
-        ones.fill(1)
-        return ones
-
-    def free(*live) -> np.ndarray:
-        for spare in spares:
-            if all(spare is not array for array in live):
-                return spare
-        spares.append(scratch.empty(f"power_{len(spares)}", x.shape, x.dtype))
-        return spares[-1]
-
+        return np.ones(x.shape, x.dtype)
     base, result = x, None
     while True:
         if e & 1:
-            result = base if result is None else np.multiply(result, base,
-                                                             out=free(result, base))
+            result = base if result is None else np.multiply(
+                result, base, out=np.empty(x.shape, x.dtype))
         e >>= 1
         if not e:
-            return result
-        base = np.multiply(base, base, out=free(base, result))
+            return result.copy() if result is x else result
+        base = np.multiply(base, base, out=np.empty(x.shape, x.dtype))
 
 
 def lone_point_as_row(**point_ndim: int):
@@ -154,24 +134,16 @@ def lone_point_as_row(**point_ndim: int):
 @lone_point_as_row(z=1)
 def monomial(z, exps) -> complex | float | np.ndarray:
     """prod_j z_j^e_j over the last axis of z for integer e_j, by `int_power`
-    (a negative e_j divides by z_j^-e_j)."""
-    return _monomial_in(np.asarray(z), exps, mc.FRESH)
-
-
-def _monomial_in(z: np.ndarray, exps, scratch: mc.Workspace) -> np.ndarray:
-    """`monomial(z, exps)` with each product and quotient written into a
-    workspace array of `scratch` named "monomial_*" that holds none of its
-    operands; z is not written."""
+    (a negative e_j divides by z_j^-e_j), each product and quotient written
+    into a new array; z is not written."""
+    z = np.asarray(z)
     shape, dtype = z.shape[:-1], np.result_type(z, float)
-    turn = 0  # the products alternate between two arrays
-    out = scratch.empty("monomial_0", shape, dtype)
-    out.fill(1.0)
+    out = np.ones(shape, dtype)
     for j, e in enumerate(exps):
         e = int(e)
         if e:
-            power = _int_power_in(z[..., j], abs(e), scratch)
-            turn ^= 1
-            new = scratch.empty(f"monomial_{turn}", shape, dtype)
+            power = int_power(z[..., j], abs(e))
+            new = np.empty(shape, dtype)
             if e > 0:
                 out = np.multiply(power, out, out=new)  # operand order: see `kernels`
             else:

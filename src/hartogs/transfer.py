@@ -181,10 +181,8 @@ def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
     accepted = []  # per chunk and side; list.append is safe across mc_mean's threads
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        scratch = mc.scratch()
-        u = rng.random(out=scratch.empty("draws", (count, 2 * sides[0][1].n)))
-        out = scratch.empty("sides", (len(sides), count), complex)
-        out.fill(0.0)
+        u = rng.random((count, 2 * sides[0][1].n))
+        out = np.zeros((len(sides), count), complex)
         hits = []
         for row, (_, spec, integrand), (radii, box_volume) in zip(out, sides, boxes):
             rows, radius = _box_candidates(spec, u, radii)

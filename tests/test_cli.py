@@ -682,6 +682,16 @@ class TestInvalidNumbers:
          "--w: the disk model takes one complex number"),
         (["kernel", "--model", "disk", "--w", "0.5", "--eta", "0.1,0.2,0.3"],
          "--eta: the disk model takes one complex number"),
+        (["kernel", "--model", "product", "--n", "2", "--k", "1", "--w", "0.1",
+          "--eta", "0.1,0.2"], "--w: the product model takes 2 complex numbers"),
+        (["kernel", "--model", "hartogs", "--n", "3", "--k", "1", "--w", "0,0.1,0.5",
+          "--eta", "0,0.5"], "--eta: the hartogs model takes 3 complex numbers"),
+        (["kernel", "--model", "ball", "--k", "2", "--w", "0.1,0.1,0.1", "--eta", "0.1,0.1"],
+         "--w: the ball model takes 2 complex numbers"),
+        (["kernel", "--model", "ball", "--k", "0", "--w", "0.1", "--eta", "0.1"],
+         "--k: the ball model needs k >= 1"),
+        (["kernel", "--model", "ball", "--k=-2", "--w", "0.1", "--eta", "0.1"],
+         "--k: the ball model needs k >= 1"),
     ])
     def test_malformed_list_or_point_exits_2_naming_the_option(self, argv, message, capsys):
         assert run(argv) == 2

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hartogs import domains, mc
+from hartogs import domains, kernels, mc
 from hartogs.domains import HartogsDomainSpec, MapFamily
 
 
@@ -302,12 +302,19 @@ class TestSampling:
 
     @pytest.mark.parametrize("count", [1, 2, 10_000])
     def test_chunk_batches_draw_the_rows_of_product_points(self, count):
-        # the chunk path draws into a workspace array and copies it into
-        # columns: the stream and the points are the same
+        # the projection's chunks build their points from their own draws,
+        # copied into columns: the stream and the points are product_points'
         spec = HartogsDomainSpec.standard(4, [1, 2])
-        want = domains.product_points(spec, np.random.default_rng(3), count)
-        got = domains._product_points_in(spec, np.random.default_rng(3), count, mc.Workspace())
-        assert got.tobytes() == want.tobytes()
+        handed = []
+
+        def f(pts):
+            handed.append(pts)
+            return pts[..., 0]
+        kernels.mc_bergman_projection(spec, f, [0.1, 0.1, 0.1, 0.5], mc.CHUNK_SIZE + count,
+                                      seed=3, workers=1)
+        want = domains.product_points(spec, mc.chunk_rng(3, 1), count)
+        got = handed[-1]  # the last chunk, of `count` points
+        assert got.tobytes() == domains.from_product_model(4, 3, want).tobytes()
 
     def test_seed_determinism_and_prefix_stability(self):
         spec = HartogsDomainSpec.standard(3, 2)

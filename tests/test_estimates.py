@@ -200,7 +200,7 @@ class TestBallIntegralSeries:
         w_e1 = np.zeros(k, dtype=complex)
         w_e1[0] = np.linalg.norm(w)
         for alpha in (-0.9, -0.55, 0.5):
-            got = estimates._ball_mc_samples(k, alpha, w, u, mc.Workspace())
+            got = estimates._ball_mc_samples(k, alpha, w, u)
             xi = sampling.sphere_from_uniform(u[:, :2 * k], k)
             rho, q = estimates._kumaraswamy_radius(float(k), alpha + 1.0, u[:, 2 * k])
             eta = np.sqrt(rho)[:, None] * xi
@@ -224,8 +224,8 @@ class TestBallIntegralSeries:
         assert np.linalg.norm(uw) == np.linalg.norm(w)
         u = rng.random((5000, 2 * k + 1))
         for alpha in (-0.9, 0.5):
-            got = estimates._ball_mc_samples(k, alpha, uw, u, mc.Workspace())
-            want = estimates._ball_mc_samples(k, alpha, w, u, mc.Workspace())
+            got = estimates._ball_mc_samples(k, alpha, uw, u)
+            want = estimates._ball_mc_samples(k, alpha, w, u)
             assert got.tobytes() == want.tobytes()
         cfg = replace(FAST_CFG, mc_samples=20_000)
         assert (weighted_ball_integral_mc(k, -0.55, uw, cfg)
@@ -427,7 +427,7 @@ class TestDiskMonteCarloSamples:
         u = np.concatenate([rng.random(2000), [0.5, 1e-9]])
         for power in (1, 2, 3, 4, 5):
             ref = np.abs(1.0 - c * np.exp(2j * np.pi * u)) ** power
-            got = estimates._kernel_factor(c, u, power, mc.Workspace())
+            got = estimates._kernel_factor(c, u, power)
             np.testing.assert_allclose(got[:-1], ref[:-1], rtol=1e-13, atol=0)
         # c -> 1, u -> 0: the complex difference loses every digit, the
         # sin form keeps them; (1-c)^2 + 4c sin^2(pi u), in 40 digits
@@ -435,7 +435,7 @@ class TestDiskMonteCarloSamples:
         with mpmath.workdps(40):
             cm, um = mpmath.mpf(c[-1]), mpmath.mpf(u[-1])
             want = float((1 - cm) ** 2 + 4 * cm * mpmath.sin(mpmath.pi * um) ** 2)
-        got = estimates._kernel_factor(c[-1:], u[-1:], 2, mc.Workspace())[0]
+        got = estimates._kernel_factor(c[-1:], u[-1:], 2)[0]
         assert got == pytest.approx(want, rel=1e-14)
 
 

@@ -481,7 +481,7 @@ class TestMcProjection:
             w = domains.product_points(spec, rng, count)
             det_w = domains.jacobian_det_from_product(n, k, w)
             fw = f(domains.from_product_model(n, k, w))
-            return (det_w * fw) / kernels._product_denominator_in(spec, fz, w, mc.FRESH)
+            return (det_w * fw) / kernels._product_denominator(spec, fz, w)
 
         total = mc.CHUNK_SIZE + 1
         est, err = mc.mc_mean(values, total, 21)
@@ -492,10 +492,9 @@ class TestMcProjection:
     @pytest.mark.parametrize("rows", [1, 2, 1000, 20_000])
     @pytest.mark.parametrize("name", ["standard", "affine4", "rational3"])
     def test_denominator_has_the_bits_of_products_into_new_arrays(self, name, rows):
-        # the reference forms every product with numpy's operators, as the
-        # code before the workspaces did; the workspace versions write into
-        # arrays that hold none of the operands, fresh ones or a keeping
-        # workspace's
+        # the reference forms every product with numpy's operators; the
+        # denominators write each product into a new array that holds none
+        # of the operands
         def power(x, e):
             base, result = x, None
             while True:
@@ -520,18 +519,16 @@ class TestMcProjection:
         spec = _spec(name).standardized()
         w = domains.sample_product_model(spec, rows, 1, r_max=0.9, disk_r_min=0.1)
         eta = domains.sample_product_model(spec, rows, 2, r_max=0.9, disk_r_min=0.1)
-        scratch = mc.Workspace()
         for a, b in [(w, eta), (w[0], eta), (np.ascontiguousarray(w), np.ascontiguousarray(eta)),
                      (w[0], np.ascontiguousarray(eta))]:
             want = reference(spec, a, b).tobytes()
-            assert kernels._product_denominator_in(spec, a, b, mc.FRESH).tobytes() == want
-            assert kernels._product_denominator_in(spec, a, b, scratch).tobytes() == want
+            assert kernels._product_denominator(spec, a, b).tobytes() == want
         k = spec.blocks[0][0]
-        assert (kernels._ball_denominator_in(k, w[:, :k], eta[:, :k], mc.FRESH).tobytes()
+        assert (kernels._ball_denominator(k, w[:, :k], eta[:, :k]).tobytes()
                 == power(1.0 - np.einsum("...j->...", np.conj(eta[:, :k]) * w[:, :k]),
                          k + 1).tobytes())
         base = 1.0 - np.conj(eta[:, -1]) * w[:, -1]
-        assert (kernels._ball_denominator_in(1, w[:, -1:], eta[:, -1:], mc.FRESH).tobytes()
+        assert (kernels._ball_denominator(1, w[:, -1:], eta[:, -1:]).tobytes()
                 == (base * base).tobytes())
 
 

@@ -100,15 +100,19 @@ def test_no_module_imports_scipy():
     assert "numpy" in _external_roots("special")  # the walk sees plain imports
 
 
+THREAD_MODULES = ("concurrent", "threading", "weakref")
+
+
 def _uses_threads(name: str) -> bool:
-    """Whether a module imports concurrent.futures or names sched_getaffinity."""
+    """Whether a module imports concurrent.futures, threading or weakref, or
+    names sched_getaffinity."""
     tree = _tree(name)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(
-                alias.name.startswith("concurrent") for alias in node.names):
+                alias.name.split(".")[0] in THREAD_MODULES for alias in node.names):
             return True
         if isinstance(node, ast.ImportFrom) and (
-                (node.module or "").startswith("concurrent")
+                (node.module or "").split(".")[0] in THREAD_MODULES
                 or any(alias.name == "sched_getaffinity" for alias in node.names)):
             return True
         if isinstance(node, ast.Attribute) and node.attr == "sched_getaffinity":

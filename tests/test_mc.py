@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from hartogs import mc
+from hartogs import kernels, mc, transfer
+from hartogs.cli import builtin_example
+from hartogs.config import NumericConfig
+from hartogs.domains import HartogsDomainSpec
 
 
 def offset_values(offset, spread):
@@ -62,6 +65,11 @@ class TestMcMeanVariance:
     def test_rejects_fewer_than_two_samples(self, total):
         with pytest.raises(ValueError, match="at least two"):
             mc.mc_mean(offset_values(0.0, 1.0), total, seed=1)
+
+    @pytest.mark.parametrize("total", [-1, 0, 1])
+    def test_a_bad_count_is_rejected_by_mc_mean_alone(self, total):
+        with pytest.raises(ValueError, match=f"mc_mean needs at least two samples, got {total}"):
+            mc.mc_mean(lambda rng, count: rng.random(count), total, 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.inf)])
     def test_rejects_non_finite_values_naming_the_chunk(self, bad):
@@ -161,82 +169,7 @@ class TestRowsOfValues:
             mc.mc_mean(values, 2500, 1, 1000)
 
 
-class TestWorkspace:
-    def test_a_name_hands_out_the_same_memory_grown_on_demand(self):
-        scratch = mc.Workspace()
-        a = scratch.empty("x", (100, 3))
-        assert np.shares_memory(a, scratch.empty("x", (50, 3)))
-        assert not np.shares_memory(a, scratch.empty("y", (100, 3)))
-        assert scratch.empty("x", (200, 3)).shape == (200, 3)  # grown
-        f = scratch.empty("z", (100, 3), complex, "F")
-        assert f.dtype == complex and f.flags.f_contiguous and f.shape == (100, 3)
-
-    @pytest.mark.parametrize("total,workers,keeps", [(1000, 1, False), (1001, 1, True),
-                                                     (2000, 2, False), (2001, 2, True)])
-    def test_mc_mean_keeps_arrays_only_when_a_worker_runs_a_second_chunk(self, total, workers,
-                                                                         keeps):
-        seen = []
-
-        def values(rng, count):
-            first = mc.scratch().empty("x", (10,))
-            seen.append(np.shares_memory(first, mc.scratch().empty("x", (10,))))
-            return rng.random(count)
-        mc.mc_mean(values, total, 1, 1000, workers)
-        assert set(seen) == {keeps}
-
-    def test_scratch_is_the_running_call_and_fresh_outside_one(self):
-        assert mc.scratch() is mc.FRESH and not mc.FRESH.keep
-        outer, inner = [], []
-
-        def inner_values(rng, count):
-            inner.append(mc.scratch())
-            return rng.random(count)
-
-        def values(rng, count):
-            outer.append(mc.scratch())
-            mc.mc_mean(inner_values, 3000, 2, 1000, workers=1)
-            outer.append(mc.scratch())  # restored after the nested call
-            return rng.random(count)
-        mc.mc_mean(values, 2001, 1, 1000, workers=1)
-        assert mc.scratch() is mc.FRESH
-        assert len(set(map(id, outer))) == 1 and outer[0].keep
-        assert len(set(map(id, inner))) == 3 and outer[0] not in inner
-
-    def test_scratch_is_restored_when_values_raises(self):
-        def values(rng, count):
-            raise RuntimeError("stop")
-        with pytest.raises(RuntimeError):
-            mc.mc_mean(values, 3000, 1, 1000, workers=1)
-        assert mc.scratch() is mc.FRESH
-
-    @pytest.mark.parametrize("total", [-1, 0, 1])
-    def test_a_bad_count_is_rejected_by_mc_mean_alone(self, total):
-        with pytest.raises(ValueError, match=f"mc_mean needs at least two samples, got {total}"):
-            mc.mc_mean(lambda rng, count: rng.random(count), total, 1)
-
-    def test_lent_memory_is_lent_again_only_when_the_array_and_its_views_are_gone(self):
-        scratch = mc.Workspace()
-        first = scratch.lend("x", (100, 3), complex, "F")
-        address = first.__array_interface__["data"][0]
-        del first
-        again = scratch.lend("x", (100, 3), complex, "F")
-        assert again.__array_interface__["data"][0] == address
-        kept = again[:, 1].real  # a view refers to the array it reads
-        del again
-        fresh = scratch.lend("x", (100, 3), complex, "F")
-        assert fresh.flags.f_contiguous and fresh.flags.writeable
-        assert fresh.shape == (100, 3) and not np.shares_memory(fresh, kept)
-
-    def test_a_workspace_that_keeps_nothing_lends_new_arrays(self):
-        first = mc.FRESH.lend("x", (10,))
-        assert first.flags.owndata and not np.shares_memory(first, mc.FRESH.lend("x", (10,)))
-
-    def test_each_thread_has_its_own_arrays(self):
-        scratch = mc.Workspace()
-        seen = mc.map_chunks(lambda _: scratch.empty("x", (10,)), range(2), workers=2)
-        main = scratch.empty("x", (10,))
-        assert not np.shares_memory(seen[0], main) and not np.shares_memory(seen[1], main)
-
+class TestOwnership:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mc_mean_does_not_write_the_values_it_reduces(self, workers):
         handed = []
@@ -247,4 +180,25 @@ class TestWorkspace:
             return out
         mc.mc_mean(values, 5 * 1000 + 3, 4, 1000, workers)
         assert len(handed) == 6
+        assert all(got.tobytes() == want.tobytes() for got, want in handed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("estimator", ["projection", "pullback"])
+    def test_each_batch_handed_to_f_belongs_to_the_caller(self, estimator, workers):
+        # f keeps every batch; no later chunk of the call writes one of them
+        handed = []
+
+        def f(pts):
+            handed.append((pts, pts.copy()))
+            return pts[..., -1]
+
+        if estimator == "projection":
+            kernels.mc_bergman_projection(HartogsDomainSpec.standard(3, 1), f,
+                                          np.array([0.1, 0.3, 0.5]), 3 * mc.CHUNK_SIZE + 9,
+                                          seed=3, workers=workers)
+            assert len(handed) == 4
+        else:
+            cfg = NumericConfig(seed=5, mc_samples=4000, chunk_size=1000, workers=workers)
+            transfer.pullback_isometry_check(builtin_example("rational3"), f, cfg)
+            assert len(handed) == 8  # both sides of 4 chunks
         assert all(got.tobytes() == want.tobytes() for got, want in handed)

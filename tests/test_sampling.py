@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hartogs import mc, sampling, special
+from hartogs import sampling
 from hartogs.special import int_power, monomial
 
 
@@ -97,13 +97,11 @@ class TestIntegerPowers:
         assert int_power(x, 0).tolist() == [1.0, 1.0]
         with pytest.raises(ValueError):
             int_power(x, -1)
-        with pytest.raises(ValueError):  # the workspace version shares the check
-            special._int_power_in(x, -1, mc.FRESH)
 
     def test_powers_have_the_bits_of_products_into_new_arrays(self):
-        # the reference forms every product with numpy's operators, as the
-        # code before the workspaces did; int_power and monomial write into
-        # arrays that hold none of the operands
+        # the reference forms every product with numpy's operators;
+        # int_power and monomial write into new arrays that hold none of the
+        # operands
         def power(x, e):
             base, result = x, np.ones_like(x)
             first = True
