@@ -10,8 +10,11 @@ arguments (among them a 2F1 parameter c above the cap of `special.hyp2f1`
 and results that are not finite); no subcommand sums a series to a
 tolerance, so none exits 1.
 
-The package needs numpy alone, so every subcommand starts from the same
-import floor (the interpreter, numpy and the package).
+The package needs numpy alone, and each subcommand loads only the package
+modules it runs: at import this module loads `config` and `mc` (for the
+`--workers` default), and each handler imports what it calls, in the branch
+that calls it. Library names such as `hartogs.cli.kernel_hartogs` still
+read as their home modules' objects (see `__getattr__`).
 """
 
 from __future__ import annotations
@@ -26,15 +29,32 @@ import numpy as np
 
 from . import mc
 from .config import NumericConfig
-from .counterexample import blowup_demo, blowup_eval, projected_blowup
-from .domains import HartogsDomainSpec, MapFamily, product_model_contains
-from .estimates import asymptotic_ratio_check, sphere_moment, sphere_moment_mc
-from .kernels import (check_bergman_monomial, kernel_ball, kernel_hartogs, kernel_product,
-                      kernel_punctured_disk, kernel_truncated,
-                      mc_bergman_projection, monomial_norm_sq_ball)
-from .schur import SchurWitness, admissible_p_range, feasible_params, schur_verify
-from .special import monomial
-from .transfer import jacobian_bounds, pullback_isometry_check, transfer_norm_bound
+
+
+def __getattr__(name: str):
+    """Library names read through this module, such as
+    `hartogs.cli.kernel_hartogs`: each is its home module's object, imported
+    on access (PEP 562), so importing this module loads none of them. Nothing
+    is cached, so a name replaced in its home module reads replaced here."""
+    if name in ("blowup_demo", "blowup_eval", "projected_blowup"):
+        from . import counterexample as home
+    elif name in ("HartogsDomainSpec", "MapFamily", "product_model_contains"):
+        from . import domains as home
+    elif name in ("asymptotic_ratio_check", "sphere_moment", "sphere_moment_mc"):
+        from . import estimates as home
+    elif name in ("check_bergman_monomial", "kernel_ball", "kernel_hartogs", "kernel_product",
+                  "kernel_punctured_disk", "kernel_truncated", "mc_bergman_projection",
+                  "monomial_norm_sq_ball"):
+        from . import kernels as home
+    elif name in ("SchurWitness", "admissible_p_range", "feasible_params", "schur_verify"):
+        from . import schur as home
+    elif name == "monomial":
+        from . import special as home
+    elif name in ("jacobian_bounds", "pullback_isometry_check", "transfer_norm_bound"):
+        from . import transfer as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)
 
 
 def _number(x, form: str) -> str:
@@ -109,6 +129,7 @@ def _parse_list(text: str, option: str, parse=int) -> tuple:
 
 
 def _load_spec(args) -> HartogsDomainSpec:
+    from .domains import HartogsDomainSpec
     if getattr(args, "spec", None):
         return HartogsDomainSpec.load(args.spec)
     if getattr(args, "example", None):
@@ -120,6 +141,7 @@ def _load_spec(args) -> HartogsDomainSpec:
 
 def builtin_example(name: str) -> HartogsDomainSpec:
     """Ready-made specs: a two-block affine domain and the rational-map domain."""
+    from .domains import HartogsDomainSpec, MapFamily
     if name == "affine4":
         return HartogsDomainSpec(4, (
             (1, MapFamily.affine([[2.0]], [-1.0])),
@@ -147,6 +169,8 @@ def _require(inside: bool, model: str) -> None:
 
 
 def cmd_kernel(args) -> str:
+    from .kernels import (kernel_ball, kernel_hartogs, kernel_product, kernel_punctured_disk,
+                          kernel_truncated)
     out: dict = {"model": args.model}
     if args.model == "ball" and args.k is None:
         raise ValueError("--k is required for the ball kernel")
@@ -171,6 +195,7 @@ def cmd_kernel(args) -> str:
         value = kernel_ball(args.k, w, eta)
         model = ("ball", args.k)
     elif args.model == "product":
+        from .domains import product_model_contains
         _require(product_model_contains(spec, w) and product_model_contains(spec, eta),
                  "product")
         value = kernel_product(spec, w, eta)
@@ -187,6 +212,7 @@ def cmd_kernel(args) -> str:
 
 
 def cmd_moments(args) -> str:
+    from .estimates import sphere_moment, sphere_moment_mc
     nu = _parse_list(args.nu, "--nu")
     cfg = NumericConfig(seed=args.seed, mc_samples=args.mc_samples, workers=args.workers)
     formula = sphere_moment(args.k, nu)
@@ -200,11 +226,13 @@ def cmd_moments(args) -> str:
         "sigmas": _sigmas(est, formula, err),
     }
     if args.ball_norm:
+        from .kernels import monomial_norm_sq_ball
         out["ball_norm_sq"] = monomial_norm_sq_ball(args.k, nu)
     return render_json(out) + "\n"
 
 
 def cmd_estimates(args) -> str:
+    from .estimates import asymptotic_ratio_check
     for option, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not math.isfinite(value):
             raise ValueError(f"{option} must be finite, got {value}")
@@ -231,11 +259,13 @@ def cmd_estimates(args) -> str:
 
 
 def cmd_schur_range(args) -> str:
+    from .schur import admissible_p_range
     low, high = admissible_p_range(args.n)
     return render_json({"low": low, "high": high}) + "\n"
 
 
 def cmd_schur_verify(args) -> str:
+    from .schur import SchurWitness, feasible_params, schur_verify
     witness = feasible_params(args.n, args.k, args.p)
     if args.witness_s is not None or args.witness_t is not None:
         if args.witness_s is None or args.witness_t is None:
@@ -262,6 +292,7 @@ def cmd_schur_verify(args) -> str:
 
 
 def cmd_blowup(args) -> str:
+    from .counterexample import blowup_demo
     if args.m_list is not None:
         m_values = list(_parse_list(args.m_list, "--m-list"))
     else:
@@ -273,6 +304,7 @@ def cmd_blowup(args) -> str:
 
 
 def cmd_transfer(args) -> str:
+    from .transfer import jacobian_bounds, pullback_isometry_check, transfer_norm_bound
     spec = _load_spec(args)
     cfg = NumericConfig(seed=args.seed, mc_samples=args.samples)
     bounds = jacobian_bounds(spec, cfg)
@@ -283,6 +315,8 @@ def cmd_transfer(args) -> str:
         "transfer_factor": transfer_norm_bound(args.constant, bounds, args.p),
     }
     if args.isometry_monomial is not None:
+        from .kernels import check_bergman_monomial
+        from .special import monomial
         exps = _parse_list(args.isometry_monomial, "--isometry-monomial")
         check_bergman_monomial(spec.n, spec.k, exps)
 
@@ -298,11 +332,15 @@ def cmd_transfer(args) -> str:
 
 
 def cmd_project(args) -> str:
+    from .domains import HartogsDomainSpec
+    from .kernels import check_bergman_monomial, mc_bergman_projection
     spec = HartogsDomainSpec.standard(args.n, args.k)
     z = np.array(_parse_list(args.point, "--point", complex))
     if args.monomial is None and args.blowup_m is None:
         raise ValueError("need --monomial or --blowup-m")
     if args.blowup_m is not None:
+        from .counterexample import blowup_eval, projected_blowup
+
         def f(pts):
             return blowup_eval(args.n, args.blowup_m, pts)
 
@@ -310,6 +348,7 @@ def cmd_project(args) -> str:
             return projected_blowup(args.n, args.blowup_m, pt)
         label = f"blowup_m={args.blowup_m}"
     else:
+        from .special import monomial
         exps = _parse_list(args.monomial, "--monomial")
         check_bergman_monomial(args.n, args.k, exps)
 

@@ -180,6 +180,11 @@ def blowup_demo(n: int, k: int, p: float, m_values: Sequence[int]) -> BlowupTabl
     |P f_m| >= 2 C_m on a domain of volume V, so ratio = bound/norm is a
     certified lower bound for the operator ratio at stage m.
     """
+    # the dimensions first: the window for p is only defined for n >= 2
+    if n < 2:
+        raise ValueError("need n >= 2 and m >= 0")
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
     p_max = 2.0 * n / (n + 1.0)
     if not 1.0 <= p <= p_max:
         raise ValueError(f"blow-up demo needs 1 <= p <= {p_max:.6g}")

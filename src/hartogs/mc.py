@@ -21,7 +21,12 @@ through it and `kernels.kernel_hartogs` its row blocks. Both default to
 `WORKERS` threads, and neither result depends on the thread count.
 `concurrent.futures` is imported where a pool is started, so a caller that
 starts none does not load it. `numpy.random` still loads with the module:
-deferred, its import (about 15 ms) would only move into the first draw.
+deferred, its import (about 15 ms) would only move into the first draw. A
+variant that deferred it did just that in the benchmark's series-edge
+workload, whose first timed Schur op then paid for the import: `wall_s` went
+from 0.047 and 0.050 s to 0.0625 and 0.0603 s in two pairs of runs, about
++30% (2-core x86-64 Xeon). `hartogs.cli` imports this module for the
+`--workers` default, so every subcommand loads `numpy.random` up front.
 
 Each chunk allocates the arrays it works in, and every array a public
 function returns, or hands to a caller's function such as the points the

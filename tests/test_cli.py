@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import re
@@ -714,7 +715,8 @@ class TestInvalidNumbers:
     def test_blowup_m_below_one_exits_2_before_sampling(self, monkeypatch, capsys):
         def sample(*args, **kwargs):
             raise AssertionError("the projection ran")
-        monkeypatch.setattr("hartogs.cli.mc_bergman_projection", sample)
+        # the handler imports the projection from its home module when it runs
+        monkeypatch.setattr("hartogs.kernels.mc_bergman_projection", sample)
         assert run(["project", "--n", "2", "--k", "1", "--point", "0.1,0.4",
                     "--blowup-m", "0"]) == 2
         captured = capsys.readouterr()
@@ -803,6 +805,11 @@ class TestExtremeValues:
          "the transferred bound overflows"),
         (["blowup", "--n", "175", "--k", "1", "--p", "1.0", "--m-max", "2"],
          "n = 175, k = 1: k!/n! is below the smallest normal double"),
+        # the dimensions are checked before p, whose window needs n >= 2
+        (["blowup", "--n=-1", "--p", "1"], "need n >= 2"),
+        (["blowup", "--n", "0", "--p", "1"], "need n >= 2"),
+        (["blowup", "--n", "1", "--p", "1.2"], "need n >= 2"),
+        (["blowup", "--n", "3", "--k=-1", "--p", "1"], "need 1 <= k < n"),
         (_tiny_samples_argv(80), "the Monte-Carlo error bar is 0.0 but the estimate"),
         (["kernel", "--model", "disk", "--w", "0.3", "--eta", "0.3", "--truncated",
           "1000000000"], "truncation degree must lie in [0, 100000], got 1000000000"),
@@ -935,8 +942,80 @@ def quiet(argv):
 """
 
 
+# every subcommand, with each branch that imports a module of its own, and
+# the package modules it loads besides hartogs, cli, config and mc: the
+# modules it runs and their imports, no others
+_RUNS_SCHUR = {"schur", "domains", "estimates", "sampling", "special"}
+_SUBCOMMAND_MODULES = [
+    (["--help"], set()),
+    (["kernel", "--model", "hartogs", "--n", "2", "--k", "1", "--w", "0,0.5", "--eta", "0,0.5"],
+     {"kernels", "domains", "sampling", "special"}),
+    (["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "2000"],
+     {"estimates", "sampling", "special"}),
+    (["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "2000", "--ball-norm"],
+     {"estimates", "kernels", "domains", "sampling", "special"}),
+    (["estimates", "--which", "ball", "--k", "2", "--alpha=-0.5", "--grid-points", "3",
+      "--r-max", "0.9999"],
+     {"estimates", "sampling", "special"}),
+    (["estimates", "--which", "disk", "--alpha=-0.5", "--beta=-1", "--r-min", "0.1",
+      "--grid-points", "3"],
+     {"estimates", "sampling", "special"}),
+    (["schur-range", "--n", "3"], _RUNS_SCHUR),
+    (["schur-verify", "--n", "3", "--k", "1", "--p", "2.0", "--samples", "20"], _RUNS_SCHUR),
+    (["schur-verify", "--n", "2", "--k", "1", "--p", "2.0", "--witness-s=-0.25",
+      "--witness-t=-2", "--samples", "20"], _RUNS_SCHUR),
+    (["blowup", "--n", "2", "--p", "1.3", "--m-max", "5"],
+     {"counterexample", "domains", "sampling", "special"}),
+    (["transfer", "--example", "affine4", "--p", "3", "--samples", "2000"],
+     {"transfer", "domains", "sampling", "special"}),
+    (["transfer", "--example", "affine4", "--p", "3", "--samples", "2000",
+      "--isometry-monomial", "0,0,0,1"],
+     {"transfer", "kernels", "domains", "sampling", "special"}),
+    (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--monomial", "1,0",
+      "--samples", "2000"],
+     {"kernels", "domains", "sampling", "special"}),
+    (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--blowup-m", "1",
+      "--samples", "2000"],
+     {"kernels", "counterexample", "domains", "sampling", "special"}),
+]
+
+_PACKAGE_MODULES = "sorted(m for m in sys.modules if m == 'hartogs' or m.startswith('hartogs.'))"
+
+# the library names `hartogs.cli` serves, by home module
+_CLI_REEXPORTS = {
+    "counterexample": ("blowup_demo", "blowup_eval", "projected_blowup"),
+    "domains": ("HartogsDomainSpec", "MapFamily", "product_model_contains"),
+    "estimates": ("asymptotic_ratio_check", "sphere_moment", "sphere_moment_mc"),
+    "kernels": ("check_bergman_monomial", "kernel_ball", "kernel_hartogs", "kernel_product",
+                "kernel_punctured_disk", "kernel_truncated", "mc_bergman_projection",
+                "monomial_norm_sq_ball"),
+    "schur": ("SchurWitness", "admissible_p_range", "feasible_params", "schur_verify"),
+    "special": ("monomial",),
+    "transfer": ("jacobian_bounds", "pullback_isometry_check", "transfer_norm_bound"),
+    "config": ("NumericConfig",),
+}
+
+
 class TestImportBudget:
-    """No subcommand loads scipy: the package needs numpy alone."""
+    """No subcommand loads scipy: the package needs numpy alone. Each
+    subcommand loads only the package modules it runs."""
+
+    def test_cli_import_loads_four_package_modules_and_numpy_random(self):
+        # `mc` keeps numpy.random eager, so no first draw pays for its import
+        code = (f"import json, sys, hartogs.cli; "
+                f"print(json.dumps([{_PACKAGE_MODULES}, 'numpy.random' in sys.modules]))")
+        assert _fresh_interpreter(code) == [
+            ["hartogs", "hartogs.cli", "hartogs.config", "hartogs.mc"], True]
+
+    @pytest.mark.parametrize("argv,modules", _SUBCOMMAND_MODULES,
+                             ids=[" ".join(argv) for argv, _ in _SUBCOMMAND_MODULES])
+    def test_each_subcommand_loads_only_the_modules_it_runs(self, argv, modules):
+        code = _RUN_QUIETLY + (f"code = quiet({argv!r})[0]\n"
+                               f"print(json.dumps([code, {_PACKAGE_MODULES}]))")
+        exit_code, loaded = _fresh_interpreter(code)
+        assert exit_code == 0
+        assert set(loaded) == {"hartogs", "hartogs.cli", "hartogs.config", "hartogs.mc"} | {
+            f"hartogs.{name}" for name in modules}
 
     def test_cli_import_loads_no_scipy(self):
         code = f"import json, sys, hartogs.cli; print(json.dumps({_SCIPY_MODULES}))"
@@ -949,25 +1028,7 @@ class TestImportBudget:
         assert _fresh_interpreter(code) == []
 
     def test_all_subcommands_leave_scipy_out(self):
-        commands = [
-            ["--help"],
-            ["kernel", "--model", "hartogs", "--n", "2", "--k", "1",
-             "--w", "0,0.5", "--eta", "0,0.5"],
-            ["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "2000"],
-            ["estimates", "--which", "ball", "--k", "2", "--alpha=-0.5",
-             "--grid-points", "3", "--r-max", "0.9999"],
-            ["estimates", "--which", "disk", "--alpha=-0.5", "--beta=-1",
-             "--r-min", "0.1", "--grid-points", "3"],
-            ["schur-range", "--n", "3"],
-            ["schur-verify", "--n", "3", "--k", "1", "--p", "2.0", "--samples", "20"],
-            ["schur-verify", "--n", "2", "--k", "1", "--p", "2.0", "--witness-s=-0.25",
-             "--witness-t=-2", "--samples", "20"],
-            ["blowup", "--n", "2", "--p", "1.3", "--m-max", "5"],
-            ["transfer", "--example", "affine4", "--p", "3", "--samples", "2000",
-             "--isometry-monomial", "0,0,0,1"],
-            ["project", "--n", "2", "--k", "1", "--point", "0.1,0.4",
-             "--monomial", "1,0", "--samples", "2000"],
-        ]
+        commands = [argv for argv, _ in _SUBCOMMAND_MODULES]
         code = _RUN_QUIETLY + (
             f"codes = [quiet(argv)[0] for argv in {commands!r}]\n"
             f"print(json.dumps([codes, {_SCIPY_MODULES}]))")
@@ -989,12 +1050,19 @@ print(json.dumps([est, ver]))
         assert json.loads(ver_out)["feasible"] is True
 
     def test_reexported_names_are_the_home_objects(self):
-        from hartogs import cli, estimates, schur
-        for name in ("sphere_moment", "sphere_moment_mc", "asymptotic_ratio_check"):
-            assert getattr(cli, name) is getattr(estimates, name)
-        for name in ("schur_verify", "feasible_params", "admissible_p_range", "SchurWitness"):
-            assert getattr(cli, name) is getattr(schur, name)
-        assert not hasattr(cli, "no_such_name")
+        import hartogs
+        from hartogs import DEFAULT_CONFIG, HartogsDomainSpec, MapFamily, NumericConfig, cli
+        from hartogs import config, domains
+        for home, names in _CLI_REEXPORTS.items():
+            module = importlib.import_module(f"hartogs.{home}")
+            for name in names:
+                assert getattr(cli, name) is getattr(module, name), name
+        assert DEFAULT_CONFIG is config.DEFAULT_CONFIG and NumericConfig is config.NumericConfig
+        assert HartogsDomainSpec is domains.HartogsDomainSpec and MapFamily is domains.MapFamily
+        for module in (hartogs, cli):
+            assert not hasattr(module, "no_such_name")
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name
 
     def test_non_convergence_error_is_one_class(self):
         # estimates, the one module that raises it, owns it

@@ -1,8 +1,10 @@
 """The package keeps one direction of module dependency.
 
 Parses src/hartogs/*.py with `ast`: the module-level imports inside the
-package form an acyclic graph, and no package import is made inside a
-function, so no local import hides a cycle. The package imports no scipy.
+package form an acyclic graph, and the package imports made inside a function
+are the documented deferrals alone (each CLI handler imports the modules it
+runs, and the package and `cli` serve their library names on access), which
+close no cycle. The package imports no scipy.
 Threads have one owner: only `mc` imports `concurrent.futures` or asks for
 the CPU affinity. The weighted integrals have one route: only `special`
 names the cap on the 2F1 parameter c, no module names the reference series,
@@ -24,8 +26,13 @@ MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
 def _tree(name: str) -> ast.Module:
     return ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
 
-# (importing module, imported module) pairs allowed inside a function
-DEFERRED: set[tuple[str, str]] = set()
+# (importing module, imported module) pairs allowed inside a function: the
+# CLI handlers import what they run, and `hartogs` and `hartogs.cli` serve
+# their library names from the home modules (PEP 562 __getattr__)
+CLI_HANDLER_MODULES = ("counterexample", "domains", "estimates", "kernels", "schur",
+                       "special", "transfer")
+DEFERRED: set[tuple[str, str]] = {("cli", target) for target in CLI_HANDLER_MODULES} | {
+    ("__init__", "config"), ("__init__", "domains")}
 
 
 def _targets(node: ast.AST) -> list[str]:
@@ -67,7 +74,7 @@ GRAPH = {name: _imports(name) for name in MODULES}
 
 def test_the_parse_finds_known_imports():
     assert {"mc", "sampling", "special"} <= GRAPH["domains"][0]  # from . / from .x
-    assert "estimates" in GRAPH["schur"][0] and "estimates" in GRAPH["cli"][0]
+    assert "estimates" in GRAPH["schur"][0] and "estimates" in GRAPH["cli"][1]
 
 
 def test_module_level_imports_are_acyclic():
