@@ -333,7 +333,7 @@ def cmd_transfer(args) -> str:
 
 def cmd_project(args) -> str:
     from .domains import HartogsDomainSpec
-    from .kernels import check_bergman_monomial, mc_bergman_projection
+    from .kernels import mc_bergman_projection
     spec = HartogsDomainSpec.standard(args.n, args.k)
     z = np.array(_parse_list(args.point, "--point", complex))
     if args.monomial is None and args.blowup_m is None:
@@ -348,6 +348,7 @@ def cmd_project(args) -> str:
             return projected_blowup(args.n, args.blowup_m, pt)
         label = f"blowup_m={args.blowup_m}"
     else:
+        from .kernels import check_bergman_monomial
         from .special import monomial
         exps = _parse_list(args.monomial, "--monomial")
         check_bergman_monomial(args.n, args.k, exps)
