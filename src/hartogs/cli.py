@@ -11,23 +11,24 @@ and results that are not finite); no subcommand sums a series to a
 tolerance, so none exits 1.
 
 The package needs numpy alone, and each subcommand loads only the package
-modules it runs: at import this module loads `config` and `mc` (for the
-`--workers` default), and each handler imports what it calls, in the branch
-that calls it. Library names such as `hartogs.cli.kernel_hartogs` still
-read as their home modules' objects (see `__getattr__`).
+modules it runs: at import this module loads `config` alone, a leaf without
+numpy that holds the `--workers` default, and each handler imports what it
+calls, numpy included, in the branch that calls it. So `--help`,
+`schur-range` and every argument error finish without importing numpy.
+Library names such as `hartogs.cli.kernel_hartogs` still read as their home
+modules' objects (see `__getattr__`).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import re
 import sys
 
-import numpy as np
-
-from . import mc
+from . import config
 from .config import NumericConfig
 
 
@@ -60,8 +61,9 @@ def __getattr__(name: str):
 def _number(x, form: str) -> str:
     """The one scalar rule of stdout: integers as integers, floats at 12
     significant digits. NaN and infinity raise ValueError: neither a JSON
-    record nor a numeric table can hold them."""
-    if isinstance(x, (int, np.integer)):
+    record nor a numeric table can hold them. numpy registers its integer
+    and floating scalars as `numbers.Integral` and `numbers.Real`."""
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     if not math.isfinite(x):
         raise ValueError(f"cannot write the non-finite number {x} as {form}")
@@ -81,7 +83,7 @@ def render_json(obj, indent: int = 0) -> str:
         items = [f'{inner}"{key}": {render_json(val, indent + 1)}'
                  for key, val in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)) or _is_array(obj):
         seq = list(obj)
         if not seq:
             return "[]"
@@ -89,11 +91,18 @@ def render_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer, float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _number(obj, "JSON")
     if obj is None:
         return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _is_array(obj) -> bool:
+    """Whether obj is a numpy array; none exists before numpy is imported,
+    so this imports nothing."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
 
 
 def render_csv(header, *columns) -> str:
@@ -169,6 +178,8 @@ def _require(inside: bool, model: str) -> None:
 
 
 def cmd_kernel(args) -> str:
+    import numpy as np
+
     from .kernels import (kernel_ball, kernel_hartogs, kernel_product, kernel_punctured_disk,
                           kernel_truncated)
     out: dict = {"model": args.model}
@@ -232,6 +243,8 @@ def cmd_moments(args) -> str:
 
 
 def cmd_estimates(args) -> str:
+    import numpy as np
+
     from .estimates import asymptotic_ratio_check
     for option, value in (("--r-min", args.r_min), ("--r-max", args.r_max)):
         if not math.isfinite(value):
@@ -320,7 +333,7 @@ def cmd_transfer(args) -> str:
         exps = _parse_list(args.isometry_monomial, "--isometry-monomial")
         check_bergman_monomial(spec.n, spec.k, exps)
 
-        def test_fn(pts: np.ndarray) -> np.ndarray:
+        def test_fn(pts):
             return monomial(pts, exps)
 
         report = pullback_isometry_check(spec, test_fn, cfg)
@@ -332,6 +345,8 @@ def cmd_transfer(args) -> str:
 
 
 def cmd_project(args) -> str:
+    import numpy as np
+
     from .domains import HartogsDomainSpec
     from .kernels import mc_bergman_projection
     spec = HartogsDomainSpec.standard(args.n, args.k)
@@ -449,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--nu", required=True, help="multi-index, e.g. 1,1")
     p.add_argument("--mc-samples", type=_positive_int, default=1_000_000)
-    p.add_argument("--workers", type=_positive_int, default=mc.WORKERS,
+    # mc.WORKERS is config.WORKERS; reading it from config loads no numpy
+    p.add_argument("--workers", type=_positive_int, default=config.WORKERS,
                    help="worker threads (default: mc.WORKERS, the CPUs this "
                         "process may run on: %(default)s)")
     p.add_argument("--ball-norm", action="store_true",
@@ -519,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomial", help="project this monomial (exponent list)")
     p.add_argument("--blowup-m", type=_positive_int, help="project the m-th blow-up function")
     p.add_argument("--samples", type=_positive_int, default=200_000)
-    p.add_argument("--workers", type=_positive_int, default=mc.WORKERS,
+    p.add_argument("--workers", type=_positive_int, default=config.WORKERS,
                    help="worker threads (default: mc.WORKERS, the CPUs this "
                         "process may run on: %(default)s)")
     add_common(p)

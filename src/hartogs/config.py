@@ -1,10 +1,28 @@
-"""Shared numeric configuration for seeded Monte-Carlo runs."""
+"""Shared numeric configuration for seeded Monte-Carlo runs.
+
+A leaf module: it imports no numpy and no other package module, so the CLI
+reads the worker default (`WORKERS`) without loading either.
+"""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
-from .mc import CHUNK_SIZE, WORKERS
+# Samples per chunk unless a caller sets another size.
+CHUNK_SIZE = 1 << 15
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+# Worker threads unless a caller sets another count: the CPUs this process
+# may run on.
+WORKERS = _usable_cpus()
 
 
 @dataclass(frozen=True)

@@ -95,14 +95,29 @@ class MapFamily:
         return np.asarray(self.shift, dtype=complex)
 
     def _block_points(self, z) -> np.ndarray:
-        """z as complex points of this block (last axis), checked by shape alone."""
+        """z as complex points of this block (last axis), checked as
+        `_check_point` checks a whole point: by shape, then finiteness."""
         z = np.asarray(z, dtype=complex)
         if z.shape[-1:] != (self.dim,):
             raise ValueError(f"expected block dimension {self.dim}, got points of shape {z.shape}")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("point has non-finite coordinates")
         return z
 
+    # Each public method is `_block_points` plus a private body on checked
+    # batches; the domain-level maps, whose points `_check_point` has
+    # checked, call the bodies.
+
     def value(self, z) -> np.ndarray:
-        z = self._block_points(z)
+        return self._value(self._block_points(z))
+
+    def inverse(self, w) -> np.ndarray:
+        return self._inverse(self._block_points(w))
+
+    def jacobian_det(self, z) -> np.ndarray:
+        return self._jacobian_det(self._block_points(z))
+
+    def _value(self, z: np.ndarray) -> np.ndarray:
         if self.kind == _IDENTITY:
             return z.copy()
         if self.kind == _AFFINE:
@@ -114,8 +129,7 @@ class MapFamily:
             raise ZeroDivisionError("rational map evaluated at its pole")
         return np.stack([z[..., 0] / den, 3.0 * z[..., 1] + 1.0], axis=-1)
 
-    def inverse(self, w) -> np.ndarray:
-        w = self._block_points(w)
+    def _inverse(self, w: np.ndarray) -> np.ndarray:
         if self.kind == _IDENTITY:
             return w.copy()
         if self.kind == _AFFINE:
@@ -125,8 +139,7 @@ class MapFamily:
         z1 = (z2 - _RATIONAL_POLE) * w[..., 0]  # operand order: see `kernels`
         return np.stack([z1, z2], axis=-1)
 
-    def jacobian_det(self, z) -> np.ndarray:
-        z = self._block_points(z)
+    def _jacobian_det(self, z: np.ndarray) -> np.ndarray:
         if self.kind == _IDENTITY:
             return np.ones(z.shape[:-1], dtype=complex)
         if self.kind == _AFFINE:
@@ -427,7 +440,7 @@ def _block_images(spec: HartogsDomainSpec, z: np.ndarray) -> np.ndarray:
     out = z.copy()
     for (_, fam), sl in zip(spec.blocks, spec.slices):
         if not fam.is_identity:
-            out[..., sl] = fam.value(z[..., sl])
+            out[..., sl] = fam._value(z[..., sl])
     return out
 
 
@@ -441,7 +454,7 @@ def _block_jacobians(spec: HartogsDomainSpec, z: np.ndarray) -> np.ndarray:
     """`jacobian_det_to_standard` of the checked batch z."""
     det = np.ones(z.shape[:-1], dtype=complex)
     for (_, fam), sl in zip(spec.blocks, spec.slices):
-        det = fam.jacobian_det(z[..., sl]) * det  # operand order: see `kernels`
+        det = fam._jacobian_det(z[..., sl]) * det  # operand order: see `kernels`
     return det
 
 
@@ -449,7 +462,7 @@ def from_standard_model(spec: HartogsDomainSpec, w) -> np.ndarray:
     w = _check_point(spec.n, w)
     out = w.copy()
     for (_, fam), sl in zip(spec.blocks, spec.slices):
-        out[..., sl] = fam.inverse(w[..., sl])
+        out[..., sl] = fam._inverse(w[..., sl])
     return out
 
 

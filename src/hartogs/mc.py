@@ -25,8 +25,10 @@ deferred, its import (about 15 ms) would only move into the first draw. A
 variant that deferred it did just that in the benchmark's series-edge
 workload, whose first timed Schur op then paid for the import: `wall_s` went
 from 0.047 and 0.050 s to 0.0625 and 0.0603 s in two pairs of runs, about
-+30% (2-core x86-64 Xeon). `hartogs.cli` imports this module for the
-`--workers` default, so every subcommand loads `numpy.random` up front.
++30% (2-core x86-64 Xeon). The defaults `CHUNK_SIZE` and `WORKERS` live in
+`config`, where the CLI reads its `--workers` default without loading numpy;
+every subcommand that draws samples loads this module, and `numpy.random`
+with it, before its first draw.
 
 Each chunk allocates the arrays it works in, and every array a public
 function returns, or hands to a caller's function such as the points the
@@ -37,27 +39,13 @@ it again.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
+from .config import CHUNK_SIZE, WORKERS
+
 SampleFn = Callable[[np.random.Generator, int], np.ndarray]
-
-# Samples per chunk unless a caller sets another size.
-CHUNK_SIZE = 1 << 15
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform (macOS, Windows)
-        return os.cpu_count() or 1
-
-
-# Worker threads unless a caller sets another count: the CPUs this process
-# may run on.
-WORKERS = _usable_cpus()
 
 
 def map_chunks(fn: Callable, items: Iterable, workers: int = WORKERS) -> list:

@@ -14,6 +14,10 @@ for every k; `feasible_params` decides feasibility by that sharp range alone.
 points. The condition integrals factor exactly into one weighted ball
 integral per block and one weighted disk integral per chain coordinate, so no
 high-dimensional quadrature is ever performed.
+
+The windows and the sharp range are arithmetic on n, k and p: numpy,
+`domains` and `estimates` are imported by the verifier alone, so
+`hartogs schur-range` loads none of them.
 """
 
 from __future__ import annotations
@@ -22,12 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .config import DEFAULT_CONFIG, NumericConfig
-from .domains import HartogsDomainSpec, sample_product_model
-from .estimates import (weighted_ball_integral, weighted_disk_integral,
-                        weighted_disk_integral_quad)
 
 
 @dataclass(frozen=True)
@@ -141,6 +140,7 @@ class SchurReport:
 
     @property
     def mean_ratio(self) -> float:
+        import numpy as np
         return float(np.concatenate([self.cond1, self.cond2]).mean())
 
 
@@ -150,6 +150,10 @@ def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: 
     """Factored estimate of one Schur condition, divided by h^exponent; a
     factor integral of 0 or a ratio past float64 is a ValueError naming the
     condition and the witness."""
+    import numpy as np
+
+    from .estimates import (weighted_ball_integral, weighted_disk_integral,
+                            weighted_disk_integral_quad)
     e = exponent
     alpha = witness.s * e
     n, k = spec.n, spec.k
@@ -201,6 +205,7 @@ def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
     witness stay bounded; endpoint or out-of-window witnesses blow up as the
     margins tighten.
     """
+    from .domains import HartogsDomainSpec, sample_product_model
     # the names in parentheses are the CLI options that set these values
     if not 0.0 <= puncture_margin < 1.0 - boundary_margin <= 1.0:  # also false for NaN, inf
         raise ValueError(

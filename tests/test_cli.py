@@ -142,8 +142,8 @@ class TestMomentsCommand:
 
 class TestWorkersOption:
     def test_each_default_is_the_library_default(self, monkeypatch):
-        from hartogs import cli, mc
-        monkeypatch.setattr(mc, "WORKERS", 7)
+        from hartogs import cli, config
+        monkeypatch.setattr(config, "WORKERS", 7)
         parser = cli.build_parser()
         subparsers = next(a for a in parser._actions if a.dest == "command").choices
         defaults = {name: action.default for name, sub in subparsers.items()
@@ -943,40 +943,51 @@ def quiet(argv):
 
 
 # every subcommand, with each branch that imports a module of its own, and
-# the package modules it loads besides hartogs, cli, config and mc: the
-# modules it runs and their imports, no others
-_RUNS_SCHUR = {"schur", "domains", "estimates", "sampling", "special"}
+# the package modules it loads besides hartogs, cli and config: the modules
+# it runs and their imports, no others
+_CLI_BASE = {"hartogs", "hartogs.cli", "hartogs.config"}
+_RUNS_SCHUR = {"schur", "domains", "estimates", "mc", "sampling", "special"}
 _SUBCOMMAND_MODULES = [
     (["--help"], set()),
     (["kernel", "--model", "hartogs", "--n", "2", "--k", "1", "--w", "0,0.5", "--eta", "0,0.5"],
-     {"kernels", "domains", "sampling", "special"}),
+     {"kernels", "domains", "mc", "sampling", "special"}),
     (["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "2000"],
-     {"estimates", "sampling", "special"}),
+     {"estimates", "mc", "sampling", "special"}),
     (["moments", "--k", "2", "--nu", "1,1", "--mc-samples", "2000", "--ball-norm"],
-     {"estimates", "kernels", "domains", "sampling", "special"}),
+     {"estimates", "kernels", "domains", "mc", "sampling", "special"}),
     (["estimates", "--which", "ball", "--k", "2", "--alpha=-0.5", "--grid-points", "3",
       "--r-max", "0.9999"],
-     {"estimates", "sampling", "special"}),
+     {"estimates", "mc", "sampling", "special"}),
     (["estimates", "--which", "disk", "--alpha=-0.5", "--beta=-1", "--r-min", "0.1",
       "--grid-points", "3"],
-     {"estimates", "sampling", "special"}),
-    (["schur-range", "--n", "3"], _RUNS_SCHUR),
+     {"estimates", "mc", "sampling", "special"}),
+    (["schur-range", "--n", "3"], {"schur"}),
     (["schur-verify", "--n", "3", "--k", "1", "--p", "2.0", "--samples", "20"], _RUNS_SCHUR),
     (["schur-verify", "--n", "2", "--k", "1", "--p", "2.0", "--witness-s=-0.25",
       "--witness-t=-2", "--samples", "20"], _RUNS_SCHUR),
     (["blowup", "--n", "2", "--p", "1.3", "--m-max", "5"],
-     {"counterexample", "domains", "sampling", "special"}),
+     {"counterexample", "domains", "mc", "sampling", "special"}),
     (["transfer", "--example", "affine4", "--p", "3", "--samples", "2000"],
-     {"transfer", "domains", "sampling", "special"}),
+     {"transfer", "domains", "mc", "sampling", "special"}),
     (["transfer", "--example", "affine4", "--p", "3", "--samples", "2000",
       "--isometry-monomial", "0,0,0,1"],
-     {"transfer", "kernels", "domains", "sampling", "special"}),
+     {"transfer", "kernels", "domains", "mc", "sampling", "special"}),
     (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--monomial", "1,0",
       "--samples", "2000"],
-     {"kernels", "domains", "sampling", "special"}),
+     {"kernels", "domains", "mc", "sampling", "special"}),
     (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--blowup-m", "1",
       "--samples", "2000"],
-     {"kernels", "counterexample", "domains", "sampling", "special"}),
+     {"kernels", "counterexample", "domains", "mc", "sampling", "special"}),
+]
+
+# calls that finish before numpy is imported, with their exit codes: help,
+# the window, an argparse error and a handler's own error
+_WITHOUT_NUMPY = [
+    (["--help"], 0),
+    (["schur-range", "--n", "3"], 0),
+    (["project", "--n", "2", "--k", "1", "--point", "0.1,0.4", "--monomial", "1,0",
+      "--samples", "0"], 2),
+    (["schur-range", "--n", "1"], 2),
 ]
 
 _PACKAGE_MODULES = "sorted(m for m in sys.modules if m == 'hartogs' or m.startswith('hartogs.'))"
@@ -998,24 +1009,32 @@ _CLI_REEXPORTS = {
 
 class TestImportBudget:
     """No subcommand loads scipy: the package needs numpy alone. Each
-    subcommand loads only the package modules it runs."""
+    subcommand loads only the package modules it runs, and the front end
+    loads no numpy."""
 
-    def test_cli_import_loads_four_package_modules_and_numpy_random(self):
-        # `mc` keeps numpy.random eager, so no first draw pays for its import
+    def test_cli_import_loads_three_package_modules_and_no_numpy(self):
         code = (f"import json, sys, hartogs.cli; "
-                f"print(json.dumps([{_PACKAGE_MODULES}, 'numpy.random' in sys.modules]))")
-        assert _fresh_interpreter(code) == [
-            ["hartogs", "hartogs.cli", "hartogs.config", "hartogs.mc"], True]
+                f"print(json.dumps([{_PACKAGE_MODULES}, 'numpy' in sys.modules]))")
+        assert _fresh_interpreter(code) == [sorted(_CLI_BASE), False]
 
     @pytest.mark.parametrize("argv,modules", _SUBCOMMAND_MODULES,
                              ids=[" ".join(argv) for argv, _ in _SUBCOMMAND_MODULES])
     def test_each_subcommand_loads_only_the_modules_it_runs(self, argv, modules):
         code = _RUN_QUIETLY + (f"code = quiet({argv!r})[0]\n"
-                               f"print(json.dumps([code, {_PACKAGE_MODULES}]))")
-        exit_code, loaded = _fresh_interpreter(code)
+                               f"print(json.dumps([code, {_PACKAGE_MODULES}, "
+                               f"'numpy.random' in sys.modules]))")
+        exit_code, loaded, random_loaded = _fresh_interpreter(code)
         assert exit_code == 0
-        assert set(loaded) == {"hartogs", "hartogs.cli", "hartogs.config", "hartogs.mc"} | {
-            f"hartogs.{name}" for name in modules}
+        assert set(loaded) == _CLI_BASE | {f"hartogs.{name}" for name in modules}
+        # `mc` keeps numpy.random eager, so no first draw pays for its import
+        assert random_loaded == ("mc" in modules)
+
+    @pytest.mark.parametrize("argv,exit_code", _WITHOUT_NUMPY,
+                             ids=[" ".join(argv) for argv, _ in _WITHOUT_NUMPY])
+    def test_front_end_calls_load_no_numpy(self, argv, exit_code):
+        code = _RUN_QUIETLY + (f"code = quiet({argv!r})[0]\n"
+                               f"print(json.dumps([code, 'numpy' in sys.modules]))")
+        assert _fresh_interpreter(code) == [exit_code, False]
 
     def test_cli_import_loads_no_scipy(self):
         code = f"import json, sys, hartogs.cli; print(json.dumps({_SCIPY_MODULES}))"

@@ -142,6 +142,24 @@ class TestMapFamilies:
                 with pytest.raises(ValueError, match=re.escape(message)):
                     method(z)
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.1, np.nan),
+                                     complex(np.inf, 0.0), complex(0.0, -np.inf)],
+                             ids=["nan-re", "nan-im", "inf", "-inf-im"])
+    @pytest.mark.parametrize("fam", [MapFamily.identity(2),
+                                     MapFamily.affine([[1.0, 0.5], [0.0, 1.0]], [0.1, 0.0]),
+                                     MapFamily.rational_example()],
+                             ids=["identity", "affine", "rational"])
+    def test_every_map_rejects_non_finite_points(self, fam, bad):
+        # the rational jacobian_det gave -0.303 at [nan, 0.1] and warned at
+        # [0.1, nan]; every map now refuses as `_check_point` does
+        for column in range(fam.dim):
+            batch = np.full((3, fam.dim), 0.1 + 0.05j)
+            batch[1, column] = bad
+            for z in (batch, batch[1], batch[1].tolist()):
+                for method in (fam.value, fam.inverse, fam.jacobian_det):
+                    with pytest.raises(ValueError, match="point has non-finite coordinates"):
+                        method(z)
+
     @pytest.mark.parametrize("fam", [MapFamily.identity(2), MapFamily.affine([[2.0]], [-1.0]),
                                      MapFamily.rational_example()])
     def test_jacobian_det_keeps_the_batch_shape(self, fam):

@@ -4,7 +4,8 @@ Parses src/hartogs/*.py with `ast`. numpy's float64 cos and sin are scalar
 libm loops, several times slower per element than its SIMD tan, so every
 angle is taken from one tan (`sampling.polar_from_uniform`,
 `estimates._kernel_factor`) and no np.sin or np.cos is referenced. The block
-maps `MapFamily.value` and `MapFamily.inverse` use einsum, not `@`: on a
+maps `MapFamily.value` and `MapFamily.inverse` (their bodies `_value` and
+`_inverse`) use einsum, not `@`: on a
 (count, 2) block, matmul goes through the threaded BLAS zgemm, whose cost per
 call swings with thread wake-ups.
 
@@ -66,7 +67,7 @@ def test_no_numpy_sin_or_cos():
 
 def test_block_maps_do_not_use_matmul():
     methods = _map_family_methods()
-    for name in ("value", "inverse"):
+    for name in ("_value", "_inverse"):
         assert not _uses_matmul(methods[name]), name
 
 

@@ -3,10 +3,12 @@
 Parses src/hartogs/*.py with `ast`: the module-level imports inside the
 package form an acyclic graph, and the package imports made inside a function
 are the documented deferrals alone (each CLI handler imports the modules it
-runs, and the package and `cli` serve their library names on access), which
-close no cycle. The package imports no scipy.
-Threads have one owner: only `mc` imports `concurrent.futures` or asks for
-the CPU affinity. The weighted integrals have one route: only `special`
+runs, the package and `cli` serve their library names on access, and the
+Schur verifier imports what the windows do not need), which close no cycle.
+The package imports no scipy. The CLI front end imports no numpy: `config`
+is a leaf without it, and `cli` and `schur` import it inside functions.
+Threads have one owner each: only `mc` imports `concurrent.futures`,
+`threading` or `weakref`, and only `config` asks for the CPU affinity. The weighted integrals have one route: only `special`
 names the cap on the 2F1 parameter c, no module names the reference series,
 and only the two series wrappers call `_series_sum`. Stdout has one owner:
 no module imports `csv`, only `cli` writes a `.12g` format, and no class
@@ -27,12 +29,14 @@ def _tree(name: str) -> ast.Module:
     return ast.parse(MODULES[name].read_text(), filename=str(MODULES[name]))
 
 # (importing module, imported module) pairs allowed inside a function: the
-# CLI handlers import what they run, and `hartogs` and `hartogs.cli` serve
-# their library names from the home modules (PEP 562 __getattr__)
+# CLI handlers import what they run, `hartogs` and `hartogs.cli` serve their
+# library names from the home modules (PEP 562 __getattr__), and the Schur
+# verifier imports the sampler and the integrals that `schur-range` skips
 CLI_HANDLER_MODULES = ("counterexample", "domains", "estimates", "kernels", "schur",
                        "special", "transfer")
 DEFERRED: set[tuple[str, str]] = {("cli", target) for target in CLI_HANDLER_MODULES} | {
-    ("__init__", "config"), ("__init__", "domains")}
+    ("__init__", "config"), ("__init__", "domains"),
+    ("schur", "domains"), ("schur", "estimates")}
 
 
 def _targets(node: ast.AST) -> list[str]:
@@ -74,7 +78,8 @@ GRAPH = {name: _imports(name) for name in MODULES}
 
 def test_the_parse_finds_known_imports():
     assert {"mc", "sampling", "special"} <= GRAPH["domains"][0]  # from . / from .x
-    assert "estimates" in GRAPH["schur"][0] and "estimates" in GRAPH["cli"][1]
+    assert "config" in GRAPH["mc"][0]
+    assert "estimates" in GRAPH["schur"][1] and "estimates" in GRAPH["cli"][1]
 
 
 def test_module_level_imports_are_acyclic():
@@ -107,20 +112,47 @@ def test_no_module_imports_scipy():
     assert "numpy" in _external_roots("special")  # the walk sees plain imports
 
 
+def _top_level_roots(name: str) -> set[str]:
+    """`_external_roots` of the imports one module makes outside any function."""
+    roots: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and child.module:
+                roots.add(child.module.split(".")[0])
+            visit(child)
+
+    visit(_tree(name))
+    return roots
+
+
+def test_config_is_a_leaf_without_numpy():
+    assert GRAPH["config"] == (set(), set())
+    assert "numpy" not in _external_roots("config")
+
+
+def test_the_front_end_imports_numpy_inside_functions_alone():
+    for name in ("cli", "schur"):
+        assert "numpy" in _external_roots(name) - _top_level_roots(name), name
+    assert "numpy" in _top_level_roots("mc")  # the walk sees module-level imports
+
+
 THREAD_MODULES = ("concurrent", "threading", "weakref")
 
 
-def _uses_threads(name: str) -> bool:
-    """Whether a module imports concurrent.futures, threading or weakref, or
-    names sched_getaffinity."""
-    tree = _tree(name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import) and any(
-                alias.name.split(".")[0] in THREAD_MODULES for alias in node.names):
-            return True
-        if isinstance(node, ast.ImportFrom) and (
-                (node.module or "").split(".")[0] in THREAD_MODULES
-                or any(alias.name == "sched_getaffinity" for alias in node.names)):
+def _imports_thread_modules(name: str) -> bool:
+    """Whether a module imports concurrent.futures, threading or weakref."""
+    return bool(_external_roots(name) & set(THREAD_MODULES))
+
+
+def _names_affinity(name: str) -> bool:
+    """Whether a module names sched_getaffinity: imported, called or read."""
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.alias) and node.name == "sched_getaffinity":
             return True
         if isinstance(node, ast.Attribute) and node.attr == "sched_getaffinity":
             return True
@@ -129,8 +161,12 @@ def _uses_threads(name: str) -> bool:
     return False
 
 
-def test_only_mc_owns_threads():
-    assert {name for name in MODULES if _uses_threads(name)} == {"mc"}
+def test_only_mc_imports_thread_modules():
+    assert {name for name in MODULES if _imports_thread_modules(name)} == {"mc"}
+
+
+def test_only_config_asks_for_the_cpu_affinity():
+    assert {name for name in MODULES if _names_affinity(name)} == {"config"}
 
 
 def _identifiers(name: str) -> set[str]:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hartogs import kernels, mc, transfer
+from hartogs import config, kernels, mc, transfer
 from hartogs.cli import builtin_example
 from hartogs.config import NumericConfig
 from hartogs.domains import HartogsDomainSpec
@@ -88,6 +88,11 @@ class TestPool:
             assert mc.WORKERS == len(os.sched_getaffinity(0))
         else:
             assert mc.WORKERS == os.cpu_count()
+
+    def test_defaults_are_the_config_objects(self):
+        # `config` owns them, so the CLI reads them without loading numpy
+        assert mc.WORKERS is config.WORKERS and mc.CHUNK_SIZE is config.CHUNK_SIZE
+        assert config.NumericConfig().workers == mc.WORKERS
 
     def test_one_chunk_or_one_worker_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
