@@ -15,8 +15,9 @@ modules it runs: at import this module loads `config` alone, a leaf without
 numpy that holds the `--workers` default, and each handler imports what it
 calls, numpy included, in the branch that calls it. So `--help`,
 `schur-range` and every argument error finish without importing numpy.
-Library names such as `hartogs.cli.kernel_hartogs` still read as their home
-modules' objects (see `__getattr__`).
+Eleven library names, such as `hartogs.cli.kernel_hartogs`, still read as
+their home modules' objects (see `__getattr__`); every other library name
+is read from its home module.
 """
 
 from __future__ import annotations
@@ -34,23 +35,20 @@ from .config import NumericConfig
 
 def __getattr__(name: str):
     """Library names read through this module, such as
-    `hartogs.cli.kernel_hartogs`: each is its home module's object, imported
-    on access (PEP 562), so importing this module loads none of them. Nothing
-    is cached, so a name replaced in its home module reads replaced here."""
-    if name in ("blowup_demo", "blowup_eval", "projected_blowup"):
+    `hartogs.cli.kernel_hartogs`: the eleven that `perfbench/oracles.py`
+    reads, each its home module's object, imported on access (PEP 562), so
+    importing this module loads none of them. Nothing is cached, so a name
+    replaced in its home module reads replaced here."""
+    if name == "blowup_demo":
         from . import counterexample as home
-    elif name in ("HartogsDomainSpec", "MapFamily", "product_model_contains"):
+    elif name == "HartogsDomainSpec":
         from . import domains as home
-    elif name in ("asymptotic_ratio_check", "sphere_moment", "sphere_moment_mc"):
+    elif name in ("asymptotic_ratio_check", "sphere_moment_mc"):
         from . import estimates as home
-    elif name in ("check_bergman_monomial", "kernel_ball", "kernel_hartogs", "kernel_product",
-                  "kernel_punctured_disk", "kernel_truncated", "mc_bergman_projection",
-                  "monomial_norm_sq_ball"):
+    elif name in ("kernel_hartogs", "mc_bergman_projection"):
         from . import kernels as home
-    elif name in ("SchurWitness", "admissible_p_range", "feasible_params", "schur_verify"):
+    elif name in ("feasible_params", "schur_verify"):
         from . import schur as home
-    elif name == "monomial":
-        from . import special as home
     elif name in ("jacobian_bounds", "pullback_isometry_check", "transfer_norm_bound"):
         from . import transfer as home
     else:

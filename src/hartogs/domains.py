@@ -406,12 +406,12 @@ def from_product_model(n: int, k: int, w) -> np.ndarray:
     z_j = w_j w_(j+1) ... w_n, built from the right as z_j = z_(j+1) * w_j,
     one column at a time: the chain is 1 to a few columns wide, where a
     numpy reduction along it costs more per row than the products."""
-    w = _check_point(n, w)
-    return _suffix_products(n, k, w, np.empty_like(w))
+    return _suffix_products(n, k, _check_point(n, w))
 
 
-def _suffix_products(n: int, k: int, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """`from_product_model` of the checked batch w, written into z (w's shape)."""
+def _suffix_products(n: int, k: int, w: np.ndarray) -> np.ndarray:
+    """`from_product_model` of the checked batch w, as a new batch in w's layout."""
+    z = np.empty_like(w)
     z[..., n - 1] = w[..., n - 1]
     for j in range(n - 2, k - 1, -1):
         z[..., j] = z[..., j + 1] * w[..., j]
@@ -482,15 +482,8 @@ def product_draws_per_point(spec: HartogsDomainSpec) -> int:
 def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
                          r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
     """Transform one uniform row per point into a product-model point."""
-    # each uniform column contiguous, as each output column is
-    return _fill_product_batch(spec, np.asfortranarray(u), _new_batch((u.shape[0], spec.n)),
-                               r_max, disk_r_min)
-
-
-def _fill_product_batch(spec: HartogsDomainSpec, u: np.ndarray, out: np.ndarray,
-                        r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
-    """Write the product-model points of the column-major uniform rows u
-    into the batch `out`, and return the batch."""
+    u = np.asfortranarray(u)  # each uniform column contiguous, as each output column is
+    out = _new_batch((u.shape[0], spec.n))
     col = 0
     for (kj, _), sl in zip(spec.blocks, spec.slices):
         d = sampling.ball_draws_per_point(kj)
@@ -504,8 +497,9 @@ def _fill_product_batch(spec: HartogsDomainSpec, u: np.ndarray, out: np.ndarray,
 
 def product_points(spec: HartogsDomainSpec, rng: np.random.Generator, count: int,
                    r_max: float = 1.0, disk_r_min: float = 0.0) -> np.ndarray:
-    u = rng.random((count, product_draws_per_point(spec)))
-    return product_from_uniform(spec, u, r_max, disk_r_min)
+    # passed on unnamed, so the row-major draw is freed once it is made column-major
+    return product_from_uniform(spec, rng.random((count, product_draws_per_point(spec))),
+                                r_max, disk_r_min)
 
 
 def sample_product_model(spec: HartogsDomainSpec, count: int, seed: int,

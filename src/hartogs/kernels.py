@@ -43,9 +43,8 @@ import numpy as np
 
 from . import mc
 from .domains import (HartogsDomainSpec, _block_images, _block_jacobians, _chain_jacobian,
-                      _check_point, _fill_product_batch, _new_batch, _quotients,
-                      _standard_contains, _suffix_products, contains, jacobian_det_from_product,
-                      product_draws_per_point, to_product_model)
+                      _check_point, _quotients, _standard_contains, _suffix_products, contains,
+                      jacobian_det_from_product, product_points, to_product_model)
 from .special import int_power, log_factorial, lone_point_as_row
 
 Model = str | Tuple[str, object]
@@ -277,10 +276,9 @@ def mc_bergman_projection(spec: HartogsDomainSpec, f: Callable[[np.ndarray], np.
     det_z = jacobian_det_from_product(n, k, fz)
 
     def values(rng: np.random.Generator, count: int) -> np.ndarray:
-        shape = (count, product_draws_per_point(spec))
-        w = _fill_product_batch(spec, np.asfortranarray(rng.random(shape)), _new_batch((count, n)))
+        w = product_points(spec, rng, count)
         det_w = _chain_jacobian(n, k, w)
-        fw = f(_suffix_products(n, k, w, _new_batch((count, n))))
+        fw = f(_suffix_products(n, k, w))
         quotient = np.multiply(det_w, fw, out=np.empty(count, complex))
         return np.divide(quotient, _product_denominator(spec, fz, w), out=quotient)
 

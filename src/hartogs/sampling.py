@@ -63,14 +63,7 @@ def disk_modulus_sq_from_uniform(u1: np.ndarray, r_min: float = 0.0,
     """|w|^2 of the annulus points `disk_from_uniform` makes, bit for bit, from
     u1, the first uniform of each draw pair; no angle is computed. r_max may
     be an array that broadcasts against u1 (one radius per column)."""
-    return _disk_modulus_sq_into(u1, r_min, r_max, None)
-
-
-def _disk_modulus_sq_into(u1: np.ndarray, r_min: float, r_max: float | np.ndarray,
-                          out: np.ndarray | None) -> np.ndarray:
-    """`disk_modulus_sq_from_uniform(u1, r_min, r_max)` written into `out`
-    (a new array for None)."""
-    out = np.multiply(u1, r_max * r_max - r_min * r_min, out=out)
+    out = np.multiply(u1, r_max * r_max - r_min * r_min)
     out += r_min * r_min  # in place, or a new scalar for scalar arguments
     return out
 
@@ -81,20 +74,18 @@ def polar_from_uniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     the imaginary part of one complex array. Each part is within a few ulps
     of r times the exact cosine or sine; u = 0 gives (r, 0) exactly, and
     near u = 1/2, where t is about 1e16, t^2 stays far from overflow."""
-    shape = np.shape(u)
-    return _polar_into(r, u, np.empty(shape, dtype=complex), np.empty(shape), np.empty(shape))
+    return _polar_into(r, u, np.empty(np.shape(u), dtype=complex))
 
 
-def _polar_into(r, u: np.ndarray, out: np.ndarray, t: np.ndarray,
-                scale: np.ndarray) -> np.ndarray:
-    """`polar_from_uniform(r, u)` written into the complex array `out`, with
-    t and scale float arrays of u's shape to work in."""
+def _polar_into(r, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`polar_from_uniform(r, u)` written into the complex array `out`, such
+    as a column of a batch."""
     re = out.real
     im = out.imag
-    np.multiply(np.pi, u, out=t)
+    t = np.multiply(np.pi, u, out=np.empty(np.shape(u)))  # an array also for a scalar u
     np.tan(t, out=t)
     np.multiply(t, t, out=re)              # t^2
-    np.add(re, 1.0, out=scale)
+    scale = np.add(re, 1.0, out=np.empty_like(t))
     np.divide(r, scale, out=scale)         # r / (1 + t^2)
     np.subtract(1.0, re, out=re)
     re *= scale
@@ -111,10 +102,9 @@ def disk_from_uniform(u: np.ndarray, r_min: float = 0.0, r_max: float = 1.0) -> 
 def _disk_into(u: np.ndarray, r_min: float, r_max: float, out: np.ndarray) -> np.ndarray:
     """`disk_from_uniform(u, r_min, r_max)` written into the complex array
     `out`, such as a column of a batch."""
-    shape = (u.shape[0],)
-    rad = _disk_modulus_sq_into(u[:, 0], r_min, r_max, np.empty(shape))
+    rad = disk_modulus_sq_from_uniform(u[:, 0], r_min, r_max)
     np.sqrt(rad, out=rad)
-    return _polar_into(rad, u[:, 1], out, np.empty(shape), np.empty(shape))
+    return _polar_into(rad, u[:, 1], out)
 
 
 def ball_draws_per_point(k: int) -> int:

@@ -148,10 +148,10 @@ def _box_candidates(spec: HartogsDomainSpec, u: np.ndarray,
 
 def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
                                               Callable[[np.ndarray, np.ndarray], np.ndarray]]],
-                             samples: int, seed: int,
                              cfg: NumericConfig) -> list[tuple[float, float]]:
     """Mean of each side's integrand over its domain w.r.t. the normalized
-    block measure, every side from one Monte-Carlo pass.
+    block measure, every side from one Monte-Carlo pass of `cfg.mc_samples`
+    proposals seeded by `cfg.seed`.
 
     A side is (name, spec, integrand); all specs have one n, and the
     integrand takes the accepted points and their standard-model images,
@@ -199,11 +199,11 @@ def _box_rejection_integrals(sides: list[tuple[str, HartogsDomainSpec,
         accepted.append(hits)
         return out
 
-    results = mc.mc_mean(values, samples, seed, cfg.chunk_size, cfg.workers)
+    results = mc.mc_mean(values, cfg.mc_samples, cfg.seed, cfg.chunk_size, cfg.workers)
     for (name, _, _), side_hits in zip(sides, zip(*accepted)):
         if sum(side_hits) == 0:
             raise ValueError(f"the box-rejection estimate of the {name} side accepted none "
-                             f"of its {samples} proposals, so it has no error bar; raise "
+                             f"of its {cfg.mc_samples} proposals, so it has no error bar; raise "
                              f"the sample count (--samples)")
     return [(float(np.real(est)), err) for est, err in results]
 
@@ -231,5 +231,5 @@ def pullback_isometry_check(spec: HartogsDomainSpec,
 
     (src, src_err), (tgt, tgt_err) = _box_rejection_integrals(
         [("source", spec, source_integrand), ("target", spec.standardized(), target_integrand)],
-        cfg.mc_samples, cfg.seed, cfg)
+        cfg)
     return PullbackReport(src, src_err, tgt, tgt_err)

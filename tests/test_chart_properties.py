@@ -2,8 +2,10 @@
 
 The maps between a domain, its standard model and the product model are
 inverse to each other; membership is the standard-model test of the image
-under `to_standard_model`, also within 1e-12 of the boundary; and the
-Bergman kernel is Hermitian, K(z, zeta) = conj K(zeta, z).
+under `to_standard_model`, also within 1e-12 of the boundary; the Bergman
+kernel is Hermitian, K(z, zeta) = conj K(zeta, z), and its Gram matrix on a
+few domain points is positive semidefinite; and the truncated kernel
+converges to the closed form.
 
 Points are built in the product model, where the domain is a product of
 balls and disks: each ball block and chain disk is a direction times a
@@ -12,6 +14,7 @@ modulus of one of its parts.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -42,12 +45,13 @@ def _parts(spec: HartogsDomainSpec) -> list[slice]:
 
 
 @st.composite
-def product_points(draw, spec: HartogsDomainSpec, edge: bool = False):
-    """(points, inside): 1 to 5 product-model rows whose parts have moduli in
-    [0.05, 0.9]. With `edge`, one part of each row has modulus 1 -+ EDGE
-    instead, so the row lies just inside or just outside the domain, as
-    `inside` says."""
-    count = draw(st.integers(1, 5))
+def product_points(draw, spec: HartogsDomainSpec, edge: bool = False,
+                   max_count: int = 5, max_modulus: float = 0.9):
+    """(points, inside): 1 to `max_count` product-model rows whose parts have
+    moduli in [0.05, max_modulus]. With `edge`, one part of each row has
+    modulus 1 -+ EDGE instead, so the row lies just inside or just outside
+    the domain, as `inside` says."""
+    count = draw(st.integers(1, max_count))
     parts = _parts(spec)
     points = np.empty((count, spec.n), dtype=complex)
     inside = np.ones(count, dtype=bool)
@@ -61,7 +65,7 @@ def product_points(draw, spec: HartogsDomainSpec, edge: bool = False):
                 inside[i] = draw(st.booleans())
                 modulus = 1.0 - EDGE if inside[i] else 1.0 + EDGE
             else:
-                modulus = draw(st.floats(0.05, 0.9))
+                modulus = draw(st.floats(0.05, max_modulus))
             points[i, sl] = direction * (modulus / np.linalg.norm(direction))
     return points, inside
 
@@ -117,3 +121,54 @@ def test_kernel_is_hermitian(name, data):
         lhs = kernels.kernel_hartogs(spec, a, b)
         rhs = np.conj(kernels.kernel_hartogs(spec, b, a))
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) <= 1e-13
+
+
+STANDARD_21 = HartogsDomainSpec.standard(2, 1)
+GRAM_SPECS = {
+    "standard(2,1)": STANDARD_21,
+    "standard(3,1)": HartogsDomainSpec.standard(3, 1),
+    "affine4": SPECS["affine4"],
+    "rational3": SPECS["rational3"],
+}
+
+
+@pytest.mark.parametrize("name", GRAM_SPECS)
+@properties
+@given(data=st.data())
+def test_gram_matrix_is_positive_semidefinite(name, data):
+    # sum_ij conj(c_i) K(z_i, z_j) c_j = ||sum_j c_j K(., z_j)||^2 >= 0
+    spec = GRAM_SPECS[name]
+    product, _ = data.draw(product_points(spec, max_count=6))
+    z = _domain_points(spec, product)
+    gram = kernels.kernel_hartogs(spec, z[:, None, :], z[None, :, :])
+    assert np.all(np.abs(gram - gram.conj().T) <= 1e-13 * np.abs(gram))
+    smallest = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0]
+    assert smallest >= -1e-10 * np.max(np.abs(gram))
+
+
+# (truncated model, closed form, spec whose points are drawn, their columns).
+# With |<w, eta>| <= 1/2 on each of the factors, whose exponents k_j + 1 sum
+# to K, the degree-m part is at most C(m+K-1, K-1) 2^-m and the closed form
+# at least (3/2)^-K, so the tail beyond degree 60 is below 1e-12 relative
+# only while K <= 4 (2e-13 at K = 4, 5e-12 at K = 5).
+TRUNCATED = {
+    "disk": ("disk", kernels.kernel_punctured_disk, STANDARD_21, 1),
+    "ball3": (("ball", 3), functools.partial(kernels.kernel_ball, 3),
+              HartogsDomainSpec.standard(4, 3), slice(0, 3)),
+    "product(2,1)": (("product", STANDARD_21), functools.partial(kernels.kernel_product,
+                                                                 STANDARD_21),
+                     STANDARD_21, slice(None)),
+}
+
+
+@pytest.mark.parametrize("name", TRUNCATED)
+@properties
+@given(data=st.data())
+def test_truncated_kernel_converges_to_the_closed_form(name, data):
+    model, closed_form, spec, columns = TRUNCATED[name]
+    # parts of modulus <= 0.7 on both sides: |<w, eta>| <= 0.49 on each factor
+    w = data.draw(product_points(spec, max_modulus=0.7))[0][:, columns]
+    eta = data.draw(product_points(spec, max_modulus=0.7))[0][:1, columns]
+    exact = closed_form(w, eta)
+    got = kernels.kernel_truncated(model, 60, w, eta)
+    assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-12

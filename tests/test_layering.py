@@ -14,7 +14,9 @@ and only the two series wrappers call `_series_sum`. Stdout has one owner:
 no module imports `csv`, only `cli` writes a `.12g` format, and no class
 outside `domains` (whose spec files are read back) serializes itself. A
 lone point has one rule: outside `special` no module tests whether an array
-is 0-d, and none defines its own lone-point helper.
+is 0-d, and none defines its own lone-point helper. A product-model batch has
+one owner: outside `domains` no module imports `_new_batch` or a `_fill_*`
+name from it, so a batch is made by `product_points`.
 """
 
 import ast
@@ -279,3 +281,22 @@ def test_only_special_decides_a_lone_point():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name in LONE_HELPERS}
     assert defined == set()
+
+
+def _domains_imports(name: str) -> set[str]:
+    """Names one module imports from `domains`, at any depth."""
+    return {alias.name for node in ast.walk(_tree(name))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[-1] == "domains"
+            for alias in node.names}
+
+
+def _owns_batches(imported: str) -> bool:
+    return imported == "_new_batch" or imported.startswith("_fill_")
+
+
+def test_only_domains_makes_product_batches():
+    assert "_check_point" in _domains_imports("kernels")  # the walk sees `from .domains`
+    importers = {(name, imported) for name in MODULES if name != "domains"
+                 for imported in _domains_imports(name) if _owns_batches(imported)}
+    assert importers == set()
