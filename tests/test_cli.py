@@ -910,13 +910,60 @@ _PINNED_STDOUT = [
      '  "low": 1.5,\n'
      '  "high": 3\n'
      '}\n'),
+    (["schur-verify", "--n", "3", "--k", "1", "--p", "2.9", "--seed", "11"],
+     '{\n'
+     '  "feasible": true,\n'
+     '  "p": 2.9,\n'
+     '  "q": 1.52631578947,\n'
+     '  "witness": {\n'
+     '    "s": -0.172413793103,\n'
+     '    "t": {\n'
+     '      "2": -0.844827586207,\n'
+     '      "3": -1.34482758621\n'
+     '    }\n'
+     '  },\n'
+     '  "ratios_summary": {\n'
+     '    "max": 88.3411764451,\n'
+     '    "mean": 20.61009358,\n'
+     '    "cond1_max": 18.5872370885,\n'
+     '    "cond2_max": 88.3411764451\n'
+     '  },\n'
+     '  "samples": 400,\n'
+     '  "notes": []\n'
+     '}\n'),
+    # divergent chain exponents: the radial quadrature route and its note
+    (["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--witness-s=-0.25",
+      "--witness-t=-2", "--samples", "20", "--seed", "3"],
+     '{\n'
+     '  "feasible": true,\n'
+     '  "p": 2,\n'
+     '  "q": 2,\n'
+     '  "witness": {\n'
+     '    "s": -0.25,\n'
+     '    "t": {\n'
+     '      "2": -2\n'
+     '    }\n'
+     '  },\n'
+     '  "ratios_summary": {\n'
+     '    "max": 176.213468194,\n'
+     '    "mean": 116.496569165,\n'
+     '    "cond1_max": 176.213468194,\n'
+     '    "cond2_max": 176.213468194\n'
+     '  },\n'
+     '  "samples": 20,\n'
+     '  "notes": [\n'
+     '    "chain factor j=2: divergent exponents (alpha=-0.5, beta=-3); using radial '
+     'quadrature truncated at 0.01"\n'
+     '  ]\n'
+     '}\n'),
 ]
 
 
 class TestPinnedStdout:
     @pytest.mark.parametrize("argv,stdout", _PINNED_STDOUT, ids=[
         "blowup-m-list", "blowup-m-max", "kernel-disk", "kernel-ball", "kernel-product",
-        "kernel-hartogs", "kernel-affine4", "schur-range"])
+        "kernel-hartogs", "kernel-affine4", "schur-range", "schur-verify",
+        "schur-verify-quad"])
     def test_bytes(self, argv, stdout, capsys):
         assert run(argv) == 0
         assert capsys.readouterr().out == stdout
