@@ -437,7 +437,8 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
     with s = |eta|^2 and x = r^2 this leaves
     int_(c^2)^1 (1-s)^alpha s^(beta/2) / (1 - x s) ds, c the inner cutoff. A
     positive cutoff makes divergent exponents (beta <= -2) finite, which is
-    how endpoint violations are quantified.
+    how endpoint violations are quantified; there c must be at least
+    1.4917e-154, so that c^2 is a normal double.
 
     The rule is fixed and vectorized over r (a scalar r gives a float):
       * on [a, 1] with a = max(c^2, 1/2), Gauss-Jacobi nodes absorb
@@ -455,8 +456,10 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
         raise ValueError(f"beta must be finite, got {beta}")
     if not 0.0 <= inner_cutoff < 1.0:
         raise ValueError("inner cutoff must lie in [0, 1)")
-    if beta <= -2.0 and inner_cutoff <= 0.0:
-        raise ValueError("beta <= -2 diverges; supply a positive inner cutoff")
+    if beta <= -2.0 and not inner_cutoff ** 2 >= np.finfo(float).tiny:
+        # below that, c^2 is subnormal (digits lost) or 0 (the integral diverges)
+        raise ValueError("beta <= -2 diverges; the inner cutoff must be at least "
+                         f"1.4917e-154, so that its square is a normal double, got {inner_cutoff}")
     x = radii * radii
     h = beta / 2.0
     low = inner_cutoff ** 2

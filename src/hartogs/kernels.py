@@ -80,14 +80,18 @@ def _ball_denominator(k: int, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return int_power(base, k + 1)
 
 
+def _factor_columns(spec: HartogsDomainSpec) -> list[tuple[int, slice]]:
+    """(k, columns) of each ball factor of the product model: the blocks, then
+    the chain disks, each the ball with k = 1."""
+    return ([(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
+            + [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)])
+
+
 def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The reciprocal of the product kernel: the product of the factor
-    denominators, with no division, each product written into a new array;
-    a chain disk is the ball with k = 1."""
-    blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
-    blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
+    denominators, with no division, each product written into a new array."""
     den = None
-    for kj, sl in blocks:
+    for kj, sl in _factor_columns(spec):
         factor = _ball_denominator(kj, w[..., sl], eta[..., sl])
         den = factor if den is None else np.multiply(factor, den, out=np.empty_like(factor))
     return den
@@ -201,8 +205,7 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
     elif isinstance(model, tuple) and model[0] == "product":
         spec: HartogsDomainSpec = model[1]
         w, eta = _points(w, eta, spec.n)
-        blocks = [(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
-        blocks += [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)]
+        blocks = _factor_columns(spec)
     else:
         raise ValueError(f"unknown truncated-kernel model {model!r}")
     return _generating_coefficient(blocks, N, w, eta)

@@ -12,8 +12,8 @@ for every k; `feasible_params` decides feasibility by that sharp range alone.
 
 `schur_verify` estimates both Schur conditions on sampled product-model
 points. The condition integrals factor exactly into one weighted ball
-integral per block and one weighted disk integral per chain coordinate, so no
-high-dimensional quadrature is ever performed.
+integral per block and one weighted disk integral per chain coordinate, each
+a `_Factor`, so no high-dimensional quadrature is ever performed.
 
 The windows and the sharp range are arithmetic on n, k and p: numpy,
 `domains` and `estimates` are imported by the verifier alone, so
@@ -144,51 +144,51 @@ class SchurReport:
         return float(np.concatenate([self.cond1, self.cond2]).mean())
 
 
-def _condition_ratios(spec: HartogsDomainSpec, witness: SchurWitness, exponent: float,
-                      points: np.ndarray, puncture_margin: float,
-                      notes: list[str], name: str) -> np.ndarray:
-    """Factored estimate of one Schur condition, divided by h^exponent; a
-    factor integral of 0 or a ratio past float64 is a ValueError naming the
-    condition and the witness."""
-    import numpy as np
+@dataclass(frozen=True)
+class _Factor:
+    """One Schur-condition factor: the ball integral of the k-block on columns
+    `cols` (j = 0) or the disk integral of chain coordinate j, alpha = s e, te = t_j e."""
 
-    from .estimates import (weighted_ball_integral, weighted_disk_integral,
-                            weighted_disk_integral_quad)
-    e = exponent
-    alpha = witness.s * e
-    n, k = spec.n, spec.k
-    count = points.shape[0]
-    log_ratio = np.zeros(count)
-    where = f"Schur condition {name} (exponent {e:.6g}, witness s={witness.s}, t={witness.t})"
+    k: int
+    cols: slice | int
+    j: int
+    alpha: float
+    te: float = 0.0
 
-    def log(vals: np.ndarray, factor: str) -> np.ndarray:
+    @property
+    def beta(self) -> float:
+        return self.te + (self.j - 1)
+
+    @property
+    def quad(self) -> bool:  # divergent disk exponents: radial quadrature from the margin
+        return self.j > 0 and not (self.alpha > -1.0 and self.beta > -2.0)
+
+    def log_value(self, r: np.ndarray, margin: float, where: str) -> np.ndarray:
+        """log(integral / weight) at the moduli r; each ValueError names `where`."""
+        import numpy as np
+
+        from .estimates import (weighted_ball_integral, weighted_disk_integral,
+                                weighted_disk_integral_quad)
+        name = f"j={self.j} chain" if self.j else f"k={self.k} block"
+        if self.quad and not margin ** 2 >= np.finfo(float).tiny:  # also true for margin 0
+            raise ValueError(f"{where}: the {name} integral diverges; its quadrature needs a "
+                             f"puncture margin (--puncture-margin) >= 1.4917e-154, got {margin}")
+        vals = (weighted_disk_integral_quad(self.alpha, self.beta, r, margin) if self.quad
+                else weighted_disk_integral(self.alpha, self.beta, r) if self.j
+                else weighted_ball_integral(self.k, self.alpha, r))
         if not (vals > 0.0).all():
-            raise ValueError(f"{where}: the {factor} integral underflows to 0")
-        return np.log(vals)
+            raise ValueError(f"{where}: the {name} integral underflows to 0")
+        if not self.j:
+            return np.log(vals) - self.alpha * np.log1p(-r ** 2)
+        return (np.log(vals) - (self.j - 1) * np.log(r) - self.alpha * np.log1p(-r ** 2)
+                - self.te * np.log(r))
 
-    for (kj, _), sl in zip(spec.blocks, spec.slices):
-        radii = np.linalg.norm(points[:, sl], axis=1)
-        log_ratio += (log(weighted_ball_integral(kj, alpha, radii), f"k={kj} block")
-                      - alpha * np.log1p(-radii ** 2))
 
-    for j in range(k + 1, n + 1):  # 1-based chain index
-        t_j = witness.t[j]
-        beta = t_j * e + (j - 1)
-        radii = np.abs(points[:, j - 1])
-        if alpha > -1.0 and beta > -2.0:
-            vals = weighted_disk_integral(alpha, beta, radii)
-        else:
-            note = (f"chain factor j={j}: divergent exponents (alpha={alpha:.6g}, "
-                    f"beta={beta:.6g}); using radial quadrature truncated at "
-                    f"{puncture_margin:.3g}")
-            if note not in notes:
-                notes.append(note)
-            vals = weighted_disk_integral_quad(alpha, beta, radii, puncture_margin)
-        log_ratio += (log(vals, f"j={j} chain") - (j - 1) * np.log(radii)
-                      - alpha * np.log1p(-radii ** 2) - t_j * e * np.log(radii))
-    if log_ratio.max() > math.log(np.finfo(float).max):
-        raise ValueError(f"{where}: the ratio overflows float64")
-    return np.exp(log_ratio)
+def _factors(spec: HartogsDomainSpec, witness: SchurWitness, e: float) -> list[_Factor]:
+    """The factors of the Schur condition with exponent e: blocks, then chain disks."""
+    alpha = witness.s * e
+    return ([_Factor(kj, sl, 0, alpha) for (kj, _), sl in zip(spec.blocks, spec.slices)]
+            + [_Factor(1, c, c + 1, alpha, witness.t[c + 1] * e) for c in range(spec.k, spec.n)])
 
 
 def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
@@ -205,6 +205,8 @@ def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
     witness stay bounded; endpoint or out-of-window witnesses blow up as the
     margins tighten.
     """
+    import numpy as np
+
     from .domains import HartogsDomainSpec, sample_product_model
     # the names in parentheses are the CLI options that set these values
     if not 0.0 <= puncture_margin < 1.0 - boundary_margin <= 1.0:  # also false for NaN, inf
@@ -224,7 +226,18 @@ def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
                                   r_max=1.0 - boundary_margin,
                                   disk_r_min=puncture_margin,
                                   chunk_size=cfg.chunk_size)
-    notes: list[str] = []
-    cond1 = _condition_ratios(spec, witness, q, points, puncture_margin, notes, "cond1")
-    cond2 = _condition_ratios(spec, witness, p, points, puncture_margin, notes, "cond2")
-    return SchurReport(n, k, p, q, witness, cond1, cond2, samples, notes)
+    factors = [_factors(spec, witness, e) for e in (q, p)]
+    moduli = [np.abs(points[:, f.cols]) if f.j else np.linalg.norm(points[:, f.cols], axis=1)
+              for f in factors[0]]
+    ratios = []
+    for name, e, terms in zip(("cond1", "cond2"), (q, p), factors):
+        where = f"Schur condition {name} (exponent {e:.6g}, witness s={witness.s}, t={witness.t})"
+        log_ratio = sum(f.log_value(r, puncture_margin, where) for f, r in zip(terms, moduli))
+        if log_ratio.max() > math.log(np.finfo(float).max):
+            raise ValueError(f"{where}: the ratio overflows float64")
+        ratios.append(np.exp(log_ratio))
+    notes = list(dict.fromkeys(  # at p = 2 both conditions give the same note
+        f"chain factor j={f.j}: divergent exponents (alpha={f.alpha:.6g}, "
+        f"beta={f.beta:.6g}); using radial quadrature truncated at {puncture_margin:.3g}"
+        for terms in factors for f in terms if f.quad))
+    return SchurReport(n, k, p, q, witness, *ratios, samples, notes)

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: finite-difference Jacobians,
-harmonic numbers, multi-indices and a bisection oracle for the sharp range."""
+harmonic numbers, multi-indices, a bisection oracle for the sharp range and
+mpmath quadratures of the weighted ball and disk integrals."""
 
 import math
 from itertools import combinations_with_replacement
@@ -83,3 +84,48 @@ def p_range_by_search(n: int, k: int, tol: float = 1e-9, iters: int = 60
             break
     high_end = 0.5 * (lo + hi)
     return low_end, high_end
+
+
+def disk_quad_ref(mpmath, alpha, beta, r, cutoff):
+    """int_(c^2)^1 (1-s)^alpha s^(beta/2) / (1 - r^2 s) ds in mpmath.
+
+    The endpoint factors are absorbed by substitution, not left to
+    tanh-sinh: 1 - s = v^(1/(alpha+1)) on [max(c^2, 1/2), 1] (plain
+    tanh-sinh in t loses a third of the value at alpha = -0.99), and
+    s = z^(1/(beta/2+1)) or u = log s below 1/2.
+    """
+    a, h, x = mpmath.mpf(alpha), mpmath.mpf(beta) / 2, mpmath.mpf(r) ** 2
+    low = mpmath.mpf(cutoff) ** 2
+    top = max(low, mpmath.mpf(0.5))
+
+    def near_one(v):
+        s = 1 - v ** (1 / (a + 1))
+        return s ** h / (1 - x * s) / (a + 1)
+
+    total = mpmath.quad(near_one, mpmath.linspace(0, (1 - top) ** (a + 1), 6))
+    if low < top and low > 0:
+        total += mpmath.quad(lambda u: (1 - mpmath.e ** u) ** a * mpmath.e ** (u * (h + 1))
+                             / (1 - x * mpmath.e ** u),
+                             mpmath.linspace(mpmath.log(low), mpmath.log(top), 6))
+    elif low < top:
+        def near_zero(z):
+            s = z ** (1 / (h + 1))
+            return (1 - s) ** a / (1 - x * s) / (h + 1)
+        total += mpmath.quad(near_zero, mpmath.linspace(0, top ** (h + 1), 6))
+    return total
+
+
+def ball_quad_ref(mpmath, k, alpha, r):
+    """The weighted ball integral as an mpmath radial quadrature,
+    int_0^1 k s^(k-1) (1-s)^alpha 2F1((k+1)/2, (k+1)/2; k; r^2 s) ds, with s
+    the squared radius and the 2F1 the sphere average of the kernel (Rudin,
+    Function Theory in the Unit Ball of C^n, 1.4.10). The substitution
+    1 - s = v^(1/(alpha+1)) absorbs the endpoint factor, as in
+    `disk_quad_ref`."""
+    a, h, x = mpmath.mpf(alpha), mpmath.mpf(k + 1) / 2, mpmath.mpf(r) ** 2
+
+    def integrand(v):
+        s = 1 - v ** (1 / (a + 1))
+        return k * s ** (k - 1) * mpmath.hyp2f1(h, h, k, x * s) / (a + 1)
+
+    return mpmath.quad(integrand, [0, 1])

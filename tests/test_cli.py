@@ -836,6 +836,20 @@ class TestExtremeValues:
         condition = "Schur condition cond1 (exponent 2, witness s=20000.0, t={2: %r})"
         assert f"{condition % float(witness_t)}: {message}" in captured.err
 
+    @pytest.mark.parametrize("margin", ["0", "1e-160", "1e-300"])
+    def test_schur_quad_route_margin_with_a_subnormal_square_exits_2(self, margin, capsys):
+        # 1e-160 printed 12 digits of which about 6 were right, 1e-300 the
+        # quadrature's own Jacobi error, 0 a message naming no option
+        argv = ["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--witness-s=-0.25",
+                "--witness-t=-2", "--samples", "5", "--puncture-margin", margin]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        condition = "Schur condition cond1 (exponent 2, witness s=-0.25, t={2: -2.0})"
+        assert (f"{condition}: the j=2 chain integral diverges; its quadrature needs a "
+                f"puncture margin (--puncture-margin) >= 1.4917e-154, got {float(margin)}"
+                in captured.err)
+
     @pytest.mark.parametrize("argv", [_tiny_samples_argv(60)], ids=["squares-underflow"])
     def test_extreme_samples_keep_a_finite_error_bar(self, argv, capsys):
         assert run(argv) == 0

@@ -21,6 +21,7 @@ from hartogs.estimates import (NonConvergenceError, asymptotic_ratio_check,
                                weighted_disk_integral_mc,
                                weighted_disk_integral_quad,
                                weighted_disk_integral_series)
+from helpers import disk_quad_ref
 
 FAST_CFG = NumericConfig(seed=101, mc_samples=80_000)
 
@@ -502,35 +503,6 @@ def _disk_ref(mpmath, alpha, beta, r):
     return mpmath.beta(a + 1, b) * mpmath.hyp2f1(1, b, a + b + 1, mpmath.mpf(r) ** 2)
 
 
-def _disk_quad_ref(mpmath, alpha, beta, r, cutoff):
-    """int_(c^2)^1 (1-s)^alpha s^(beta/2) / (1 - r^2 s) ds in mpmath.
-
-    The endpoint factors are absorbed by substitution, not left to
-    tanh-sinh: 1 - s = v^(1/(alpha+1)) on [max(c^2, 1/2), 1] (plain
-    tanh-sinh in t loses a third of the value at alpha = -0.99), and
-    s = z^(1/(beta/2+1)) or u = log s below 1/2.
-    """
-    a, h, x = mpmath.mpf(alpha), mpmath.mpf(beta) / 2, mpmath.mpf(r) ** 2
-    low = mpmath.mpf(cutoff) ** 2
-    top = max(low, mpmath.mpf(0.5))
-
-    def near_one(v):
-        s = 1 - v ** (1 / (a + 1))
-        return s ** h / (1 - x * s) / (a + 1)
-
-    total = mpmath.quad(near_one, mpmath.linspace(0, (1 - top) ** (a + 1), 6))
-    if low < top and low > 0:
-        total += mpmath.quad(lambda u: (1 - mpmath.e ** u) ** a * mpmath.e ** (u * (h + 1))
-                             / (1 - x * mpmath.e ** u),
-                             mpmath.linspace(mpmath.log(low), mpmath.log(top), 6))
-    elif low < top:
-        def near_zero(z):
-            s = z ** (1 / (h + 1))
-            return (1 - s) ** a / (1 - x * s) / (h + 1)
-        total += mpmath.quad(near_zero, mpmath.linspace(0, top ** (h + 1), 6))
-    return total
-
-
 def _disk_quad_alg(alpha, beta, r, cutoff):
     """The same integral by QUADPACK's algebraic-weight rule (QAWS), which
     integrates the (1-s)^alpha endpoint factor, and s^(beta/2) at s = 0,
@@ -886,7 +858,7 @@ class TestQuadratureRule:
         (3.0, -6.0, 0.99999, 0.5), (-0.5, -3.0, 0.99999, 0.001), (-0.5, 1.0, 0.99999, 0.0)])
     def test_edge_cases_match_mpmath(self, alpha, beta, r, cutoff):
         mpmath = _mp(20)
-        want = _disk_quad_ref(mpmath, alpha, beta, r, cutoff)
+        want = disk_quad_ref(mpmath, alpha, beta, r, cutoff)
         assert _rel(weighted_disk_integral_quad(alpha, beta, r, cutoff), want) <= 1e-11
 
     def test_alpha_near_minus_one(self):
@@ -918,3 +890,17 @@ class TestQuadratureRule:
             weighted_disk_integral_quad(-1.0, -3.0, 0.5, 0.1)
         with pytest.raises(ValueError, match="inner cutoff"):
             weighted_disk_integral_quad(-0.5, -3.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("cutoff", [0.0, 5e-324, 1e-300, 1e-162, 1e-160, 1e-158, 1e-155,
+                                        1.4916e-154])
+    def test_divergent_exponents_reject_a_cutoff_with_a_subnormal_square(self, cutoff):
+        # below 1.4917e-154, c^2 is subnormal (1e-160 gave 6 right digits) or 0
+        # (the zero-cutoff rule then refused its own Jacobi exponent)
+        for beta in (-2.0, -3.0):
+            with pytest.raises(ValueError, match="inner cutoff must be at least 1.4917e-154"):
+                weighted_disk_integral_quad(-0.5, beta, 0.5, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [1e-150, 1.4917e-154])
+    def test_smallest_accepted_cutoffs_match_mpmath(self, cutoff):
+        want = disk_quad_ref(_mp(), -0.5, -3.0, 0.5, cutoff)
+        assert _rel(weighted_disk_integral_quad(-0.5, -3.0, 0.5, cutoff), want) <= 1e-12

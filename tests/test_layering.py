@@ -10,7 +10,8 @@ is a leaf without it, and `cli` and `schur` import it inside functions.
 Threads have one owner each: only `mc` imports `concurrent.futures`,
 `threading` or `weakref`, and only `config` asks for the CPU affinity. The weighted integrals have one route: only `special`
 names the cap on the 2F1 parameter c, no module names the reference series,
-and only the two series wrappers call `_series_sum`. Stdout has one owner:
+and only the two series wrappers call `_series_sum`; inside `schur`, only
+`_Factor.log_value` calls a weighted integral. Stdout has one owner:
 no module imports `csv`, only `cli` writes a `.12g` format, and no class
 outside `domains` (whose spec files are read back) serializes itself. A
 lone point has one rule: outside `special` no module tests whether an array
@@ -220,6 +221,21 @@ def _callers(name: str, callee: str) -> list[str]:
 def test_only_the_series_wrappers_sum_the_series():
     callers = [(name, owner) for name in MODULES for owner in _callers(name, "_series_sum")]
     assert sorted(callers) == sorted(("estimates", wrapper) for wrapper in SERIES)
+
+
+WEIGHTED_INTEGRALS = ("weighted_ball_integral", "weighted_disk_integral",
+                      "weighted_disk_integral_quad")
+
+
+def test_only_the_factor_type_evaluates_schur_integrals():
+    # a Schur condition is a list of `_Factor`s: its routes, and the errors
+    # they raise, live in one method
+    defs = [(owner.name, node.name) for owner in ast.walk(_tree("schur"))
+            for node in ast.iter_child_nodes(owner)
+            if isinstance(node, ast.FunctionDef) and node.name == "log_value"]
+    assert defs == [("_Factor", "log_value")]
+    for callee in WEIGHTED_INTEGRALS:
+        assert _callers("schur", callee) == ["log_value"], callee
 
 
 def test_no_module_imports_csv():

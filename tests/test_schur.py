@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hartogs.config import NumericConfig
+from hartogs.domains import HartogsDomainSpec, sample_product_model
 from hartogs.schur import (FeasibilityWindow, SchurWitness, admissible_p_range,
                            conjugate_exponent, feasible_params, param_windows,
                            schur_verify)
-from helpers import p_range_by_search
+from helpers import ball_quad_ref, disk_quad_ref, p_range_by_search
 
 
 class TestWindows:
@@ -251,6 +252,58 @@ class TestVerifier:
         assert np.all(np.isfinite(report.cond2))
         assert not report.notes
 
+    @pytest.mark.parametrize("margin", [0.0, 1e-160, 1e-300])
+    def test_quad_route_rejects_a_margin_with_a_subnormal_square(self, margin):
+        # the divergent chain factor's quadrature starts at the margin, whose
+        # square must be a normal double; the error names the option and the
+        # condition (at 1e-160 about 6 of the 12 printed digits were right)
+        with pytest.raises(ValueError, match=r"Schur condition cond1 .* j=2 chain .*"
+                                             r"\(--puncture-margin\) >= 1\.4917e-154"):
+            schur_verify(2, 1, 2.0, SchurWitness(-0.25, {2: -2.0}), CFG, samples=5,
+                         puncture_margin=margin)
+
     def test_missing_chain_exponent_rejected(self):
         with pytest.raises(ValueError):
             schur_verify(3, 1, 2.0, SchurWitness(-0.25, {2: -1.0}), CFG, samples=10)
+
+
+class TestRatiosAgainstQuadrature:
+    """cond1 and cond2 at the verifier's own sample points, recomputed from an
+    mpmath quadrature of each factor integral: a reference independent of the
+    closed forms and of the library's quadrature rule. Each factor integral is
+    divided by its share of h^e at the point: (1-r^2)^alpha for a block, and
+    r^(j-1) (1-r^2)^alpha r^(t_j e) for chain coordinate j, whose integral has
+    beta = t_j e + (j-1)."""
+
+    @pytest.mark.parametrize("n,blocks,p,witness", [
+        (2, (1,), 2.5, None),
+        (3, (1,), 2.9, None),
+        (4, (1, 2), 2.2, None),
+        (2, (1,), 2.0, SchurWitness(-0.25, {2: -2.0})),  # beta = -3: the quadrature route
+    ], ids=["n2-p2.5", "n3-p2.9", "n4-blocks-1-2-p2.2", "quad-route"])
+    def test_ratios_match_factor_quadratures(self, n, blocks, p, witness):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        k, samples, margin = sum(blocks), 5, 0.01
+        witness = witness or feasible_params(n, k, p)
+        report = schur_verify(n, k, p, witness, CFG, blocks=blocks, samples=samples,
+                              boundary_margin=margin, puncture_margin=margin)
+        points = sample_product_model(HartogsDomainSpec.standard(n, blocks), samples,
+                                      CFG.seed, r_max=1.0 - margin, disk_r_min=margin,
+                                      chunk_size=CFG.chunk_size)
+        for e, got in ((report.q, report.cond1), (p, report.cond2)):
+            alpha = witness.s * e
+            for point, ratio in zip(points, got):
+                z = [mpmath.mpc(complex(c)) for c in point]
+                want, start = mpmath.mpf(1), 0
+                for kj in blocks:
+                    r = mpmath.sqrt(sum(abs(c) ** 2 for c in z[start:start + kj]))
+                    start += kj
+                    want *= ball_quad_ref(mpmath, kj, alpha, r) / (1 - r ** 2) ** alpha
+                for j in range(k + 1, n + 1):
+                    r, te = abs(z[j - 1]), witness.t[j] * e
+                    beta = te + (j - 1)
+                    cutoff = margin if beta <= -2.0 else 0.0
+                    want *= (disk_quad_ref(mpmath, alpha, beta, r, cutoff)
+                             / (r ** (j - 1) * (1 - r ** 2) ** alpha * r ** te))
+                assert abs(ratio - want) <= 1e-10 * want, (e, ratio, want)
