@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domains import standard_volume
+from .domains import _check_point, standard_volume
 from .special import int_power, log_factorial, lone_point_as_row
 
 # Size cap of the demo table, not a numerical limit: the piece sums match 20-digit
@@ -55,7 +55,7 @@ class RadialStepFunction:
     def piece_index(self, r) -> np.ndarray:
         """1-based ring index j with r in (a_(j+1), a_j]; 0 marks r outside."""
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r > 1.0):
+        if not np.all((r > 0.0) & (r <= 1.0)):  # also true for NaN
             raise ValueError("radii must lie in (0, 1]")
         y = -np.log(r)
         cuts = -self.log_breakpoints  # increasing, starts at 0
@@ -75,7 +75,7 @@ class RadialStepFunction:
 @lone_point_as_row(z=1)
 def blowup_eval(n: int, m: int, z) -> complex | np.ndarray:
     """Value of the m-th blow-up function at points of the domain."""
-    z = np.asarray(z, dtype=complex)
+    z = _check_point(n, z)
     zn = z[..., -1]
     r = np.abs(zn)
     if np.any(r == 0.0):
@@ -150,7 +150,7 @@ def projected_blowup(n: int, m: int, z) -> complex | np.ndarray:
     Angular orthogonality kills every basis term except z_n^-(n-1), leaving
     (2 C_m) / z_n^(n-1).
     """
-    z = np.asarray(z, dtype=complex)
+    z = _check_point(n, z)
     zn = z[..., -1]
     if np.any(zn == 0.0):
         raise ZeroDivisionError("last coordinate vanishes (outside the domain)")

@@ -9,8 +9,9 @@ with k = sum k_j. The domain transfers biholomorphically to the product model
 ball(k_1) x ... x ball(k_l) x punctured-disk^(n-k) via coordinate quotients;
 this module provides the maps in both directions, their Jacobian determinants,
 the blockwise map to the all-identity standard model, and a seeded uniform
-sampler of the product model. Each public map is `_check_point` plus a private
-body on checked batches, and `contains` is `_standard_contains` of the image
+sampler of the product model. Each public map, a block map's too, is
+`_check_point` (the package's one point check) plus a private body on checked
+batches, and `contains` is `_standard_contains` of the image
 `to_standard_model` gives; `kernels` and `transfer` call the bodies.
 
 All point arrays are complex with coordinates along the last axis; every map
@@ -94,28 +95,14 @@ class MapFamily:
     def _shift(self) -> np.ndarray:
         return np.asarray(self.shift, dtype=complex)
 
-    def _block_points(self, z) -> np.ndarray:
-        """z as complex points of this block (last axis), checked as
-        `_check_point` checks a whole point: by shape, then finiteness."""
-        z = np.asarray(z, dtype=complex)
-        if z.shape[-1:] != (self.dim,):
-            raise ValueError(f"expected block dimension {self.dim}, got points of shape {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("point has non-finite coordinates")
-        return z
-
-    # Each public method is `_block_points` plus a private body on checked
-    # batches; the domain-level maps, whose points `_check_point` has
-    # checked, call the bodies.
-
     def value(self, z) -> np.ndarray:
-        return self._value(self._block_points(z))
+        return self._value(_check_point(self.dim, z))
 
     def inverse(self, w) -> np.ndarray:
-        return self._inverse(self._block_points(w))
+        return self._inverse(_check_point(self.dim, w))
 
     def jacobian_det(self, z) -> np.ndarray:
-        return self._jacobian_det(self._block_points(z))
+        return self._jacobian_det(_check_point(self.dim, z))
 
     def _value(self, z: np.ndarray) -> np.ndarray:
         if self.kind == _IDENTITY:
@@ -341,11 +328,19 @@ def _json_complex(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
-def _check_point(spec_n: int, z) -> np.ndarray:
+def _check_point(n: int | None, z) -> np.ndarray:
+    """z as complex points in C^n (last axis; any shape for disk points,
+    n = None) with finite coordinates; a ValueError otherwise, naming n for a
+    wrong shape, 0-d included. Every public evaluator of points runs it.
+    Finiteness is tested on a real view of z's memory (of z.T if
+    column-major), at half the cost of the complex test."""
     z = np.asarray(z, dtype=complex)
-    if z.shape[-1] != spec_n:
-        raise ValueError(f"point has length {z.shape[-1]}, expected {spec_n}")
-    if not np.all(np.isfinite(z)):
+    if n is not None and z.shape[-1:] != (n,):
+        raise ValueError(f"point has length {z.shape[-1]}, expected {n}" if z.shape
+                         else f"point has no coordinate axis, expected length {n}")
+    memory = z.T if z.shape and z.strides[0] == z.itemsize else z
+    parts = memory.view(float) if memory.shape and memory.strides[-1] == memory.itemsize else z
+    if not np.isfinite(parts).all():
         raise ValueError("point has non-finite coordinates")
     return z
 

@@ -426,6 +426,24 @@ def weighted_disk_integral_mc(alpha: float, beta: float, w,
 
 
 _QUAD_NODES = 64
+# Below s = _FLAT_S / (|alpha| + 1), the factor (1-s)^alpha / (1 - x s) of the
+# quadrature route's integrand, 1 + (x - alpha) s + O(s^2) with
+# |x - alpha| <= |alpha| + 1, is 1 to rounding.
+_FLAT_S = 2.0 ** -54
+
+
+def _power_integral(h: float, lo: float, hi: float) -> float:
+    """int s^h ds over [lo, hi], 0 < lo < hi: the larger of lo^(h+1) and
+    hi^(h+1) times (1 - (lo/hi)^|h+1|) / |h+1|, inf with no warning where
+    that power passes float64."""
+    g, log_ratio = float(h) + 1.0, math.log(hi / lo)
+    if g == 0.0:
+        return log_ratio
+    try:  # Python floats: an overflow raises, where numpy's would warn
+        power = float(lo if g < 0.0 else hi) ** g
+    except OverflowError:
+        return math.inf
+    return power * (-math.expm1(-abs(g) * log_ratio) / abs(g))
 
 
 @lone_point_as_row(r=0)
@@ -448,7 +466,11 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
         difference quotient (g(s) - g(1/x))/(1 - x s);
       * on [c^2, 1/2], Gauss-Legendre in u = log s when c > 0 (the factor
         s^(beta/2+1) is then an exponential in u), or Gauss-Jacobi nodes
-        absorbing s^(beta/2) when c = 0.
+        absorbing s^(beta/2) when c = 0. Where c^2 lies below
+        _FLAT_S / (|alpha| + 1), the rest of the integrand is 1 to rounding
+        there, so int s^(beta/2) ds is taken in closed form up to that point
+        and the nodes cover at most 37 + ln(|alpha| + 1) units of u at any
+        cutoff; that part is inf, with no warning, where it passes float64.
     """
     radii = _radii(r)
     _check_alpha(alpha)
@@ -479,8 +501,11 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
 
     if low < a:
         if low > 0.0:
+            flat = _FLAT_S / (abs(alpha) + 1.0)
+            if low < flat:
+                total = total + _power_integral(h, low, flat)
             u, wu = gauss_jacobi(_QUAD_NODES, 0.0, 0.0)
-            log_lo, log_hi = math.log(low), math.log(a)
+            log_lo, log_hi = math.log(max(low, flat)), math.log(a)
             s = np.exp(log_lo + 0.5 * (log_hi - log_lo) * (u + 1.0))
             f = (1.0 - s) ** alpha * s ** (h + 1.0) / (1.0 - xs * s)
             total = total + 0.5 * (log_hi - log_lo) * (wu * f).sum(axis=-1)

@@ -32,6 +32,7 @@ taken by one division. `kernel_hartogs` folds the two chart Jacobians into
 that same denominator, and the Monte-Carlo projection divides its integrand
 by it once per sample. Both work on checked batches through the private
 bodies of `domains`, whose membership test is `contains`'s one body.
+Every public kernel checks its points with `domains._check_point`.
 """
 
 from __future__ import annotations
@@ -48,14 +49,6 @@ from .domains import (HartogsDomainSpec, _block_images, _block_jacobians, _chain
 from .special import int_power, log_factorial, lone_point_as_row
 
 Model = str | Tuple[str, object]
-
-
-def _points(w, eta, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """w and eta as complex arrays, checked to be points in C^dim (unless dim is None)."""
-    w, eta = np.asarray(w, dtype=complex), np.asarray(eta, dtype=complex)
-    if dim is not None and (w.shape[-1:] != (dim,) or eta.shape[-1:] != (dim,)):
-        raise ValueError(f"expected points in C^{dim}")
-    return w, eta
 
 
 def _ball_denominator(k: int, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -99,17 +92,17 @@ def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray
 
 @lone_point_as_row(w=0, eta=0)
 def kernel_punctured_disk(w, eta) -> complex | np.ndarray:
-    return 1.0 / _ball_denominator(1, *(x[..., None] for x in _points(w, eta)))
+    return 1.0 / _ball_denominator(1, *(_check_point(None, x)[..., None] for x in (w, eta)))
 
 
 @lone_point_as_row(w=1, eta=1)
 def kernel_ball(k: int, w, eta) -> complex | np.ndarray:
-    return 1.0 / _ball_denominator(k, *_points(w, eta, k))
+    return 1.0 / _ball_denominator(k, *(_check_point(k, x) for x in (w, eta)))
 
 
 @lone_point_as_row(w=1, eta=1)
 def kernel_product(spec: HartogsDomainSpec, w, eta) -> complex | np.ndarray:
-    return 1.0 / _product_denominator(spec, *_points(w, eta, spec.n))
+    return 1.0 / _product_denominator(spec, *(_check_point(spec.n, x) for x in (w, eta)))
 
 
 @lone_point_as_row(z=1, zeta=1)
@@ -131,8 +124,10 @@ def kernel_hartogs(spec: HartogsDomainSpec, z, zeta) -> complex | np.ndarray:
     block it lies; with bad points in several blocks, the first such block's
     error is raised.
     """
-    z, zeta = _points(z, zeta)
+    z, zeta = np.asarray(z, dtype=complex), np.asarray(zeta, dtype=complex)
     batch = np.broadcast_shapes(z.shape[:-1], zeta.shape[:-1])
+    if not batch:  # lone points come as rows: here a point is 0-d, which the check refuses
+        return _kernel_hartogs_block(spec, z, zeta)
     rows = batch[0]
     out = np.empty(batch, dtype=complex)
 
@@ -196,15 +191,15 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
     if not 0 <= N <= TRUNCATED_MAX_N:
         raise ValueError(f"truncation degree must lie in [0, {TRUNCATED_MAX_N}], got {N}")
     if model == "disk":
-        w, eta = (x[..., None] for x in _points(w, eta))
+        w, eta = (_check_point(None, x)[..., None] for x in (w, eta))
         blocks = [(1, slice(None))]
     elif isinstance(model, tuple) and model[0] == "ball":
         k = int(model[1])
-        w, eta = _points(w, eta, k)
+        w, eta = (_check_point(k, x) for x in (w, eta))
         blocks = [(k, slice(None))]
     elif isinstance(model, tuple) and model[0] == "product":
         spec: HartogsDomainSpec = model[1]
-        w, eta = _points(w, eta, spec.n)
+        w, eta = (_check_point(spec.n, x) for x in (w, eta))
         blocks = _factor_columns(spec)
     else:
         raise ValueError(f"unknown truncated-kernel model {model!r}")

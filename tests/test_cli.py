@@ -850,6 +850,19 @@ class TestExtremeValues:
                 f"puncture margin (--puncture-margin) >= 1.4917e-154, got {float(margin)}"
                 in captured.err)
 
+    def test_schur_quad_route_overflow_prints_only_its_error(self, capsys):
+        # beta = -5: the quadrature's s^(beta/2 + 1) overflowed at s = c^2 = 1e-300
+        # and printed a RuntimeWarning before this error
+        argv = ["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--witness-s=-0.25",
+                "--witness-t=-3", "--samples", "5", "--puncture-margin", "1e-150"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Schur condition cond1 (exponent 2, witness s=-0.25, "
+                                "t={2: -3.0}): the ratio overflows float64\n")
+
     @pytest.mark.parametrize("argv", [_tiny_samples_argv(60)], ids=["squares-underflow"])
     def test_extreme_samples_keep_a_finite_error_bar(self, argv, capsys):
         assert run(argv) == 0

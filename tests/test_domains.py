@@ -137,7 +137,8 @@ class TestMapFamilies:
             shapes.append((fam.dim - 1,))
         for shape in shapes:
             z = np.full(shape, 0.1 + 0.05j)
-            message = f"expected block dimension {fam.dim}, got points of shape {shape}"
+            message = (f"point has length {shape[-1]}, expected {fam.dim}" if shape
+                       else f"point has no coordinate axis, expected length {fam.dim}")
             for method in (fam.value, fam.inverse, fam.jacobian_det):
                 with pytest.raises(ValueError, match=re.escape(message)):
                     method(z)

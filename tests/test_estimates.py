@@ -904,3 +904,18 @@ class TestQuadratureRule:
     def test_smallest_accepted_cutoffs_match_mpmath(self, cutoff):
         want = disk_quad_ref(_mp(), -0.5, -3.0, 0.5, cutoff)
         assert _rel(weighted_disk_integral_quad(-0.5, -3.0, 0.5, cutoff), want) <= 1e-12
+
+    @pytest.mark.parametrize("beta, cutoff", [(-2.0, 1e-20), (-2.0, 1e-50), (-2.0, 1e-100),
+                                              (-1.0, 1e-20), (-1.0, 1e-50), (-1.0, 1e-150)])
+    def test_tiny_cutoffs_match_mpmath(self, beta, cutoff):
+        # 64 nodes in u = log s over all of [c^2, 1/2], 690 units at c = 1e-150,
+        # were off by up to 1.7e-7 at beta = -2 and 1.6e-4 at beta = -1
+        want = disk_quad_ref(_mp(), -0.5, beta, 0.5, cutoff)
+        assert _rel(weighted_disk_integral_quad(-0.5, beta, 0.5, cutoff), want) <= 1e-11
+
+    @pytest.mark.parametrize("number", [float, np.float64])
+    def test_an_integral_past_float64_is_inf_without_a_warning(self, number):
+        # int s^(-5/2) ds from c^2 = 1e-300 is about 1e450; s^(beta/2+1) warned at s = c^2
+        got = weighted_disk_integral_quad(number(-0.5), number(-5.0),
+                                          np.array([0.0, 0.5, 0.99]), number(1e-150))
+        assert got.tolist() == [math.inf] * 3

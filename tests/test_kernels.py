@@ -309,12 +309,12 @@ class TestTruncatedKernels:
             kernels.kernel_truncated("disk", N, 0.4, 0.3)
 
     def test_ball_checks_the_point_dimension(self):
-        with pytest.raises(ValueError, match=r"expected points in C\^2"):
+        with pytest.raises(ValueError, match="point has length 3, expected 2"):
             kernels.kernel_truncated(("ball", 2), 5, [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
 
     def test_product_checks_the_point_dimension(self):
         spec = HartogsDomainSpec.standard(3, 1)
-        with pytest.raises(ValueError, match=r"expected points in C\^3"):
+        with pytest.raises(ValueError, match="point has length 2, expected 3"):
             kernels.kernel_truncated(("product", spec), 5, [0.1, 0.2], [0.3, 0.2])
 
     @pytest.mark.parametrize("model", ["disk", "ball2", "ball3", "product31", "product52"])

@@ -15,7 +15,10 @@ and only the two series wrappers call `_series_sum`; inside `schur`, only
 no module imports `csv`, only `cli` writes a `.12g` format, and no class
 outside `domains` (whose spec files are read back) serializes itself. A
 lone point has one rule: outside `special` no module tests whether an array
-is 0-d, and none defines its own lone-point helper. A product-model batch has
+is 0-d, and none defines its own lone-point helper. A point has one check:
+no module defines a `_points` or `_block_points` checker, and no function
+but `domains._check_point` holds the "point has non-finite coordinates"
+message. A product-model batch has
 one owner: outside `domains` no module imports `_new_batch` or a `_fill_*`
 name from it, so a batch is made by `product_points`.
 """
@@ -199,23 +202,29 @@ def test_no_module_routes_to_the_reference_series():
     assert {name for name in MODULES if SERIES & _identifiers(name)} == set()
 
 
-def _callers(name: str, callee: str) -> list[str]:
-    """The innermost function around each call of `callee` in one module
-    ("" for a call at module level)."""
-    tree = _tree(name)
+def _owners(name: str, matches) -> list[str]:
+    """The innermost function around each node of one module that `matches`
+    ("" for a node at module level)."""
     found: list[str] = []
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            func = child.func if isinstance(child, ast.Call) else None
-            if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+            if matches(child):
                 found.append(owner)
             inner = child.name if isinstance(child, (ast.FunctionDef,
                                                      ast.AsyncFunctionDef)) else owner
             visit(child, inner)
 
-    visit(tree, "")
+    visit(_tree(name), "")
     return found
+
+
+def _callers(name: str, callee: str) -> list[str]:
+    """The innermost function around each call of `callee` in one module."""
+    def calls(node: ast.AST) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee
+    return _owners(name, calls)
 
 
 def test_only_the_series_wrappers_sum_the_series():
@@ -297,6 +306,26 @@ def test_only_special_decides_a_lone_point():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name in LONE_HELPERS}
     assert defined == set()
+
+
+POINT_CHECKERS = {"_points", "_block_points"}
+NON_FINITE_POINT = "point has non-finite coordinates"
+
+
+def _holders(name: str, text: str) -> list[str]:
+    """The innermost function around each string constant of one module that
+    holds `text`."""
+    return _owners(name, lambda node: isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and text in node.value)
+
+
+def test_only_check_point_checks_a_point():
+    defined = {(name, node.name) for name in MODULES for node in ast.walk(_tree(name))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in POINT_CHECKERS}
+    assert defined == set()
+    holders = [(name, owner) for name in MODULES for owner in _holders(name, NON_FINITE_POINT)]
+    assert holders == [("domains", "_check_point")]
 
 
 def _domains_imports(name: str) -> set[str]:
