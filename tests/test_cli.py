@@ -983,6 +983,63 @@ _PINNED_STDOUT = [
      'quadrature truncated at 0.01"\n'
      '  ]\n'
      '}\n'),
+    # two ball blocks, one of them k = 2
+    (["schur-verify", "--n", "5", "--k", "3", "--p", "1.9", "--blocks", "2,1",
+      "--samples", "50", "--seed", "11"],
+     '{\n'
+     '  "feasible": true,\n'
+     '  "p": 1.9,\n'
+     '  "q": 2.11111111111,\n'
+     '  "witness": {\n'
+     '    "s": -0.236842105263,\n'
+     '    "t": {\n'
+     '      "4": -1.97368421053,\n'
+     '      "5": -2.47368421053\n'
+     '    }\n'
+     '  },\n'
+     '  "ratios_summary": {\n'
+     '    "max": 101.260599116,\n'
+     '    "mean": 36.8964390177,\n'
+     '    "cond1_max": 101.260599116,\n'
+     '    "cond2_max": 65.0200413512\n'
+     '  },\n'
+     '  "samples": 50,\n'
+     '  "notes": []\n'
+     '}\n'),
+    # the projection's sampler and denominator on a k = 2 ball block
+    (["project", "--n", "4", "--k", "2", "--point", "0.1+0.1j,-0.2j,0.4,0.3-0.6j",
+      "--monomial", "1,0,1,0", "--samples", "20000", "--seed", "7"],
+     '{\n'
+     '  "function": "monomial=1,0,1,0",\n'
+     '  "point": [\n'
+     '    {\n'
+     '      "re": 0.1,\n'
+     '      "im": 0.1\n'
+     '    },\n'
+     '    {\n'
+     '      "re": 0,\n'
+     '      "im": -0.2\n'
+     '    },\n'
+     '    {\n'
+     '      "re": 0.4,\n'
+     '      "im": 0\n'
+     '    },\n'
+     '    {\n'
+     '      "re": 0.3,\n'
+     '      "im": -0.6\n'
+     '    }\n'
+     '  ],\n'
+     '  "expected": {\n'
+     '    "re": 0.04,\n'
+     '    "im": 0.04\n'
+     '  },\n'
+     '  "mc_estimate": {\n'
+     '    "re": -0.0104676796414,\n'
+     '    "im": -0.003949793136\n'
+     '  },\n'
+     '  "std_error": 0.0555695404923,\n'
+     '  "sigmas": 1.20429511979\n'
+     '}\n'),
 ]
 
 
@@ -990,7 +1047,7 @@ class TestPinnedStdout:
     @pytest.mark.parametrize("argv,stdout", _PINNED_STDOUT, ids=[
         "blowup-m-list", "blowup-m-max", "kernel-disk", "kernel-ball", "kernel-product",
         "kernel-hartogs", "kernel-affine4", "schur-range", "schur-verify",
-        "schur-verify-quad"])
+        "schur-verify-quad", "schur-verify-blocks", "project-k2"])
     def test_bytes(self, argv, stdout, capsys):
         assert run(argv) == 0
         assert capsys.readouterr().out == stdout

@@ -4,7 +4,8 @@ Each case records (estimate, stderr) as `float.hex` at two seeds, and each
 is run with one and with two workers, which must give the same bits. The
 sample count spans three chunks of the default size, the last one short, so
 a worker runs chunks of two sizes. `kernel_hartogs` is pinned on a batch of
-more than one row block, by the SHA-256 of its bytes.
+more than one row block, and the paths of a spec with a k = 2 block next to
+a k = 1 block, by the SHA-256 of their bytes.
 
 The bits are those of numpy's float64 loops on the x86-64 AVX512 build of
 numpy 2.4 they were recorded with; another CPU family or numpy release may
@@ -20,6 +21,7 @@ import pytest
 from hartogs import counterexample, domains, estimates, kernels, mc, special, transfer
 from hartogs.cli import builtin_example
 from hartogs.config import NumericConfig
+from hartogs.schur import feasible_params, schur_verify
 
 SAMPLES = 2 * mc.CHUNK_SIZE + 4464
 SEEDS = (77, 78)
@@ -142,3 +144,58 @@ def test_kernel_hartogs_bits_on_several_row_blocks(name):
     out = kernels.kernel_hartogs(spec, z, zeta)
     assert out.shape == (rows,)
     assert hashlib.sha256(out.tobytes()).hexdigest() == KERNEL_PINS[name]
+
+
+# A k = 2 ball block next to a k = 1 block: the product model's factor list
+# in the sampler, the projection, both kernels and the Schur verifier.
+BLOCK_SPEC = domains.HartogsDomainSpec.standard(5, (2, 1))
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _block_pairs():
+    return (domains.sample_product_model(BLOCK_SPEC, 5000, seed, r_max=0.95, disk_r_min=0.05)
+            for seed in (5, 6))
+
+
+def _block_projection(workers):
+    est, err = kernels.mc_bergman_projection(
+        BLOCK_SPEC, lambda z: special.monomial(z, (1, 2, 0, 1, 0)),
+        np.array([0.1 + 0.1j, -0.2j, 0.15, 0.4 - 0.2j, 0.3 + 0.7j]), SAMPLES, 77, workers)
+    return np.array([est.real, est.imag, err])
+
+
+def _block_schur(name):
+    report = schur_verify(5, 3, 1.9, feasible_params(5, 3, 1.9), NumericConfig(seed=11),
+                          blocks=(2, 1), samples=500)
+    return getattr(report, name)
+
+
+BLOCK_CASES = {
+    "sampler": lambda: domains.sample_product_model(BLOCK_SPEC, SAMPLES, 77,
+                                                    r_max=0.95, disk_r_min=0.05),
+    "projection.w1": lambda: _block_projection(1),
+    "projection.w2": lambda: _block_projection(2),
+    "kernel_product": lambda: kernels.kernel_product(BLOCK_SPEC, *_block_pairs()),
+    "kernel_truncated": lambda: kernels.kernel_truncated(("product", BLOCK_SPEC), 7,
+                                                         *_block_pairs()),
+    "schur.cond1": lambda: _block_schur("cond1"),
+    "schur.cond2": lambda: _block_schur("cond2"),
+}
+
+BLOCK_PINS = {
+    "sampler": "6db1823880757210cac8c780a49cd0b24c73ee59fdac4527dd607669f8dcf1a1",
+    "projection.w1": "128e746ba290a5edb60e7733cf4d280e341ea9b67054f115c87db3bfdc6cf769",
+    "projection.w2": "128e746ba290a5edb60e7733cf4d280e341ea9b67054f115c87db3bfdc6cf769",
+    "kernel_product": "91b7cbcf99cc3d7133b5a3016997323502971268a53e9b354dfbd569da57f800",
+    "kernel_truncated": "65e99cd64b3169c044de29c52bd3cfd16f302edac0dbe7b162dcab8e3273d48b",
+    "schur.cond1": "e16f103276f764011856111c64d81a73cbc1b948dab2c7bfc5e4d55554db55bc",
+    "schur.cond2": "94d8f8b2a282d771374b1893a240a0b5468d3473a60da065be321a24da73951a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_two_block_bits(case):
+    assert _sha(BLOCK_CASES[case]()) == BLOCK_PINS[case]
