@@ -7,7 +7,8 @@ satisfy membership when
 
 with k = sum k_j. The domain transfers biholomorphically to the product model
 ball(k_1) x ... x ball(k_l) x punctured-disk^(n-k) via coordinate quotients;
-this module provides the maps in both directions, their Jacobian determinants,
+this module owns that model's one factor list, `HartogsDomainSpec.factors`,
+and provides the maps in both directions, their Jacobian determinants,
 the blockwise map to the all-identity standard model, and a seeded uniform
 sampler of the product model. Each public map, a block map's too, is
 `_check_point` (the package's one point check) plus a private body on checked
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -248,6 +250,14 @@ class HartogsDomainSpec:
         """Each block's coordinate slice, in block order."""
         offs = self.offsets
         return tuple(slice(a, b) for a, b in zip(offs[:-1], offs[1:]))
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, slice, int, MapFamily | None], ...]:
+        """The product model's factors (k, columns, j, map), built once: each
+        block's ball with j = 0 and its map, then each chain coordinate
+        j = k+1..n (1-based) as a punctured disk, the ball with k = 1, no map."""
+        return (tuple((kj, sl, 0, fam) for (kj, fam), sl in zip(self.blocks, self.slices))
+                + tuple((1, slice(j - 1, j), j, None) for j in range(self.k + 1, self.n + 1)))
 
     @property
     def block_dims(self) -> tuple[int, ...]:
@@ -470,8 +480,8 @@ def standard_volume(n: int, k: int) -> float:
 
 
 def product_draws_per_point(spec: HartogsDomainSpec) -> int:
-    return sum(sampling.ball_draws_per_point(kj) for kj, _ in spec.blocks) \
-        + (spec.n - spec.k) * sampling.disk_draws_per_point()
+    return sum(sampling.disk_draws_per_point() if j else sampling.ball_draws_per_point(k)
+               for k, _, j, _ in spec.factors)
 
 
 def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
@@ -480,13 +490,14 @@ def product_from_uniform(spec: HartogsDomainSpec, u: np.ndarray,
     u = np.asfortranarray(u)  # each uniform column contiguous, as each output column is
     out = _new_batch((u.shape[0], spec.n))
     col = 0
-    for (kj, _), sl in zip(spec.blocks, spec.slices):
-        d = sampling.ball_draws_per_point(kj)
-        sampling._ball_into(u[:, col:col + d], kj, r_max, out[:, sl])
+    for k, cols, j, _ in spec.factors:
+        if j:  # a chain disk keeps its own two-uniform draw, shaped by the puncture margin
+            d = sampling.disk_draws_per_point()
+            sampling._disk_into(u[:, col:col + d], disk_r_min, r_max, out[:, j - 1])
+        else:
+            d = sampling.ball_draws_per_point(k)
+            sampling._ball_into(u[:, col:col + d], k, r_max, out[:, cols])
         col += d
-    for j in range(spec.k, spec.n):
-        sampling._disk_into(u[:, col:col + 2], disk_r_min, r_max, out[:, j])
-        col += 2
     return out
 
 

@@ -27,8 +27,9 @@ in.
 One complex division per kernel value: numpy's complex divide costs about
 ten complex multiplies per element. A product kernel is the reciprocal of
 the product of its factor denominators, (1 - <w, eta>)^(k_j+1) per ball
-block and (1 - conj(eta_j) w_j)^2 per chain disk (`_product_denominator`),
-taken by one division. `kernel_hartogs` folds the two chart Jacobians into
+block and (1 - conj(eta_j) w_j)^2 per chain disk (`_product_denominator`,
+over `HartogsDomainSpec.factors`, the factor list `domains` owns), taken by
+one division. `kernel_hartogs` folds the two chart Jacobians into
 that same denominator, and the Monte-Carlo projection divides its integrand
 by it once per sample. Both work on checked batches through the private
 bodies of `domains`, whose membership test is `contains`'s one body.
@@ -73,18 +74,11 @@ def _ball_denominator(k: int, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return int_power(base, k + 1)
 
 
-def _factor_columns(spec: HartogsDomainSpec) -> list[tuple[int, slice]]:
-    """(k, columns) of each ball factor of the product model: the blocks, then
-    the chain disks, each the ball with k = 1."""
-    return ([(kj, sl) for (kj, _), sl in zip(spec.blocks, spec.slices)]
-            + [(1, slice(j, j + 1)) for j in range(spec.k, spec.n)])
-
-
 def _product_denominator(spec: HartogsDomainSpec, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The reciprocal of the product kernel: the product of the factor
     denominators, with no division, each product written into a new array."""
     den = None
-    for kj, sl in _factor_columns(spec):
+    for kj, sl, _, _ in spec.factors:
         factor = _ball_denominator(kj, w[..., sl], eta[..., sl])
         den = factor if den is None else np.multiply(factor, den, out=np.empty_like(factor))
     return den
@@ -200,7 +194,7 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
     elif isinstance(model, tuple) and model[0] == "product":
         spec: HartogsDomainSpec = model[1]
         w, eta = (_check_point(spec.n, x) for x in (w, eta))
-        blocks = _factor_columns(spec)
+        blocks = spec.factors
     else:
         raise ValueError(f"unknown truncated-kernel model {model!r}")
     return _generating_coefficient(blocks, N, w, eta)
@@ -209,11 +203,11 @@ def kernel_truncated(model: Model, N: int, w, eta) -> complex | np.ndarray:
 @lone_point_as_row(w=1, eta=1)
 def _generating_coefficient(blocks, N: int, w, eta) -> np.ndarray:
     """[t^N] of (1 - t)^-1 prod_j (1 - x_j t)^-(k_j+1), x_j = <w, eta> on the
-    columns of block (k_j, columns). Each factor 1/(1 - x t) is a scan of the
+    columns of factor (k_j, columns, ...). Each factor 1/(1 - x t) is a scan of the
     coefficients y of the product before it, y_r[s] = y_(r-1)[s] + x y_r[s-1]
     with y_0 = 1; the scans advance together one degree at a time, each
     keeping only its last coefficient, so no array has a degree axis."""
-    xs = [x for k, sl in blocks
+    xs = [x for k, sl, *_ in blocks
           for x in [np.einsum("...j->...", np.conj(eta[..., sl]) * w[..., sl])] * (k + 1)]
     states = [np.ones(xs[0].shape, dtype=complex) for _ in xs]
     # numpy rounds `state *= x` on one element unlike its array loop: use a spare array

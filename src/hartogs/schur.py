@@ -13,7 +13,8 @@ for every k; `feasible_params` decides feasibility by that sharp range alone.
 `schur_verify` estimates both Schur conditions on sampled product-model
 points. The condition integrals factor exactly into one weighted ball
 integral per block and one weighted disk integral per chain coordinate, each
-a `_Factor`, so no high-dimensional quadrature is ever performed.
+a `_Factor` of one record of `HartogsDomainSpec.factors` (owned by `domains`),
+so no high-dimensional quadrature is ever performed.
 
 The windows and the sharp range are arithmetic on n, k and p: numpy,
 `domains` and `estimates` are imported by the verifier alone, so
@@ -146,11 +147,11 @@ class SchurReport:
 
 @dataclass(frozen=True)
 class _Factor:
-    """One Schur-condition factor: the ball integral of the k-block on columns
-    `cols` (j = 0) or the disk integral of chain coordinate j, alpha = s e, te = t_j e."""
+    """One Schur-condition factor, a `spec.factors` record (k, cols, j): the ball integral
+    of the k-block (j = 0) or the disk integral of chain coordinate j, alpha = s e, te = t_j e."""
 
     k: int
-    cols: slice | int
+    cols: slice
     j: int
     alpha: float
     te: float = 0.0
@@ -182,13 +183,6 @@ class _Factor:
             return np.log(vals) - self.alpha * np.log1p(-r ** 2)
         return (np.log(vals) - (self.j - 1) * np.log(r) - self.alpha * np.log1p(-r ** 2)
                 - self.te * np.log(r))
-
-
-def _factors(spec: HartogsDomainSpec, witness: SchurWitness, e: float) -> list[_Factor]:
-    """The factors of the Schur condition with exponent e: blocks, then chain disks."""
-    alpha = witness.s * e
-    return ([_Factor(kj, sl, 0, alpha) for (kj, _), sl in zip(spec.blocks, spec.slices)]
-            + [_Factor(1, c, c + 1, alpha, witness.t[c + 1] * e) for c in range(spec.k, spec.n)])
 
 
 def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
@@ -226,8 +220,9 @@ def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
                                   r_max=1.0 - boundary_margin,
                                   disk_r_min=puncture_margin,
                                   chunk_size=cfg.chunk_size)
-    factors = [_factors(spec, witness, e) for e in (q, p)]
-    moduli = [np.abs(points[:, f.cols]) if f.j else np.linalg.norm(points[:, f.cols], axis=1)
+    factors = [[_Factor(kj, cols, j, witness.s * e, witness.t[j] * e if j else 0.0)
+                for kj, cols, j, _ in spec.factors] for e in (q, p)]
+    moduli = [np.abs(points[:, f.j - 1]) if f.j else np.linalg.norm(points[:, f.cols], axis=1)
               for f in factors[0]]
     ratios = []
     for name, e, terms in zip(("cond1", "cond2"), (q, p), factors):

@@ -7,6 +7,7 @@ modulus of the map's holomorphic Jacobian determinant. Bounds are exact for
 constant-Jacobian (identity/affine) specs and sampled otherwise; the method
 tag records which. `pullback_isometry_check` verifies the underlying weighted
 change of variables by integrating the same test function over both domains.
+Per-factor steps read `HartogsDomainSpec.factors`, the list `domains` owns.
 
 Its box-rejection estimator keeps a fixed draw layout (2n uniforms per
 proposal, one disk point per coordinate) but computes angles only for
@@ -110,10 +111,8 @@ class PullbackReport:
 
 
 def _coordinate_radii(spec: HartogsDomainSpec) -> np.ndarray:
-    radii = np.ones(spec.n)
-    for (_, fam), sl in zip(spec.blocks, spec.slices):
-        radii[sl] = fam.coordinate_radii()
-    return radii
+    return np.concatenate([np.ones(1) if fam is None else fam.coordinate_radii()
+                           for _, _, _, fam in spec.factors])
 
 
 # Relative slack of the pre-tests. They compare squared moduli,
@@ -137,11 +136,12 @@ def _box_candidates(spec: HartogsDomainSpec, u: np.ndarray,
     k, n = spec.k, spec.n
     sq = sampling.disk_modulus_sq_from_uniform(u[:, 0::2], 0.0, radii)
     keep = sq[:, n - 1] <= _PRETEST_SLACK
-    for j in range(k, n - 1):
-        keep &= sq[:, j] <= sq[:, j + 1] * _PRETEST_SLACK
     bound = sq[:, k] * _PRETEST_SLACK
-    for (_, fam), sl in zip(spec.blocks, spec.slices):
-        keep &= fam.image_norm_sq_floor(sq[:, sl]) <= bound
+    for _, cols, j, fam in spec.factors:
+        if fam is not None:
+            keep &= fam.image_norm_sq_floor(sq[:, cols]) <= bound
+        elif j < n:
+            keep &= sq[:, j - 1] <= sq[:, j] * _PRETEST_SLACK
     rows = np.flatnonzero(keep)
     return rows, np.sqrt(sq[rows])
 

@@ -4,8 +4,9 @@ The maps between a domain, its standard model and the product model are
 inverse to each other; membership is the standard-model test of the image
 under `to_standard_model`, also within 1e-12 of the boundary; the Bergman
 kernel is Hermitian, K(z, zeta) = conj K(zeta, z), and its Gram matrix on a
-few domain points is positive semidefinite; and the truncated kernel
-converges to the closed form.
+few domain points is positive semidefinite; the truncated kernel converges
+to the closed form; and `HartogsDomainSpec.factors` is the product model's
+layout, as `_parts` builds it independently.
 
 Points are built in the product model, where the domain is a product of
 balls and disks: each ball block and chain disk is a direction times a
@@ -42,6 +43,38 @@ properties = settings(max_examples=20, deadline=None)
 def _parts(spec: HartogsDomainSpec) -> list[slice]:
     """The product model's factors: each ball block, then each chain disk."""
     return list(spec.slices) + [slice(j, j + 1) for j in range(spec.k, spec.n)]
+
+
+@st.composite
+def random_specs(draw) -> HartogsDomainSpec:
+    """1 to 4 blocks of dimension 1 to 3, each with an identity, affine or (k = 2)
+    rational map, and 1 to 3 chain coordinates."""
+    blocks = []
+    for kj in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)):
+        kind = draw(st.sampled_from(["identity", "affine"] + ["rational"] * (kj == 2)))
+        blocks.append((kj, MapFamily.identity(kj) if kind == "identity"
+                       else MapFamily.affine(2.0 * np.eye(kj)) if kind == "affine"
+                       else MapFamily.rational_example()))
+    return HartogsDomainSpec(sum(kj for kj, _ in blocks) + draw(st.integers(1, 3)),
+                             tuple(blocks))
+
+
+@properties
+@given(spec=random_specs())
+def test_factors_are_the_product_layout(spec):
+    factors = spec.factors
+    assert factors is spec.factors  # built once per spec
+    columns = [cols for _, cols, _, _ in factors]
+    assert columns == _parts(spec)
+    assert [c for cols in columns for c in range(spec.n)[cols]] == list(range(spec.n))
+    blocks, chain = factors[:len(spec.blocks)], factors[len(spec.blocks):]
+    assert [(k, fam) for k, _, _, fam in blocks] == list(spec.blocks)
+    assert all(j == 0 and fam is block_fam
+               for (_, _, j, fam), (_, block_fam) in zip(blocks, spec.blocks))
+    assert [(k, j, fam) for k, _, j, fam in chain] == [
+        (1, cols.start + 1, None) for _, cols, _, _ in chain]
+    assert domains.product_draws_per_point(spec) == (
+        sum(2 * kj + 1 for kj, _ in spec.blocks) + 2 * (spec.n - spec.k))
 
 
 @st.composite

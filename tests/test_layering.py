@@ -20,7 +20,10 @@ no module defines a `_points` or `_block_points` checker, and no function
 but `domains._check_point` holds the "point has non-finite coordinates"
 message. A product-model batch has
 one owner: outside `domains` no module imports `_new_batch` or a `_fill_*`
-name from it, so a batch is made by `product_points`.
+name from it, so a batch is made by `product_points`. The product model's
+factor list has one owner: outside `domains` no module defines
+`_factor_columns` or loops over `spec.blocks` together with `spec.slices`;
+they read `HartogsDomainSpec.factors`.
 """
 
 import ast
@@ -345,3 +348,23 @@ def test_only_domains_makes_product_batches():
     importers = {(name, imported) for name in MODULES if name != "domains"
                  for imported in _domains_imports(name) if _owns_batches(imported)}
     assert importers == set()
+
+
+def _pairs_blocks_with_slices(name: str) -> bool:
+    """Whether one module loops over an expression (a for loop's or a
+    comprehension's iterable) that reads both `.blocks` and `.slices`."""
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            read = {sub.attr for sub in ast.walk(node.iter) if isinstance(sub, ast.Attribute)}
+            if {"blocks", "slices"} <= read:
+                return True
+    return False
+
+
+def test_only_domains_lays_out_the_factors():
+    assert _pairs_blocks_with_slices("domains")  # the walk sees `zip(spec.blocks, spec.slices)`
+    assert {name for name in MODULES if _pairs_blocks_with_slices(name)} == {"domains"}
+    defined = {name for name in MODULES for node in ast.walk(_tree(name))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "_factor_columns"}
+    assert defined == set()
