@@ -470,7 +470,9 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
         _FLAT_S / (|alpha| + 1), the rest of the integrand is 1 to rounding
         there, so int s^(beta/2) ds is taken in closed form up to that point
         and the nodes cover at most 37 + ln(|alpha| + 1) units of u at any
-        cutoff; that part is inf, with no warning, where it passes float64.
+        cutoff. Where a node's s^(beta/2+1) passes float64, the node powers
+        are taken relative to the largest, whose log scales their sum; that
+        part is inf, with no warning, only where it passes float64 itself.
     """
     radii = _radii(r)
     _check_alpha(alpha)
@@ -507,8 +509,19 @@ def weighted_disk_integral_quad(alpha: float, beta: float, r,
             u, wu = gauss_jacobi(_QUAD_NODES, 0.0, 0.0)
             log_lo, log_hi = math.log(max(low, flat)), math.log(a)
             s = np.exp(log_lo + 0.5 * (log_hi - log_lo) * (u + 1.0))
-            f = (1.0 - s) ** alpha * s ** (h + 1.0) / (1.0 - xs * s)
-            total = total + 0.5 * (log_hi - log_lo) * (wu * f).sum(axis=-1)
+            with np.errstate(over="ignore"):
+                power = s ** (h + 1.0)
+            log_scale = 0.0  # the log of a factor taken out of every node power
+            if np.isinf(power).any():
+                log_power = (h + 1.0) * np.log(s)
+                log_scale = log_power.max()
+                power = np.exp(log_power - log_scale)
+            f = (1.0 - s) ** alpha * power / (1.0 - xs * s)
+            part = 0.5 * (log_hi - log_lo) * (wu * f).sum(axis=-1)
+            if log_scale:
+                with np.errstate(over="ignore"):  # inf where the part passes float64
+                    part = np.exp(np.log(part) + log_scale)
+            total = total + part
         else:
             # s = a (1+y)/2, so s^h ds = (a/2)^(h+1) (1+y)^h dy
             y, wy = gauss_jacobi(_QUAD_NODES, 0.0, h)

@@ -863,6 +863,32 @@ class TestExtremeValues:
         assert captured.err == ("error: Schur condition cond1 (exponent 2, witness s=-0.25, "
                                 "t={2: -3.0}): the ratio overflows float64\n")
 
+    @pytest.mark.parametrize("witness_t,margin", [("-25", "1e-150"), ("-100", "0.01")])
+    def test_schur_quad_route_node_overflow_prints_only_its_error(self, witness_t, margin,
+                                                                  capsys):
+        # s^(beta/2 + 1) overflowed at the smallest Gauss-Legendre node and
+        # printed a RuntimeWarning before this error
+        argv = ["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--witness-s=-0.25",
+                f"--witness-t={witness_t}", "--samples", "5", "--puncture-margin", margin]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: Schur condition cond1 (exponent 2, witness s=-0.25, "
+                                f"t={{2: {float(witness_t)}}}): the ratio overflows float64\n")
+
+    def test_schur_quad_route_ratio_below_the_float64_limit_exits_0(self, capsys):
+        # the node powers pass float64 but the integral does not: this exited 2
+        # with "the ratio overflows float64"
+        argv = ["schur-verify", "--n", "2", "--k", "1", "--p", "2", "--witness-s=-0.25",
+                "--witness-t=-79", "--samples", "5", "--puncture-margin", "0.01"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 0
+        ratios = json.loads(capsys.readouterr().out)["ratios_summary"]
+        assert 1e296 < ratios["max"] < math.inf
+
     @pytest.mark.parametrize("argv", [_tiny_samples_argv(60)], ids=["squares-underflow"])
     def test_extreme_samples_keep_a_finite_error_bar(self, argv, capsys):
         assert run(argv) == 0

@@ -913,6 +913,24 @@ class TestQuadratureRule:
         want = disk_quad_ref(_mp(), -0.5, beta, 0.5, cutoff)
         assert _rel(weighted_disk_integral_quad(-0.5, beta, 0.5, cutoff), want) <= 1e-11
 
+    def test_node_powers_past_float64_keep_a_finite_integral(self):
+        # beta = -157, c = 0.01: s^(beta/2+1) passes float64 at the smallest
+        # node while the integral, about 1.29e308, does not; the node sum was
+        # inf, with a RuntimeWarning. 64 nodes give about 2.6e-10 here.
+        radii = np.array([0.0, 0.5, 0.99])
+        got = weighted_disk_integral_quad(-0.5, -157.0, radii, 0.01)
+        mpmath = _mp(20)
+        for r, g in zip(radii, got):
+            assert _rel(g, disk_quad_ref(mpmath, -0.5, -157.0, r, 0.01)) <= 1e-9
+
+    @pytest.mark.parametrize("cutoff", [1e-150, 1e-50, 1e-8, 0.01, 0.1])
+    def test_no_cutoff_warns_at_any_divergent_beta(self, cutoff):
+        # pytest turns a RuntimeWarning into an error; each value is finite
+        # and positive, or inf where the integral passes float64
+        for beta in np.arange(-401.0, -2.0, 0.5):
+            got = weighted_disk_integral_quad(-0.5, beta, np.array([0.0, 0.5, 0.99]), cutoff)
+            assert np.all(got > 0.0), (beta, got)
+
     @pytest.mark.parametrize("number", [float, np.float64])
     def test_an_integral_past_float64_is_inf_without_a_warning(self, number):
         # int s^(-5/2) ds from c^2 = 1e-300 is about 1e450; s^(beta/2+1) warned at s = c^2
