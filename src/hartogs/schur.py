@@ -209,9 +209,14 @@ def schur_verify(n: int, k: int, p: float, witness: SchurWitness,
             "1 - boundary margin (--boundary-margin) <= 1, got "
             f"puncture_margin={puncture_margin}, boundary_margin={boundary_margin}")
     q = conjugate_exponent(p)
+    if blocks is not None:
+        blocks = tuple(blocks)
+        if not all(b >= 1 for b in blocks):
+            raise ValueError(f"block dimensions (--blocks) must be >= 1, got {blocks}")
+        if sum(blocks) != k:
+            raise ValueError(f"block dimensions (--blocks) {blocks} sum to {sum(blocks)}, "
+                             f"but k (--k) is {k}")
     spec = HartogsDomainSpec.standard(n, blocks if blocks is not None else k)
-    if spec.k != k:
-        raise ValueError("block dimensions are inconsistent with k")
     missing = [j for j in range(k + 1, n + 1) if j not in witness.t]
     if missing:
         raise ValueError(f"witness is missing chain exponents for j in {missing}")

@@ -863,6 +863,21 @@ class TestExtremeValues:
         assert captured.err == ("error: Schur condition cond1 (exponent 2, witness s=-0.25, "
                                 "t={2: -3.0}): the ratio overflows float64\n")
 
+    @pytest.mark.parametrize("k,blocks,message", [
+        ("1", "1,1", "block dimensions (--blocks) (1, 1) sum to 2, but k (--k) is 1"),
+        ("2", "0,2", "block dimensions (--blocks) must be >= 1, got (0, 2)"),
+        ("2", "-1,3", "block dimensions (--blocks) must be >= 1, got (-1, 3)"),
+    ])
+    def test_schur_blocks_errors_name_the_options(self, k, blocks, message, capsys):
+        # these printed "block dimensions are inconsistent with k" and "block
+        # dimension must be >= 1", naming neither option nor the values
+        argv = ["schur-verify", "--n", "4", "--k", k, "--p", "2", "--samples", "5",
+                f"--blocks={blocks}"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("witness_t,margin", [("-25", "1e-150"), ("-100", "0.01")])
     def test_schur_quad_route_node_overflow_prints_only_its_error(self, witness_t, margin,
                                                                   capsys):
