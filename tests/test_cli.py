@@ -867,7 +867,7 @@ class TestExtremeValues:
         ("1", "1,1", "block dimensions (--blocks) (1, 1) sum to 2, but k (--k) is 1"),
         ("2", "0,2", "block dimensions (--blocks) must be >= 1, got (0, 2)"),
         ("2", "-1,3", "block dimensions (--blocks) must be >= 1, got (-1, 3)"),
-    ])
+    ], ids=["sum-differs-from-k", "zero", "negative"])
     def test_schur_blocks_errors_name_the_options(self, k, blocks, message, capsys):
         # these printed "block dimensions are inconsistent with k" and "block
         # dimension must be >= 1", naming neither option nor the values
