@@ -68,9 +68,8 @@ def test_factors_are_the_product_layout(spec):
     assert columns == _parts(spec)
     assert [c for cols in columns for c in range(spec.n)[cols]] == list(range(spec.n))
     blocks, chain = factors[:len(spec.blocks)], factors[len(spec.blocks):]
-    assert [(k, fam) for k, _, _, fam in blocks] == list(spec.blocks)
-    assert all(j == 0 and fam is block_fam
-               for (_, _, j, fam), (_, block_fam) in zip(blocks, spec.blocks))
+    assert [(k, j) for k, _, j, _ in blocks] == [(kj, 0) for kj, _ in spec.blocks]
+    assert all(fam is block_fam for (*_, fam), (_, block_fam) in zip(blocks, spec.blocks))
     assert [(k, j, fam) for k, _, j, fam in chain] == [
         (1, cols.start + 1, None) for _, cols, _, _ in chain]
     assert domains.product_draws_per_point(spec) == (
